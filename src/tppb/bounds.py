@@ -8,7 +8,6 @@ the cubic character-degree sum, and a solver for the induced exponent bound.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,24 +25,28 @@ def neumann_admissible(group_order: int, a: int, b: int, c: int) -> bool:
     return a * (b + c - 1) <= group_order
 
 
+def admissible_profiles(counts, n: int):
+    """Yield sorted order profiles (a, b, c), a >= b >= c, over the keys of
+    `counts` (subgroup order -> number of subgroups of that order) that pass
+    the size test for a group of order n.  Each order above 1 must have as
+    many members as the profile uses; the trivial order may repeat."""
+    sizes = sorted(counts, reverse=True)
+    for ai, a in enumerate(sizes):
+        for bi in range(ai, len(sizes)):
+            b = sizes[bi]
+            for c in sizes[bi:]:
+                if not neumann_admissible(n, a, b, c):
+                    continue
+                if all(v == 1 or counts[v] >= m for v, m in Counter((a, b, c)).items()):
+                    yield a, b, c
+
+
 def compute_t(G: Group, lattice: SubgroupLattice) -> int:
     """Best product a*b*c over admissible triples of pairwise-distinct proper
     nontrivial subgroups, by order multiset; floor at |G| when none exists."""
     n = G.order
     counts = Counter(len(s) for s in lattice.items if 1 < len(s) < n)
-    sizes = sorted(counts, reverse=True)
-    best = n
-    for ai, a in enumerate(sizes):
-        for bi in range(ai, len(sizes)):
-            b = sizes[bi]
-            for ci in range(bi, len(sizes)):
-                c = sizes[ci]
-                mult = Counter((a, b, c))
-                if any(counts[v] < m for v, m in mult.items()):
-                    continue
-                if a * (b + c - 1) <= n:
-                    best = max(best, a * b * c)
-    return best
+    return max([n] + [a * b * c for a, b, c in admissible_profiles(counts, n)])
 
 
 def compute_N(G: Group, lattice: SubgroupLattice) -> int:
@@ -64,6 +67,16 @@ def compute_N(G: Group, lattice: SubgroupLattice) -> int:
     return best
 
 
+def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
+    """delta keyed by subgroup order s: the best b*c over admissible profiles
+    (s, b, c) of nontrivial orders; orders with no such profile are absent."""
+    counts = Counter(len(s) for s in lattice.items if len(s) > 1)
+    best = {}
+    for a, b, c in admissible_profiles(counts, G.order):
+        best[a] = max(best.get(a, 0), b * c)
+    return best
+
+
 def compute_delta(G: Group, lattice: SubgroupLattice, i: int):
     """Best |A|*|B| over distinct nontrivial subgroups A != B, both distinct
     from S_i, with |B| <= |A| <= |S_i| and the size test passing; None when
@@ -72,33 +85,7 @@ def compute_delta(G: Group, lattice: SubgroupLattice, i: int):
     items = lattice.items
     if not 1 <= i <= len(items):
         raise errors.IndexOutOfRange(f"lattice index {i} outside 1..{len(items)}")
-    si = len(items[i - 1])
-    counts = Counter(len(s) for s in items)
-    counts[si] -= 1
-    n = G.order
-    avail = sorted((v for v in counts if 2 <= v <= si and counts[v] >= 1), reverse=True)
-    best = None
-    for xi, x in enumerate(avail):
-        for y in avail[xi:]:
-            if x == y and counts[x] < 2:
-                continue
-            if si * (x + y - 1) <= n and (best is None or x * y > best):
-                best = x * y
-    return best
-
-
-def delta_index_based(orders, i: int, group_order: int):
-    """Audit variant of compute_delta using strict positions 1 < k < j < i
-    over an explicit ascending-by-order arrangement; None when empty."""
-    si = orders[i - 1]
-    best = None
-    for j in range(3, i):
-        for k in range(2, j):
-            a, b = orders[j - 1], orders[k - 1]
-            if si * (a + b - 1) <= group_order:
-                if best is None or a * b > best:
-                    best = a * b
-    return best
+    return _delta_by_order(G, lattice).get(len(items[i - 1]))
 
 
 @dataclass(frozen=True)
@@ -130,13 +117,14 @@ def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
     """
     n = G.order
     n_cap = compute_N(G, lattice)
+    delta_of = _delta_by_order(G, lattice)
     rows = []
     b = None
     for i in range(4, n_cap + 1):
         si = len(lattice[i])
         core = len(cores[i - 1])
         left = (n * si) // core
-        delta = compute_delta(G, lattice, i)
+        delta = delta_of.get(si)
         right = si * delta if delta is not None else None
         minimum = min(left, right) if right is not None else None
         rows.append(HCandidate(i, si, core, delta, left, right, minimum))
@@ -161,50 +149,16 @@ class BetaResult:
     checks: int
 
 
-def _class_ranges(orders):
-    ranges = []
-    lo = 0
-    while lo < len(orders):
-        hi = lo
-        while hi < len(orders) and orders[hi] == orders[lo]:
-            hi += 1
-        ranges.append((orders[lo], lo, hi))
-        lo = hi
-    return ranges
-
-
 def _concrete_triples(by_size, a, b, c):
     """Ascending index triples (i, j, k) with orders (c, b, a).
 
     Equal nontrivial orders draw distinct lattice members; the trivial
     subgroup is the only one allowed to repeat.
     """
-    if a == b == c:
-        start, stop = by_size[a]
-        if a == 1:
-            yield (start, start, start)
-        else:
-            yield from itertools.combinations(range(start, stop), 3)
-    elif a == b:
-        pairs = list(itertools.combinations(range(*by_size[a]), 2))
-        for i in range(*by_size[c]):
-            for j, k in pairs:
-                yield (i, j, k)
-    elif b == c:
-        astart, astop = by_size[a]
-        if b == 1:
-            t = by_size[1][0]
-            for k in range(astart, astop):
-                yield (t, t, k)
-        else:
-            for i, j in itertools.combinations(range(*by_size[b]), 2):
-                for k in range(astart, astop):
-                    yield (i, j, k)
-    else:
-        for i in range(*by_size[c]):
-            for j in range(*by_size[b]):
-                for k in range(*by_size[a]):
-                    yield (i, j, k)
+    for i in range(*by_size[c]):
+        for j in range(i + 1 if b == c > 1 else by_size[b][0], by_size[b][1]):
+            for k in range(j + 1 if a == b > 1 else by_size[a][0], by_size[a][1]):
+                yield i, j, k
 
 
 def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None, cores=None) -> BetaResult:
@@ -221,10 +175,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         cores = normal_cores(G, lattice)
     core_size = [len(s) for s in cores]
     orders = [len(s) for s in items]
-    ranges = _class_ranges(orders)
-    by_size = {size: (lo, hi) for size, lo, hi in ranges}
-    cnt = {size: hi - lo for size, lo, hi in ranges}
-    min_core = {size: min(core_size[lo:hi]) for size, lo, hi in ranges}
+    by_size = {}
+    for x, size in enumerate(orders):
+        lo, _ = by_size.get(size, (x, x))
+        by_size[size] = (lo, x + 1)
+    cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
+    min_core = {size: min(core_size[lo:hi]) for size, (lo, hi) in by_size.items()}
 
     checks = 1
     if not satisfies_tpp(G, items[0], items[0], items[-1]).holds:
@@ -236,25 +192,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     witnesses = {seed}
 
     profiles = []
-    sizes = sorted(cnt, reverse=True)
-    for ai, a in enumerate(sizes):
-        for bi in range(ai, len(sizes)):
-            b = sizes[bi]
-            for ci in range(bi, len(sizes)):
-                c = sizes[ci]
-                product = a * b * c
-                if product < n:
-                    continue
-                if a * (b + c - 1) > n:
-                    continue
-                mult = Counter((a, b, c))
-                if any(v > 1 and cnt[v] < m for v, m in mult.items()):
-                    continue
-                if any(
-                    min_core[v] > 1 and (product // v) * min_core[v] > n for v in mult
-                ):
-                    continue
-                profiles.append((a, b, c, product))
+    for a, b, c in admissible_profiles(cnt, n):
+        product = a * b * c
+        if product >= n and not any(
+            min_core[v] > 1 and (product // v) * min_core[v] > n for v in (a, b, c)
+        ):
+            profiles.append((a, b, c, product))
     profiles.sort(key=lambda r: (-r[3], r[:3]))
 
     for a, b, c, product in profiles:
@@ -347,6 +290,7 @@ class BoundsReport:
     b: int | None
     h: int
     d3: int
+    degrees: CharacterDegrees
     beta_g: int | None
     beta_witness: tuple[int, int, int] | None
     beta_exact: bool | None
@@ -389,6 +333,7 @@ def bounds_report(
         b=hb.b,
         h=hb.h,
         d3=d3,
+        degrees=degrees,
         beta_g=beta_g,
         beta_witness=beta_witness,
         beta_exact=beta_exact,

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import isprime
 
 from . import errors
-from .groups import Group, conjugacy_classes, group_stats
+from .groups import Group, conjugacy_classes, group_stats, prime_power
 
 __all__ = [
     "CharacterDegrees",
@@ -50,7 +49,7 @@ def admissible_primes(G: Group):
     k = 1
     while k <= PRIME_SEARCH_CAP:
         p = k * e + 1
-        if p * p > floor and isprime(p):
+        if p * p > floor and prime_power(p) == (p, 1):
             yield p
         k += 1
     raise errors.PrimeSearchExhausted(f"no admissible prime below {PRIME_SEARCH_CAP * e}")
@@ -194,7 +193,7 @@ def character_degrees(G: Group, prime: int | None = None) -> CharacterDegrees:
         return CharacterDegrees((1,) * n, n)
 
     if prime is not None:
-        if prime % st.exponent != 1 or prime * prime <= 4 * n or not isprime(prime):
+        if prime % st.exponent != 1 or prime * prime <= 4 * n or prime_power(prime) != (prime, 1):
             raise errors.BadParameter(
                 f"prime {prime} is not admissible for exponent {st.exponent}, order {n}"
             )

@@ -16,8 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from sympy import factorint
-
 from . import errors
 from .bounds import bounds_report
 from .chars import character_degrees, d_sum_int
@@ -30,28 +28,31 @@ from .groups import (
     group_from_ctab_file,
     group_from_pgens_file,
     group_stats,
+    prime_power,
     validate_family_parameter,
 )
 from .lattice import enumerate_subgroups, normal_cores
 from .tpp import verify_triple_report
 
 CSV_SCHEMA = "tppb-csv-v1"
-CSV_COLUMNS = [
-    "name",
-    "order",
-    "is_abelian",
-    "subgroup_count",
-    "class_count",
-    "d3",
-    "t",
-    "b",
-    "h",
-    "t_le_d3",
-    "h_le_d3",
-    "beta_g",
-    "runtime_ms",
-    "error",
-]
+# (CSV header, ReportRow attribute) in column order.
+_COLUMNS = (
+    ("name", "name"),
+    ("order", "order"),
+    ("is_abelian", "is_abelian"),
+    ("subgroup_count", "subgroup_count"),
+    ("class_count", "class_count"),
+    ("d3", "d3"),
+    ("t", "t"),
+    ("b", "b_or_blank"),
+    ("h", "h"),
+    ("t_le_d3", "t_le_d3"),
+    ("h_le_d3", "h_le_d3"),
+    ("beta_g", "beta_g_or_blank"),
+    ("runtime_ms", "runtime_ms"),
+    ("error", "error"),
+)
+CSV_COLUMNS = [header for header, _ in _COLUMNS]
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "sym", "alt", "elem_abelian")
 
@@ -74,7 +75,7 @@ class GroupSpec:
 def render_group_spec(spec: GroupSpec) -> str:
     if spec.kind == "builtin":
         if spec.family == "elem_abelian":
-            (prime, k), = factorint(spec.parameter).items()
+            prime, k = prime_power(spec.parameter)
             if k > 1:
                 return f"elem_abelian:{prime}^{k}"
         return f"{spec.family}:{spec.parameter}"
@@ -152,15 +153,11 @@ def realize_group_spec(spec: GroupSpec, base_dir=".", order_limit: int | None = 
         loader = group_from_pgens_file if spec.kind == "perm" else group_from_ctab_file
         return loader(path, order_limit=limit)
     left, right = spec.factors
-    G = direct_product(
+    return direct_product(
         realize_group_spec(left, base_dir, limit),
         realize_group_spec(right, base_dir, limit),
+        order_limit=limit,
     )
-    if G.order > limit:
-        raise errors.OrderLimitExceeded(
-            f"product order {G.order} exceeds limit {limit}"
-        )
-    return G
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,14 @@ def load_manifest(path) -> CatalogManifest:
     declared = None
     names = set()
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise errors.ManifestError(
+                f"line {lineno}: non-ASCII byte 0x{exc.object[exc.start]:02x}"
+            ) from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -268,22 +272,7 @@ def _cell(value) -> str:
 
 
 def _row_cells(row: ReportRow):
-    return [
-        row.name,
-        _cell(row.order),
-        _cell(row.is_abelian),
-        _cell(row.subgroup_count),
-        _cell(row.class_count),
-        _cell(row.d3),
-        _cell(row.t),
-        _cell(row.b_or_blank),
-        _cell(row.h),
-        _cell(row.t_le_d3),
-        _cell(row.h_le_d3),
-        _cell(row.beta_g_or_blank),
-        _cell(row.runtime_ms),
-        row.error,
-    ]
+    return [_cell(getattr(row, attr)) for _, attr in _COLUMNS]
 
 
 def write_report_csv(path, rows) -> None:
@@ -359,13 +348,12 @@ def _cmd_analyze(args) -> int:
         order_limit=args.order_limit,
         with_runtime=True,
     )
-    degrees = " ".join(str(d) for d in character_degrees(realize_group_spec(spec, order_limit=args.order_limit)).degrees)
     print(f"group: {row.name}")
     print(f"order: {row.order}")
     print(f"abelian: {_cell(row.is_abelian)}")
     print(f"subgroups: {row.subgroup_count}")
     print(f"classes: {row.class_count}")
-    print(f"degrees: {degrees}")
+    print(f"degrees: {' '.join(str(d) for d in report.degrees.degrees)}")
     print(f"d3: {row.d3}")
     print(f"N: {report.N}")
     print(f"t: {row.t}")

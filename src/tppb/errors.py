@@ -14,7 +14,6 @@ __all__ = [
     "EmptySet",
     "UnsortedSizes",
     "IndexOutOfRange",
-    "BudgetExceeded",
     "NoRootInRange",
     "DomainError",
     "EigenspaceSplitFailure",
@@ -89,10 +88,6 @@ class UnsortedSizes(TppbError):
 
 class IndexOutOfRange(TppbError):
     """A 1-based lattice index is outside 1..count."""
-
-
-class BudgetExceeded(TppbError):
-    """The triple-check budget ran out before the search finished."""
 
 
 class NoRootInRange(TppbError):

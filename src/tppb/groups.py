@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint
 
 from . import errors
 
@@ -34,6 +33,7 @@ __all__ = [
     "derived_subgroup",
     "group_stats",
     "element_order",
+    "prime_power",
     "group_from_pgens_file",
     "group_from_ctab_file",
 ]
@@ -142,6 +142,24 @@ class GroupStats:
     is_abelian: bool
     exponent: int
     center_size: int
+
+
+def prime_power(q: int):
+    """(p, k) with q == p**k for a prime p and k >= 1; None when q is not a
+    prime power.  Exact by trial division, so q is prime iff the result is
+    (q, 1)."""
+    if q < 2:
+        return None
+    p = 2
+    while q % p:
+        if p * p > q:
+            return (q, 1)
+        p += 1
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 def _check_limit(n: int, limit: int, what: str):
@@ -312,7 +330,7 @@ def validate_family_parameter(family: str, parameter: int) -> None:
     elif family == "elem_abelian":
         if p < 2:
             raise errors.BadParameter("elem_abelian parameter must be a prime power >= 2")
-        if len(factorint(p)) != 1:
+        if prime_power(p) is None:
             raise errors.BadParameter(f"{p} is not a prime power")
     else:
         raise errors.UnknownFamily(f"unknown builtin family {family!r}")
@@ -358,7 +376,7 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
         else:
             gens = [three, [1] + list(range(3, p + 1)) + [2]]
         return from_permutation_generators(p, gens, order_limit)
-    (prime, k), = factorint(p).items()
+    prime, k = prime_power(p)
     degree = prime * k
     gens = []
     for block in range(k):
@@ -454,10 +472,16 @@ def group_stats(G: Group) -> GroupStats:
 
 def _data_lines(path):
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise errors.ParseError(
+                os.fspath(path), exc.start, f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
+            ) from None
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 def group_from_pgens_file(path, order_limit: int | None = None) -> Group:

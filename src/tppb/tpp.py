@@ -14,29 +14,11 @@ from . import errors
 from .groups import ElementSet, Group
 
 __all__ = [
-    "TppTriple",
     "TppVerdict",
     "right_quotient",
     "satisfies_tpp",
     "verify_triple_report",
 ]
-
-
-@dataclass(frozen=True)
-class TppTriple:
-    """Subset triple with its size |S|*|T|*|U|."""
-
-    S: ElementSet
-    T: ElementSet
-    U: ElementSet
-
-    def __post_init__(self):
-        if len(self.S) == 0 or len(self.T) == 0 or len(self.U) == 0:
-            raise errors.EmptySet("TPP triple components must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.S) * len(self.T) * len(self.U)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,16 @@ definitional scans, unpruned enumeration, or classical character
 inner products. They are deliberately slow and simple.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from tppb import errors
+from tppb.groups import ElementSet
+
 __all__ = [
+    "TppTriple",
+    "delta_index_based",
     "element_order",
     "quotient_set",
     "definitional_tpp",
@@ -16,6 +22,37 @@ __all__ = [
     "naive_beta_over_subgroups",
     "s4_degrees_by_inner_products",
 ]
+
+
+@dataclass(frozen=True)
+class TppTriple:
+    """Subset triple with its size |S|*|T|*|U|."""
+
+    S: ElementSet
+    T: ElementSet
+    U: ElementSet
+
+    def __post_init__(self):
+        if len(self.S) == 0 or len(self.T) == 0 or len(self.U) == 0:
+            raise errors.EmptySet("TPP triple components must be non-empty")
+
+    @property
+    def size(self) -> int:
+        return len(self.S) * len(self.T) * len(self.U)
+
+
+def delta_index_based(orders, i: int, group_order: int):
+    """Audit variant of compute_delta using strict positions 1 < k < j < i
+    over an explicit ascending-by-order arrangement; None when empty."""
+    si = orders[i - 1]
+    best = None
+    for j in range(3, i):
+        for k in range(2, j):
+            a, b = orders[j - 1], orders[k - 1]
+            if si * (a + b - 1) <= group_order:
+                if best is None or a * b > best:
+                    best = a * b
+    return best
 
 
 def element_order(G, g: int) -> int:

@@ -1,17 +1,19 @@
 """Capacity bounds: t, N, delta, b, h, exact beta_g search, flags, solver."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from tppb import errors
 from tppb.bounds import (
+    admissible_profiles,
     bounds_report,
     compute_N,
     compute_delta,
     compute_h,
     compute_t,
-    delta_index_based,
     exclusion_flags,
     neumann_admissible,
     search_beta_g,
@@ -21,7 +23,7 @@ from tppb.chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_rea
 from tppb.groups import builtin, direct_product
 from tppb.lattice import enumerate_subgroups, normal_cores
 from tppb.tpp import satisfies_tpp
-from oracles import naive_beta_over_subgroups
+from oracles import delta_index_based, naive_beta_over_subgroups
 
 
 def lat_of(G):
@@ -50,6 +52,22 @@ class TestNeumannAdmissible:
         for bad in [(2, 3, 2), (2, 2, 3), (3, 1, 2), (1, 1, 0)]:
             with pytest.raises(errors.UnsortedSizes):
                 neumann_admissible(6, *bad)
+
+
+class TestAdmissibleProfiles:
+    def test_matches_brute_force_on_catalog(self, catalog, catalog_lattices):
+        for name, G in catalog:
+            orders = [len(s) for s in catalog_lattices[name].items]
+            counts = Counter(orders)
+            sizes = sorted(counts, reverse=True)
+            want = [
+                (a, b, c)
+                for a, b, c in itertools.product(sizes, repeat=3)
+                if a >= b >= c
+                and a * (b + c - 1) <= G.order
+                and all(v == 1 or orders.count(v) >= (a, b, c).count(v) for v in (a, b, c))
+            ]
+            assert list(admissible_profiles(counts, G.order)) == want, name
 
 
 class TestComputeT:
@@ -276,6 +294,20 @@ class TestSearchBeta:
             G, lat.items, lambda g, s, t, u: satisfies_tpp(g, s, t, u).holds
         )
         assert res.value == want
+
+    @pytest.mark.parametrize(
+        "spec,value,witness,checks",
+        [
+            ("sym:4", 36, (2, 11, 25), 241),
+            ("sym:5", 256, (37, 111, 116), 42_891),
+            ("dicyclic:48", 48, (1, 1, 36), 221),
+        ],
+    )
+    def test_frozen_value_witness_and_checks(self, spec, value, witness, checks):
+        # The check count moves if a prune is lost or profiles are reordered.
+        G = make(spec)
+        res = search_beta_g(G, lat_of(G))
+        assert (res.value, res.witness, res.exact, res.checks) == (value, witness, True, checks)
 
     def test_budget_exhaustion_flags_inexact(self):
         G = make("sym:4")

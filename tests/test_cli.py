@@ -2,6 +2,7 @@
 
 import pytest
 
+import tppb.cli
 from tppb import errors
 from tppb.cli import (
     CatalogManifest,
@@ -105,6 +106,12 @@ class TestRealize:
                 parse_group_spec("product(cyclic:4,cyclic:4)"), order_limit=15
             )
 
+    def test_order_limit_reaches_product(self):
+        G = realize_group_spec(
+            parse_group_spec("product(cyclic:41,cyclic:50)"), order_limit=2100
+        )
+        assert G.order == 2050
+
 
 class TestManifest:
     def test_load_with_header_and_comments(self, tmp_path):
@@ -129,6 +136,13 @@ class TestManifest:
         path.write_text("just-a-name\n")
         with pytest.raises(errors.ManifestError):
             load_manifest(path)
+
+    def test_non_ascii_byte_is_manifest_error(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(b"a\tsym:3\n# caf\xc3\xa9\n")
+        with pytest.raises(errors.ManifestError) as exc:
+            load_manifest(path)
+        assert "line 2" in str(exc.value)
 
     def test_bad_spec_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.manifest"
@@ -194,6 +208,16 @@ class TestBatch:
         assert lines[2].startswith("tiny,3,")
         assert lines[3].startswith("huge,") and "OrderLimitExceeded" in lines[3]
 
+    def test_non_ascii_perm_file_is_entry_error(self, tmp_path, capsys):
+        (tmp_path / "bad.pgens").write_bytes(b"degree 3\n2 1 3\n\xc3\n")
+        man = self.write_manifest(tmp_path, "s3\tsym:3\nbad\tperm:bad.pgens\n")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run(["batch", str(man), "--out", str(out)], capsys)
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert lines[2] == "s3,6,false,6,3,10,8,8,8,true,true,,,"
+        assert lines[3].startswith("bad,,") and "ParseError" in lines[3]
+
     def test_empty_manifest(self, tmp_path, capsys):
         man = self.write_manifest(tmp_path, "# nothing\n")
         out = tmp_path / "rows.csv"
@@ -243,6 +267,24 @@ class TestAnalyze:
             "h_le_d3: true",
         ):
             assert needle in stdout
+
+    def test_group_and_degrees_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def count_calls(name):
+            real = getattr(tppb.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(tppb.cli, name, wrapper)
+
+        count_calls("realize_group_spec")
+        count_calls("character_degrees")
+        code, stdout, _ = run(["analyze", "sym:3"], capsys)
+        assert code == 0 and "degrees: 1 1 2" in stdout
+        assert sorted(calls) == ["character_degrees", "realize_group_spec"]
 
     def test_quaternion_blank_b(self, capsys):
         code, stdout, _ = run(["analyze", "dicyclic:8"], capsys)

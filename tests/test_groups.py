@@ -15,6 +15,7 @@ from tppb.groups import (
     group_from_ctab_file,
     group_from_pgens_file,
     group_stats,
+    prime_power,
 )
 from oracles import element_order
 
@@ -129,6 +130,26 @@ class TestFromPermutationGenerators:
             list(range(2, k + 1)) + [1],
         ]
         assert from_permutation_generators(k, gens).order == fact
+
+
+class TestPrimePower:
+    def test_matches_sieve_below_10000(self):
+        limit = 10_000
+        is_prime = [True] * limit
+        is_prime[0] = is_prime[1] = False
+        for p in range(2, limit):
+            if is_prime[p]:
+                for m in range(p * p, limit, p):
+                    is_prime[m] = False
+        want = {}
+        for p in range(2, limit):
+            if is_prime[p]:
+                q, k = p, 1
+                while q < limit:
+                    want[q] = (p, k)
+                    q, k = q * p, k + 1
+        for q in range(-1, limit):
+            assert prime_power(q) == want.get(q), q
 
 
 class TestBuiltin:

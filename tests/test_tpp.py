@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from tppb import errors
 from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import enumerate_subgroups
-from tppb.tpp import TppTriple, right_quotient, satisfies_tpp, verify_triple_report
-from oracles import definitional_tpp, quotient_set
+from tppb.tpp import right_quotient, satisfies_tpp, verify_triple_report
+from oracles import TppTriple, definitional_tpp, quotient_set
 
 
 def eset(idxs):
