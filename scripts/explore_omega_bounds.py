@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from tppb.bounds import bounds_report, solve_omega_bound
-from tppb.chars import character_degrees
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.errors import NoRootInRange
 
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
         spec = parse_group_spec(text)
         G = realize_group_spec(spec, order_limit=args.order_limit)
         report = bounds_report(G, group_name=spec.name, exact_beta=True)
-        degrees = character_degrees(G)
+        degrees = report.degrees
         rows.append(
             (
                 spec.name,

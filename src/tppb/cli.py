@@ -151,7 +151,13 @@ def realize_group_spec(spec: GroupSpec, base_dir=".", order_limit: int | None = 
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         loader = group_from_pgens_file if spec.kind == "perm" else group_from_ctab_file
-        return loader(path, order_limit=limit)
+        try:
+            return loader(path, order_limit=limit)
+        except OSError as exc:
+            # Name the file as the spec wrote it, so output does not depend
+            # on where the catalog lives.
+            exc.filename = spec.path
+            raise
     left, right = spec.factors
     return direct_product(
         realize_group_spec(left, base_dir, limit),

@@ -92,23 +92,19 @@ class ElementSet:
 
 
 class Group:
-    """Immutable finite group over element indices 0..order-1."""
+    """Immutable finite group over element indices 0..order-1, held as its
+    multiplication table; inverses are read off the table."""
 
-    __slots__ = ("order", "mul", "inv", "labels", "perms", "_label_index", "_mul_array")
+    __slots__ = ("order", "table", "mul", "inv", "labels", "perms", "_label_index")
 
-    def __init__(self, mul, inv, labels=None, perms=None):
-        self.order = len(mul)
-        self.mul = mul
-        self.inv = inv
+    def __init__(self, table, labels=None, perms=None):
+        self.table = np.asarray(table, dtype=np.int64)
+        self.order = len(self.table)
+        self.mul = self.table.tolist()
+        self.inv = (self.table == 0).argmax(axis=1).tolist()
         self.labels = labels
         self.perms = perms
         self._label_index = None
-        self._mul_array = None
-
-    def mul_array(self) -> np.ndarray:
-        if self._mul_array is None:
-            self._mul_array = np.asarray(self.mul, dtype=np.int64)
-        return self._mul_array
 
     def label_of(self, i: int) -> str:
         if self.labels is not None:
@@ -178,7 +174,10 @@ def from_cayley_table(n: int, table, order_limit: int | None = None) -> Group:
     if n < 1:
         raise errors.BadParameter("order must be at least 1")
     _check_limit(n, limit, "table")
-    M = np.asarray(table, dtype=np.int64)
+    try:
+        M = np.asarray(table, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise errors.BadParameter(f"table must be {n}x{n} integers in 0..{n - 1}") from None
     if M.shape != (n, n):
         raise errors.BadParameter(f"table must be {n}x{n}, got shape {M.shape}")
     if M.min() < 0 or M.max() >= n:
@@ -202,12 +201,7 @@ def from_cayley_table(n: int, table, order_limit: int | None = None) -> Group:
             bad = np.argwhere(left != right)
             b, c = (int(v) for v in bad[np.lexsort((bad[:, 1], bad[:, 0]))[0]])
             raise errors.NotAssociative(a, b, c)
-
-    inv = [0] * n
-    for a, b in np.argwhere(M == 0):
-        inv[int(a)] = int(b)
-    mul = [list(map(int, row)) for row in M]
-    return Group(mul, inv)
+    return Group(M)
 
 
 def _as_zero_based_perm(seq, degree: int):
@@ -231,11 +225,12 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
     identity = tuple(range(degree))
     index = {identity: 0}
     elems = [identity]
-    pos = 0
-    while pos < len(elems):
-        cur = elems[pos]
-        pos += 1
-        for g in gens0:
+    parent = [0]
+    via = [0]
+    # left[k][y] = index of gens0[k] * elems[y]
+    left = [[] for _ in gens0]
+    for pos, cur in enumerate(elems):
+        for k, g in enumerate(gens0):
             new = tuple(g[c] for c in cur)
             if new not in index:
                 if len(elems) + 1 > limit:
@@ -245,23 +240,19 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
                     )
                 index[new] = len(elems)
                 elems.append(new)
+                parent.append(pos)
+                via.append(k)
+            left[k].append(index[new])
 
+    # x = g * parent(x), so row x of the table is L_g applied to row parent(x).
     n = len(elems)
-    rng = range(degree)
-    mul = []
-    for pa in elems:
-        row = [0] * n
-        for j, pb in enumerate(elems):
-            row[j] = index[tuple(pa[pb[x]] for x in rng)]
-        mul.append(row)
-    inv = [0] * n
-    for i, p in enumerate(elems):
-        q = [0] * degree
-        for x, y in enumerate(p):
-            q[y] = x
-        inv[i] = index[tuple(q)]
+    L = np.array(left, dtype=np.int64)
+    M = np.empty((n, n), dtype=np.int64)
+    M[0] = np.arange(n)
+    for x in range(1, n):
+        M[x] = L[via[x], M[parent[x]]]
     labels = [" ".join(str(x + 1) for x in p) for p in elems]
-    return Group(mul, inv, labels=labels, perms=elems)
+    return Group(M, labels=labels, perms=elems)
 
 
 def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:
@@ -269,17 +260,8 @@ def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:
     limit = order_limit if order_limit is not None else configured_order_limit()
     n = A.order * B.order
     _check_limit(n, limit, "direct product")
-    nb = B.order
-    rb = range(nb)
-    ra = range(A.order)
-    mul = []
-    for a in ra:
-        arow = A.mul[a]
-        for b in rb:
-            brow = B.mul[b]
-            mul.append([arow[a2] * nb + brow[b2] for a2 in ra for b2 in rb])
-    inv = [A.inv[a] * nb + B.inv[b] for a in ra for b in rb]
-    return Group(mul, inv)
+    table = A.table[:, None, :, None] * B.order + B.table[None, :, None, :]
+    return Group(table.reshape(n, n))
 
 
 def _dicyclic_perms(m: int):
@@ -460,7 +442,7 @@ def element_order(G: Group, g: int) -> int:
 
 def group_stats(G: Group) -> GroupStats:
     """Order, commutativity, exponent (lcm of element orders), center size."""
-    M = G.mul_array()
+    M = G.table
     eq = M == M.T
     is_abelian = bool(eq.all())
     center_size = int(eq.all(axis=1).sum())
@@ -475,8 +457,12 @@ def _data_lines(path):
         try:
             lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:
+            # Quote the offending line, not the path, so the message does
+            # not depend on where the file lives.
+            raw = exc.object
+            head = raw[: exc.start].decode("ascii").split("\n")
             raise errors.ParseError(
-                os.fspath(path), exc.start, f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
+                head[-1], len(head[-1]), f"line {len(head)}: non-ASCII byte 0x{raw[exc.start]:02x}"
             ) from None
     for line in lines:
         line = line.strip()

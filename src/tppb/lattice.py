@@ -52,11 +52,11 @@ def _cyclic_mask(G: Group, g: int) -> int:
     return mask
 
 
-def _coset_join(mul, members, mask, multipliers, g):
-    """Members and mask of <H, g> by right-coset search.
+def _coset_join(mul, members, mask, multipliers):
+    """Members and mask of <H, multipliers> by right-coset search.
 
-    H is given by its member list and mask; multipliers must generate H
-    together with g. New coset representatives are found by right-
+    H is given by its member list and mask; multipliers must include a
+    generating set of H. New coset representatives are found by right-
     multiplying known representatives, and each coset H*r is filled by
     multiplying every member of H into r.
     """
@@ -110,7 +110,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         for smask, g in seed_items:
             if smask & ~hmask == 0:
                 continue
-            kmembers, kmask = _coset_join(mul, members, hmask, gens + (g,), g)
+            kmembers, kmask = _coset_join(mul, members, hmask, gens + (g,))
             if kmask not in known:
                 if len(known) + 1 > limit:
                     raise errors.LatticeLimitExceeded(
@@ -139,19 +139,7 @@ def _require_subgroup(G: Group, S: ElementSet):
 
 def is_normal(G: Group, S: ElementSet) -> bool:
     """True iff g*S*g^-1 = S for every g."""
-    _require_subgroup(G, S)
-    mul = G.mul
-    inv = G.inv
-    members = list(S.indices())
-    for g in range(1, G.order):
-        if g in S:
-            continue
-        row = mul[g]
-        ig = inv[g]
-        for s in members:
-            if mul[row[s]][ig] not in S:
-                return False
-    return True
+    return normal_core(G, S) == S
 
 
 def normal_core(G: Group, S: ElementSet) -> ElementSet:

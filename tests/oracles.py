@@ -16,6 +16,7 @@ __all__ = [
     "TppTriple",
     "delta_index_based",
     "element_order",
+    "permutation_table",
     "quotient_set",
     "definitional_tpp",
     "brute_force_subgroup_masks",
@@ -62,6 +63,22 @@ def element_order(G, g: int) -> int:
         x = G.mul[x][g]
         k += 1
     return k
+
+
+def permutation_table(perms):
+    """Multiplication table and inverses of a list of 0-based image tuples
+    by composing every pair, (p * q)(x) = p(q(x)), and looking each
+    product and inverse up by value."""
+    index = {p: i for i, p in enumerate(perms)}
+    rng = range(len(perms[0]))
+    mul = [[index[tuple(pa[pb[x]] for x in rng)] for pb in perms] for pa in perms]
+    inv = []
+    for p in perms:
+        q = [0] * len(p)
+        for x, y in enumerate(p):
+            q[y] = x
+        inv.append(index[tuple(q)])
+    return mul, inv
 
 
 def quotient_set(G, idxs) -> frozenset:

@@ -112,6 +112,11 @@ class TestRealize:
         )
         assert G.order == 2050
 
+    def test_oversized_product_fails_fast(self):
+        # Both factors are built before the limit check, so each must build quickly.
+        with pytest.raises(errors.OrderLimitExceeded):
+            realize_group_spec(parse_group_spec("product(cyclic:1000,cyclic:1000)"))
+
 
 class TestManifest:
     def test_load_with_header_and_comments(self, tmp_path):
@@ -217,6 +222,31 @@ class TestBatch:
         lines = out.read_text().splitlines()
         assert lines[2] == "s3,6,false,6,3,10,8,8,8,true,true,,,"
         assert lines[3].startswith("bad,,") and "ParseError" in lines[3]
+        assert str(tmp_path) not in lines[3]
+
+    def test_ragged_table_is_entry_error(self, tmp_path, capsys):
+        (tmp_path / "ragged.ctab").write_text("3\n0 1 2\n1 2\n2 0 1\n")
+        man = self.write_manifest(tmp_path, "s3\tsym:3\nragged\ttable:ragged.ctab\n")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run(["batch", str(man), "--out", str(out)], capsys)
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert lines[2] == "s3,6,false,6,3,10,8,8,8,true,true,,,"
+        assert lines[3].startswith("ragged,,") and "BadParameter" in lines[3]
+
+    def test_missing_file_error_names_spec_path(self, tmp_path, capsys):
+        outputs = []
+        for sub in ("one", "two"):
+            (tmp_path / sub).mkdir()
+            man = self.write_manifest(tmp_path / sub, "s3\tsym:3\nnope\tperm:nope.pgens\n")
+            out = tmp_path / f"{sub}.csv"
+            code, _, _ = run(["batch", str(man), "--out", str(out)], capsys)
+            assert code == 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        row = outputs[0].decode().splitlines()[3]
+        assert row.startswith("nope,,") and "'nope.pgens'" in row
+        assert str(tmp_path) not in row
 
     def test_empty_manifest(self, tmp_path, capsys):
         man = self.write_manifest(tmp_path, "# nothing\n")
@@ -301,6 +331,13 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", "sym:3", "--verbose"], capsys)
         assert code == 0
         assert "i=4 order=2 core=1 delta=4 left=12 right=8 min=8" in stdout
+
+    def test_ragged_table_exits_with_error(self, tmp_path, capsys):
+        path = tmp_path / "ragged.ctab"
+        path.write_text("3\n0 1 2\n1 2\n2 0 1\n")
+        code, _, err = run(["analyze", f"table:{path}"], capsys)
+        assert code == 2
+        assert err.startswith("error: table must be 3x3")
 
     def test_bad_spec_exits_nonzero(self, capsys):
         code, _, stderr = run(["analyze", "dihedral:7"], capsys)

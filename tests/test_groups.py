@@ -1,8 +1,11 @@
 """Group construction, builtin families, stats, classes, and closure."""
 
+from pathlib import Path
+
 import pytest
 
 from tppb import errors
+from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import (
     ElementSet,
     builtin,
@@ -17,7 +20,9 @@ from tppb.groups import (
     group_stats,
     prime_power,
 )
-from oracles import element_order
+from oracles import element_order, permutation_table
+
+CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
 
 # An order-5 Latin square with identity row and column that is not a
 # group table: element 1 squares to the identity, which no order-5
@@ -78,6 +83,15 @@ class TestFromCayleyTable:
     def test_bad_shape_rejected(self):
         with pytest.raises(errors.TppbError):
             from_cayley_table(2, [[0, 1]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1, 2], [1, 2], [2, 0, 1]], [[0, 1, 2], [1, 2, 10**20], [2, 0, 1]]],
+        ids=["ragged", "overflow"],
+    )
+    def test_unconvertible_rows_rejected(self, rows):
+        with pytest.raises(errors.BadParameter, match="3x3"):
+            from_cayley_table(3, rows)
 
     def test_entry_out_of_range(self):
         with pytest.raises(errors.TppbError):
@@ -246,6 +260,46 @@ class TestDirectProduct:
         G = direct_product(A, B)
         # (1, 1) * (2, 1) = (0, 0): index a*|B| + b.
         assert G.mul[1 * 2 + 1][2 * 2 + 1] == 0
+
+
+class TestTableConstruction:
+    """Every constructor ends in one table; check it against independent
+    constructions of the same table."""
+
+    def test_permutation_tables_match_composition_oracle(self, catalog):
+        checked = 0
+        for name, G in catalog:
+            if G.perms is None:
+                continue
+            mul, inv = permutation_table(G.perms)
+            assert G.mul == mul, name
+            assert G.inv == inv, name
+            checked += 1
+        for path in sorted(CATALOG_DIR.glob("*.pgens")):
+            G = group_from_pgens_file(path)
+            assert (G.mul, G.inv) == permutation_table(G.perms), path.name
+            checked += 1
+        assert checked > 50
+
+    def test_products_follow_pair_formula(self, catalog):
+        products = [(name, G) for name, G in catalog if name.startswith("product(")]
+        assert products
+        for name, G in products:
+            A, B = (realize_group_spec(f) for f in parse_group_spec(name).factors)
+            nb = B.order
+            for a in range(A.order):
+                for b in range(nb):
+                    row = G.mul[a * nb + b]
+                    assert G.inv[a * nb + b] == A.inv[a] * nb + B.inv[b], name
+                    for a2 in range(A.order):
+                        for b2 in range(nb):
+                            want = A.mul[a][a2] * nb + B.mul[b][b2]
+                            assert row[a2 * nb + b2] == want, name
+
+    def test_tables_hold_plain_ints(self, catalog):
+        for name, G in catalog:
+            assert all(type(x) is int for x in G.inv), name
+            assert all(type(x) is int for row in G.mul for x in row), name
 
 
 class TestGroupStats:
