@@ -43,9 +43,11 @@ class CharacterDegrees:
 
 def admissible_primes(G: Group):
     """Yield primes p = 1 (mod exponent) with p^2 > 4|G|, ascending."""
-    st = group_stats(G)
-    e = st.exponent
-    floor = 4 * st.order
+    return _admissible_primes(group_stats(G).exponent, G.order)
+
+
+def _admissible_primes(e: int, order: int):
+    floor = 4 * order
     k = 1
     while k <= PRIME_SEARCH_CAP:
         p = k * e + 1
@@ -199,7 +201,7 @@ def character_degrees(G: Group, prime: int | None = None) -> CharacterDegrees:
             )
         candidates = [prime]
     else:
-        gen = admissible_primes(G)
+        gen = _admissible_primes(st.exponent, n)
         candidates = [next(gen) for _ in range(RETRY_PRIMES)]
 
     A, sizes, inv_class = _class_matrices(G)

@@ -23,11 +23,11 @@ from .groups import (
     ElementSet,
     Group,
     builtin,
+    check_order_limit,
     configured_order_limit,
     direct_product,
     group_from_ctab_file,
     group_from_pgens_file,
-    group_stats,
     prime_power,
     validate_family_parameter,
 )
@@ -55,6 +55,8 @@ _COLUMNS = (
 CSV_COLUMNS = [header for header, _ in _COLUMNS]
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "sym", "alt", "elem_abelian")
+# Parsing, rendering and building recurse once per product level.
+MAX_PRODUCT_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,14 @@ def _parse_int(text: str, pos: int, token: str) -> int:
         raise errors.ParseError(text, pos, f"expected an integer, got {token!r}") from None
 
 
-def _parse_spec_at(text: str, pos: int):
+def _parse_spec_at(text: str, pos: int, depth: int = 0):
     if text.startswith("product(", pos):
-        left, pos = _parse_spec_at(text, pos + len("product("))
+        if depth == MAX_PRODUCT_DEPTH:
+            raise errors.ParseError(text, pos, f"product nesting deeper than {MAX_PRODUCT_DEPTH}")
+        left, pos = _parse_spec_at(text, pos + len("product("), depth + 1)
         if pos >= len(text) or text[pos] != ",":
             raise errors.ParseError(text, pos, "expected ',' between product factors")
-        right, pos = _parse_spec_at(text, pos + 1)
+        right, pos = _parse_spec_at(text, pos + 1, depth + 1)
         if pos >= len(text) or text[pos] != ")":
             raise errors.ParseError(text, pos, "expected ')' closing product")
         return GroupSpec(kind="product", factors=(left, right)), pos + 1
@@ -143,16 +147,15 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 def realize_group_spec(spec: GroupSpec, base_dir=".", order_limit: int | None = None) -> Group:
     """Build the group, resolving relative paths against `base_dir`."""
-    limit = configured_order_limit() if order_limit is None else order_limit
     if spec.kind == "builtin":
-        return builtin(spec.family, spec.parameter, order_limit=limit)
+        return builtin(spec.family, spec.parameter, order_limit=order_limit)
     if spec.kind in ("perm", "table"):
         path = spec.path
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         loader = group_from_pgens_file if spec.kind == "perm" else group_from_ctab_file
         try:
-            return loader(path, order_limit=limit)
+            return loader(path, order_limit=order_limit)
         except OSError as exc:
             # Name the file as the spec wrote it, so output does not depend
             # on where the catalog lives.
@@ -160,9 +163,9 @@ def realize_group_spec(spec: GroupSpec, base_dir=".", order_limit: int | None = 
             raise
     left, right = spec.factors
     return direct_product(
-        realize_group_spec(left, base_dir, limit),
-        realize_group_spec(right, base_dir, limit),
-        order_limit=limit,
+        realize_group_spec(left, base_dir, order_limit),
+        realize_group_spec(right, base_dir, order_limit),
+        order_limit=order_limit,
     )
 
 
@@ -252,7 +255,8 @@ def evaluate_spec(
     row = ReportRow(
         name=name,
         order=G.order,
-        is_abelian=group_stats(G).is_abelian,
+        # Abelian iff every conjugacy class is a singleton.
+        is_abelian=len(degrees.degrees) == G.order,
         subgroup_count=lattice.count,
         class_count=len(degrees.degrees),
         d3=report.d3,
@@ -303,9 +307,8 @@ def _batch_worker(payload):
                 error=f"order {row.order} does not match declared order {declared}",
             )
         return index, row
-    except errors.TppbError as exc:
-        return index, ReportRow(name=name, error=f"{type(exc).__name__}: {exc}")
-    except OSError as exc:
+    except Exception as exc:
+        # Any failure stays in this entry's row; the batch carries on.
         return index, ReportRow(name=name, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("spec")
     analyze.add_argument("--exact-beta", action="store_true")
     analyze.add_argument("--verbose", action="store_true")
-    analyze.add_argument("--order-limit", type=int, default=None)
+    analyze.add_argument("--order-limit", type=check_order_limit, default=None)
     analyze.set_defaults(func=_cmd_analyze)
 
     batch = sub.add_parser("batch", help="evaluate a manifest into a CSV report")
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--out", required=True)
     batch.add_argument("--jobs", type=int, default=1)
     batch.add_argument("--exact-beta", action="store_true")
-    batch.add_argument("--order-limit", type=int, default=None)
+    batch.add_argument("--order-limit", type=check_order_limit, default=None)
     batch.set_defaults(func=_cmd_batch)
 
     verify = sub.add_parser("verify-tpp", help="check one explicit subset triple")
@@ -458,19 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--s", required=True)
     verify.add_argument("--t", required=True)
     verify.add_argument("--u", required=True)
-    verify.add_argument("--order-limit", type=int, default=None)
+    verify.add_argument("--order-limit", type=check_order_limit, default=None)
     verify.set_defaults(func=_cmd_verify_tpp)
 
     degrees = sub.add_parser("degrees", help="print irreducible character degrees")
     degrees.add_argument("spec")
-    degrees.add_argument("--order-limit", type=int, default=None)
+    degrees.add_argument("--order-limit", type=check_order_limit, default=None)
     degrees.set_defaults(func=_cmd_degrees)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        # One validated limit for every entry and worker of this run.
+        if args.order_limit is None:
+            args.order_limit = configured_order_limit()
         return args.func(args)
     except errors.TppbError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from . import errors
 
 __all__ = [
     "DEFAULT_ORDER_LIMIT",
-    "TABLE_ORDER_LIMIT",
+    "check_order_limit",
     "configured_order_limit",
     "ElementSet",
     "Group",
@@ -39,15 +39,27 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_LIMIT = 2000
-# Table ingestion runs the full cubic associativity scan, so its default
-# cap is lower than the general construction limit.
-TABLE_ORDER_LIMIT = 512
 
 
-def configured_order_limit(default: int = DEFAULT_ORDER_LIMIT) -> int:
+def check_order_limit(value, source: str = "order limit") -> int:
+    """`value` as an order limit: an integer >= 1, else BadParameter."""
+    try:
+        limit = int(value)
+    except (TypeError, ValueError):
+        limit = 0
+    if limit < 1:
+        raise errors.BadParameter(f"{source} must be an integer >= 1, got {value!r}")
+    return limit
+
+
+def configured_order_limit() -> int:
     """Order cap used by constructors; TPPB_ORDER_LIMIT overrides it."""
     raw = os.environ.get("TPPB_ORDER_LIMIT")
-    return int(raw) if raw else default
+    return check_order_limit(raw, "TPPB_ORDER_LIMIT") if raw else DEFAULT_ORDER_LIMIT
+
+
+def _resolve_limit(order_limit) -> int:
+    return configured_order_limit() if order_limit is None else check_order_limit(order_limit)
 
 
 class ElementSet:
@@ -170,7 +182,7 @@ def from_cayley_table(n: int, table, order_limit: int | None = None) -> Group:
     rows then columns, identity at index 0, then the full associativity
     scan. The first failing witness is reported.
     """
-    limit = order_limit if order_limit is not None else configured_order_limit(TABLE_ORDER_LIMIT)
+    limit = _resolve_limit(order_limit)
     if n < 1:
         raise errors.BadParameter("order must be at least 1")
     _check_limit(n, limit, "table")
@@ -217,7 +229,7 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
     Elements get indices in breadth-first discovery order from the
     identity; labels are one-line notation with 1-based images.
     """
-    limit = order_limit if order_limit is not None else configured_order_limit()
+    limit = _resolve_limit(order_limit)
     if degree < 1:
         raise errors.BadParameter("degree must be at least 1")
     gens0 = [_as_zero_based_perm(g, degree) for g in gens]
@@ -257,7 +269,7 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
 
 def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:
     """Componentwise product; element (a, b) gets index a*|B| + b."""
-    limit = order_limit if order_limit is not None else configured_order_limit()
+    limit = _resolve_limit(order_limit)
     n = A.order * B.order
     _check_limit(n, limit, "direct product")
     table = A.table[:, None, :, None] * B.order + B.table[None, :, None, :]
@@ -327,6 +339,20 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
     prime power q.
     """
     validate_family_parameter(family, parameter)
+    order_limit = _resolve_limit(order_limit)
+    order = parameter
+    if family in ("sym", "alt"):
+        # k! (k!/2 for alt) as a running product that stops past the
+        # limit, so a large k never computes k!.
+        order = 1
+        for i in range(3 if family == "alt" else 2, parameter + 1):
+            order *= i
+            if order > order_limit:
+                break
+    if order > order_limit:
+        prime, k = prime_power(parameter) if family == "elem_abelian" else (0, 1)
+        what = f"elem_abelian:{prime}^{k}" if k > 1 else f"{family}:{parameter}"
+        raise errors.OrderLimitExceeded(f"{what} exceeds order limit {order_limit}")
     p = parameter
     if family == "cyclic":
         if p == 1:
@@ -392,64 +418,54 @@ def conjugacy_classes(G: Group) -> ConjugacyPartition:
     return ConjugacyPartition(classes, class_of)
 
 
+def _coset_join(mul, members, mask, multipliers):
+    """Members and mask of <H, multipliers> by right-coset search.
+
+    H is given by its member list and mask; multipliers must include a
+    generating set of H. New coset representatives are found by right-
+    multiplying known representatives, and each coset H*r is filled by
+    multiplying every member of H into r.
+    """
+    kmask = mask
+    kmembers = list(members)
+    reps = [0]
+    pos = 0
+    while pos < len(reps):
+        r = reps[pos]
+        pos += 1
+        for m in multipliers:
+            cand = mul[r][m]
+            if not (kmask >> cand) & 1:
+                reps.append(cand)
+                for h in members:
+                    x = mul[h][cand]
+                    kmask |= 1 << x
+                    kmembers.append(x)
+    return kmembers, kmask
+
+
 def closure(G: Group, seed) -> ElementSet:
-    """Smallest subgroup containing the seed elements."""
-    mul = G.mul
-    idxs = seed.indices() if isinstance(seed, ElementSet) else seed
-    mask = 1
-    members = [0]
-    frontier = []
-    for i in idxs:
-        if not (mask >> i) & 1:
-            mask |= 1 << i
-            members.append(i)
-            frontier.append(i)
-    while frontier:
-        new = []
-        for x in frontier:
-            row = mul[x]
-            for y in members:
-                for z in (row[y], mul[y][x]):
-                    if not (mask >> z) & 1:
-                        mask |= 1 << z
-                        new.append(z)
-        members.extend(new)
-        frontier = new
+    """Smallest subgroup containing the seed elements: the coset search
+    started from the trivial subgroup."""
+    _, mask = _coset_join(G.mul, [0], 1, tuple(seed))
     return ElementSet(mask, is_subgroup=True)
 
 
 def derived_subgroup(G: Group) -> ElementSet:
     """Closure of all commutators g^-1 * h^-1 * g * h."""
-    n = G.order
-    mul = G.mul
-    inv = G.inv
-    comms = set()
-    for g in range(n):
-        ig = inv[g]
-        for h in range(n):
-            comms.add(mul[mul[mul[ig][inv[h]]][g]][h])
-    return closure(G, comms)
+    mul, inv, n = G.mul, G.inv, G.order
+    return closure(G, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in range(n) for h in range(n)})
 
 
 def element_order(G: Group, g: int) -> int:
-    k = 1
-    x = g
-    while x != 0:
-        x = G.mul[x][g]
-        k += 1
-    return k
+    return len(closure(G, (g,)))
 
 
 def group_stats(G: Group) -> GroupStats:
     """Order, commutativity, exponent (lcm of element orders), center size."""
-    M = G.table
-    eq = M == M.T
-    is_abelian = bool(eq.all())
-    center_size = int(eq.all(axis=1).sum())
-    exponent = 1
-    for g in range(G.order):
-        exponent = math.lcm(exponent, element_order(G, g))
-    return GroupStats(G.order, is_abelian, exponent, center_size)
+    center_size = int((G.table == G.table.T).all(axis=1).sum())
+    exponent = math.lcm(*(element_order(G, g) for g in range(G.order)))
+    return GroupStats(G.order, center_size == G.order, exponent, center_size)
 
 
 def _data_lines(path):

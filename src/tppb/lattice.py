@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import errors
-from .groups import ElementSet, Group
+from .groups import ElementSet, Group, _coset_join, closure, conjugacy_classes
 
 __all__ = [
     "DEFAULT_LATTICE_LIMIT",
@@ -43,41 +43,6 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _cyclic_mask(G: Group, g: int) -> int:
-    mask = 1
-    x = g
-    while x != 0:
-        mask |= 1 << x
-        x = G.mul[x][g]
-    return mask
-
-
-def _coset_join(mul, members, mask, multipliers):
-    """Members and mask of <H, multipliers> by right-coset search.
-
-    H is given by its member list and mask; multipliers must include a
-    generating set of H. New coset representatives are found by right-
-    multiplying known representatives, and each coset H*r is filled by
-    multiplying every member of H into r.
-    """
-    kmask = mask
-    kmembers = list(members)
-    reps = [0]
-    pos = 0
-    while pos < len(reps):
-        r = reps[pos]
-        pos += 1
-        for m in multipliers:
-            cand = mul[r][m]
-            if not (kmask >> cand) & 1:
-                reps.append(cand)
-                for h in members:
-                    x = mul[h][cand]
-                    kmask |= 1 << x
-                    kmembers.append(x)
-    return kmembers, kmask
-
-
 def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupLattice:
     """Enumerate every subgroup of G.
 
@@ -92,16 +57,13 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     seeds = {}
     for g in range(1, G.order):
-        mask = _cyclic_mask(G, g)
-        if mask not in seeds:
-            seeds[mask] = g
+        seeds.setdefault(closure(G, (g,)).mask, g)
     seed_items = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     # mask -> (member list, generator tuple)
     known = {1: ([0], ())}
     for mask, g in seed_items:
-        members = [0] + [x for x in ElementSet(mask).indices() if x != 0]
-        known[mask] = (members, (g,))
+        known[mask] = (list(ElementSet(mask).indices()), (g,))
     queue = list(known.keys())
 
     while queue:
@@ -125,16 +87,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
 
 def _require_subgroup(G: Group, S: ElementSet):
-    if len(S) == 0 or 0 not in S:
-        raise errors.NotASubgroup("set does not contain the identity")
-    members = list(S.indices())
-    for a in members:
-        row = G.mul[a]
-        for b in members:
-            if row[b] not in S:
-                raise errors.NotASubgroup(
-                    f"set is not closed: {G.label_of(a)} * {G.label_of(b)} escapes"
-                )
+    H = closure(G, S.indices())
+    if H != S:
+        raise errors.NotASubgroup(f"set of {len(S)} elements generates a subgroup of order {len(H)}")
 
 
 def is_normal(G: Group, S: ElementSet) -> bool:
@@ -142,28 +97,28 @@ def is_normal(G: Group, S: ElementSet) -> bool:
     return normal_core(G, S) == S
 
 
+def _cores(G: Group, subgroups) -> list:
+    """Normal core of each subgroup.  An element lies in every conjugate
+    g*S*g^-1 exactly when its whole conjugacy class lies in S, so the core
+    is the union of the classes inside S."""
+    classes = [c.mask for c in conjugacy_classes(G).classes]
+    cores = []
+    for S in subgroups:
+        _require_subgroup(G, S)
+        core = 0
+        for c in classes:
+            if c & ~S.mask == 0:
+                core |= c
+        cores.append(ElementSet(core, is_subgroup=True))
+    return cores
+
+
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
-    """Largest normal subgroup of G contained in S: the intersection of
-    all conjugates g*S*g^-1."""
-    _require_subgroup(G, S)
-    mul = G.mul
-    inv = G.inv
-    members = list(S.indices())
-    core = S.mask
-    for g in range(1, G.order):
-        if g in S:
-            continue
-        row = mul[g]
-        ig = inv[g]
-        conj = 0
-        for s in members:
-            conj |= 1 << mul[row[s]][ig]
-        core &= conj
-        if core == 1:
-            break
-    return ElementSet(core, is_subgroup=True)
+    """Largest normal subgroup of G contained in S."""
+    return _cores(G, [S])[0]
 
 
 def normal_cores(G: Group, lattice: SubgroupLattice) -> list:
-    """Normal core of every lattice member, aligned with lattice.items."""
-    return [normal_core(G, s) for s in lattice.items]
+    """Normal core of every lattice member, aligned with lattice.items;
+    the conjugacy classes are computed once."""
+    return _cores(G, lattice.items)

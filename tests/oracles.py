@@ -14,6 +14,7 @@ from tppb.groups import ElementSet
 
 __all__ = [
     "TppTriple",
+    "conjugate_intersection_core",
     "delta_index_based",
     "element_order",
     "permutation_table",
@@ -54,6 +55,27 @@ def delta_index_based(orders, i: int, group_order: int):
                 if best is None or a * b > best:
                     best = a * b
     return best
+
+
+def conjugate_intersection_core(G, S) -> int:
+    """Mask of the normal core of subgroup S as the intersection of the
+    conjugates g*S*g^-1 over every g outside S."""
+    mul = G.mul
+    inv = G.inv
+    members = list(S.indices())
+    core = S.mask
+    for g in range(1, G.order):
+        if g in S:
+            continue
+        row = mul[g]
+        ig = inv[g]
+        conj = 0
+        for s in members:
+            conj |= 1 << mul[row[s]][ig]
+        core &= conj
+        if core == 1:
+            break
+    return core
 
 
 def element_order(G, g: int) -> int:

@@ -1,10 +1,13 @@
 """CLI surface: spec grammar, manifests, batch CSV, analyze, verify-tpp."""
 
+import time
+
 import pytest
 
 import tppb.cli
-from tppb import errors
+from tppb import bounds, chars, errors, groups, lattice, tpp
 from tppb.cli import (
+    MAX_PRODUCT_DEPTH,
     CatalogManifest,
     GroupSpec,
     load_manifest,
@@ -16,6 +19,10 @@ from tppb.cli import (
 
 S3_INVOLUTIONS = ("0,1", "0,3", "0,4")
 S3_ROTATIONS = "0,2,5"
+
+
+def nested_product(depth):
+    return "product(" * depth + "cyclic:1" + ",cyclic:1)" * depth
 
 
 def run(args, capsys):
@@ -70,6 +77,14 @@ class TestSpecGrammar:
     def test_unknown_family(self):
         with pytest.raises(errors.UnknownFamily):
             parse_group_spec("foo:3")
+
+    def test_product_nesting_depth_capped(self):
+        spec = parse_group_spec(nested_product(MAX_PRODUCT_DEPTH))
+        assert realize_group_spec(spec).order == 1
+        with pytest.raises(errors.ParseError, match="nesting"):
+            parse_group_spec(nested_product(MAX_PRODUCT_DEPTH + 1))
+        with pytest.raises(errors.ParseError, match="nesting"):
+            parse_group_spec(nested_product(1500))
 
     def test_bad_parameter_caught_at_parse(self):
         with pytest.raises(errors.BadParameter):
@@ -248,6 +263,41 @@ class TestBatch:
         assert row.startswith("nope,,") and "'nope.pgens'" in row
         assert str(tmp_path) not in row
 
+    def test_deep_product_line_is_manifest_error(self, tmp_path, capsys):
+        man = self.write_manifest(tmp_path, f"s3\tsym:3\ndeep\t{nested_product(1500)}\n")
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["batch", str(man), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: line 2:") and "nesting" in err
+
+    def test_unexpected_exception_fills_only_its_row(self, tmp_path, capsys, monkeypatch):
+        real = tppb.cli.evaluate_spec
+
+        def flaky(name, *args, **kwargs):
+            if name == "boom":
+                raise RuntimeError("unexpected failure")
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(tppb.cli, "evaluate_spec", flaky)
+        man = self.write_manifest(tmp_path, "s3\tsym:3\nboom\tcyclic:2\nc4\tcyclic:4\n")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run(["batch", str(man), "--out", str(out), "--jobs", "1"], capsys)
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert lines[2] == "s3,6,false,6,3,10,8,8,8,true,true,,,"
+        assert lines[3] == "boom,,,,,,,,,,,,,RuntimeError: unexpected failure"
+        assert lines[4] == "c4,4,true,3,4,4,4,,4,true,true,,,"
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_environment_order_limit(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("TPPB_ORDER_LIMIT", raw)
+        man = self.write_manifest(tmp_path, "s3\tsym:3\n")
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["batch", str(man), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: TPPB_ORDER_LIMIT must be an integer >= 1")
+        assert not out.exists()
+
     def test_empty_manifest(self, tmp_path, capsys):
         man = self.write_manifest(tmp_path, "# nothing\n")
         out = tmp_path / "rows.csv"
@@ -343,6 +393,44 @@ class TestAnalyze:
         code, _, stderr = run(["analyze", "dihedral:7"], capsys)
         assert code == 2
         assert "error" in stderr.lower()
+
+    def test_group_stats_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = groups.group_stats
+
+        def counted(G):
+            calls.append(G.order)
+            return real(G)
+
+        for module in (groups, lattice, chars, bounds, tpp, tppb.cli):
+            if hasattr(module, "group_stats"):
+                monkeypatch.setattr(module, "group_stats", counted)
+        code, stdout, _ = run(["analyze", "sym:4"], capsys)
+        assert code == 0 and "abelian: false" in stdout
+        assert calls == [24]
+
+    def test_deep_product_exits_with_parse_error(self, capsys):
+        code, _, err = run(["analyze", nested_product(1500)], capsys)
+        assert code == 2
+        assert "nesting" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    def test_bad_order_limit_option(self, capsys, raw):
+        code, _, err = run(["analyze", "sym:3", "--order-limit", raw], capsys)
+        assert code == 2
+        assert err.startswith("error: order limit must be an integer >= 1")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["alt:100000", "sym:100000", "elem_abelian:2^5000", "elem_abelian:2003", "cyclic:10000000"],
+    )
+    def test_huge_builtin_fails_fast(self, capsys, spec):
+        # Each family checks its order before it builds anything.
+        start = time.perf_counter()
+        code, _, err = run(["degrees", spec], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == f"error: {spec} exceeds order limit 2000\n"
 
     def test_env_order_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("TPPB_ORDER_LIMIT", "5")

@@ -1,15 +1,18 @@
 """Group construction, builtin families, stats, classes, and closure."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from tppb import errors
+from tppb import errors, groups
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import (
     ElementSet,
     builtin,
+    check_order_limit,
     closure,
+    configured_order_limit,
     conjugacy_classes,
     derived_subgroup,
     direct_product,
@@ -20,7 +23,7 @@ from tppb.groups import (
     group_stats,
     prime_power,
 )
-from oracles import element_order, permutation_table
+from oracles import brute_force_subgroup_masks, element_order, permutation_table
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
 
@@ -381,6 +384,71 @@ class TestClosure:
         H = closure(G, (1,))
         assert H.is_subgroup
         assert 0 in H
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["sym:3", "alt:4", "dihedral:8", "dicyclic:8", "cyclic:12", "elem_abelian:2^3", "dihedral:16"],
+    )
+    def test_is_smallest_subgroup_containing_seed(self, spec):
+        G = realize_group_spec(parse_group_spec(spec))
+        masks = brute_force_subgroup_masks(G)
+        rng = random.Random(spec)
+        n = G.order
+        seeds = [(g,) for g in range(n)]
+        seeds += [(a, b) for a in range(n) for b in range(a + 1, n)]
+        seeds += [tuple(rng.sample(range(n), rng.randint(1, 4))) for _ in range(30)]
+        for seed in seeds:
+            seed_mask = ElementSet.from_indices(seed).mask
+            containing = [m for m in masks if seed_mask & ~m == 0]
+            want = min(containing, key=int.bit_count)
+            assert all(want & ~m == 0 for m in containing)
+            assert closure(G, seed).mask == want, seed
+
+    def test_element_order_matches_oracle(self, catalog):
+        for name, G in catalog:
+            got = [groups.element_order(G, g) for g in range(G.order)]
+            assert got == [element_order(G, g) for g in range(G.order)], name
+
+
+class TestOrderLimit:
+    """One validated order limit, applied before any group is built."""
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+    def test_bad_environment_value(self, monkeypatch, raw):
+        monkeypatch.setenv("TPPB_ORDER_LIMIT", raw)
+        with pytest.raises(errors.BadParameter, match="TPPB_ORDER_LIMIT"):
+            configured_order_limit()
+
+    def test_environment_and_default(self, monkeypatch):
+        monkeypatch.delenv("TPPB_ORDER_LIMIT", raising=False)
+        assert configured_order_limit() == groups.DEFAULT_ORDER_LIMIT == 2000
+        monkeypatch.setenv("TPPB_ORDER_LIMIT", "7")
+        assert configured_order_limit() == 7
+
+    @pytest.mark.parametrize("value", [0, -5, "x"])
+    def test_explicit_limit_checked(self, value):
+        with pytest.raises(errors.BadParameter):
+            check_order_limit(value)
+        with pytest.raises(errors.BadParameter):
+            builtin("cyclic", 3, order_limit=value)
+
+    def test_table_loader_shares_the_limit(self, monkeypatch):
+        monkeypatch.setenv("TPPB_ORDER_LIMIT", "10")
+        assert from_cayley_table(10, cyclic_table(10)).order == 10
+        with pytest.raises(errors.OrderLimitExceeded):
+            from_cayley_table(11, cyclic_table(11))
+        with pytest.raises(errors.OrderLimitExceeded):
+            builtin("cyclic", 11)
+
+    @pytest.mark.parametrize(
+        "family,param,order",
+        [("cyclic", 9, 9), ("dihedral", 10, 10), ("dicyclic", 12, 12), ("sym", 2, 2),
+         ("sym", 4, 24), ("alt", 3, 3), ("alt", 5, 60), ("elem_abelian", 27, 27)],
+    )
+    def test_family_order_at_the_limit(self, family, param, order):
+        assert builtin(family, param, order_limit=order).order == order
+        with pytest.raises(errors.OrderLimitExceeded, match=f"exceeds order limit {order - 1}$"):
+            builtin(family, param, order_limit=order - 1)
 
 
 class TestDerivedSubgroup:

@@ -5,7 +5,7 @@ import pytest
 from tppb import errors
 from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import enumerate_subgroups, is_normal, normal_core, normal_cores
-from oracles import brute_force_subgroup_masks
+from oracles import brute_force_subgroup_masks, conjugate_intersection_core
 
 
 def order_multiset(lat):
@@ -204,3 +204,9 @@ class TestNormalCore:
         cores = normal_cores(G, lat)
         assert len(cores) == len(lat.items)
         assert [len(c) for c in cores] == [1, 1, 1, 1, 3, 6]
+
+    def test_cores_match_conjugate_intersection_on_catalog(self, catalog, catalog_lattices):
+        for name, G in catalog:
+            lat = catalog_lattices[name]
+            got = [c.mask for c in normal_cores(G, lat)]
+            assert got == [conjugate_intersection_core(G, s) for s in lat.items], name
