@@ -15,6 +15,7 @@ import sys
 from tppb.bounds import bounds_report, solve_omega_bound
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.errors import NoRootInRange
+from tppb.groups import check_order_limit
 
 DEFAULT_SPECS = [
     "sym:3",
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
         help="group specs to analyze (default: a builtin selection)",
     )
     parser.add_argument(
-        "--order-limit", type=int, default=None, help="refuse larger groups"
+        "--order-limit", type=check_order_limit, default=None, help="refuse larger groups"
     )
     args = parser.parse_args(argv)
 
@@ -64,11 +65,11 @@ def main(argv=None) -> int:
             (
                 spec.name,
                 str(G.order),
-                str(report.beta_g),
+                str(report.beta_g_or_blank),
                 str(report.h),
                 str(report.t),
                 str(report.d3),
-                implied_exponent(report.beta_g, degrees),
+                implied_exponent(report.beta_g_or_blank, degrees),
                 implied_exponent(report.h, degrees),
                 implied_exponent(report.d3 + 1, degrees),
             )

@@ -4,6 +4,8 @@ Provides the classical product bound t, the lattice index cutoff N, the
 order-relaxed pair bound delta, the core-refined bound h, an exact pruned
 search for the best subgroup-triple capacity beta_g, exclusion flags against
 the cubic character-degree sum, and a solver for the induced exponent bound.
+`bounds_report` runs the whole per-group pipeline and returns `ReportRow`,
+the one result record, which the CSV report writes as it is.
 """
 
 from __future__ import annotations
@@ -281,62 +283,71 @@ def solve_omega_bound(beta: int, degrees: CharacterDegrees, grid_step: float = 1
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    group_name: str
-    order: int
-    subgroup_count: int
-    N: int
-    t: int
-    b: int | None
-    h: int
-    d3: int
-    degrees: CharacterDegrees
-    beta_g: int | None
-    beta_witness: tuple[int, int, int] | None
-    beta_exact: bool | None
-    flags: ExclusionFlags
-    candidates: list[HCandidate]
+class ReportRow:
+    """One group's verdict: the CSV columns first, then what `analyze` and
+    library callers read.  Blank-rendered fields stay None; a failed catalog
+    entry carries only its name and `error`."""
+
+    name: str
+    order: int | None = None
+    is_abelian: bool | None = None
+    subgroup_count: int | None = None
+    class_count: int | None = None
+    d3: int | None = None
+    t: int | None = None
+    b_or_blank: int | None = None
+    h: int | None = None
+    t_le_d3: bool | None = None
+    h_le_d3: bool | None = None
+    beta_g_or_blank: int | None = None
+    runtime_ms: int | None = None
+    error: str = ""
+    N: int | None = None
+    degrees: CharacterDegrees | None = None
+    beta_witness: tuple[int, int, int] | None = None
+    beta_exact: bool | None = None
+    candidates: list[HCandidate] | None = None
 
 
 def bounds_report(
     G: Group,
-    lattice: SubgroupLattice | None = None,
-    cores=None,
-    degrees: CharacterDegrees | None = None,
     group_name: str = "",
     exact_beta: bool = False,
     beta_budget: int | None = None,
-) -> BoundsReport:
-    """Evaluate every bound for one group and bundle the results."""
-    if lattice is None:
-        lattice = enumerate_subgroups(G)
-    if cores is None:
-        cores = normal_cores(G, lattice)
-    if degrees is None:
-        degrees = character_degrees(G)
+) -> ReportRow:
+    """Run the whole pipeline for one group (lattice, cores, degrees, t, h,
+    d3 and, when asked, the exact beta) and return its record.
+
+    `beta_g_or_blank` and `beta_witness` stay None when the search ran out of
+    `beta_budget`; `beta_exact` then reads False.
+    """
+    lattice = enumerate_subgroups(G)
+    cores = normal_cores(G, lattice)
+    degrees = character_degrees(G)
     t = compute_t(G, lattice)
     hb = compute_h(G, lattice, cores)
     d3 = d_sum_int(degrees, 3)
-    beta_g = beta_witness = beta_exact = None
-    if exact_beta:
-        res = search_beta_g(G, lattice, budget=beta_budget, cores=cores)
-        beta_exact = res.exact
-        if res.exact:
-            beta_g = res.value
-            beta_witness = res.witness
-    return BoundsReport(
-        group_name=group_name,
+    beta = search_beta_g(G, lattice, budget=beta_budget, cores=cores) if exact_beta else None
+    exact = beta is not None and beta.exact
+    flags = exclusion_flags(t, hb.h, beta.value if exact else None, d3)
+    class_count = len(degrees.degrees)
+    return ReportRow(
+        name=group_name,
         order=G.order,
+        # Abelian iff every conjugacy class is a singleton.
+        is_abelian=class_count == G.order,
         subgroup_count=lattice.count,
-        N=compute_N(G, lattice),
-        t=t,
-        b=hb.b,
-        h=hb.h,
+        class_count=class_count,
         d3=d3,
+        t=t,
+        b_or_blank=hb.b,
+        h=hb.h,
+        t_le_d3=flags.t_le_d3,
+        h_le_d3=flags.h_le_d3,
+        beta_g_or_blank=beta.value if exact else None,
+        N=compute_N(G, lattice),
         degrees=degrees,
-        beta_g=beta_g,
-        beta_witness=beta_witness,
-        beta_exact=beta_exact,
-        flags=exclusion_flags(t, hb.h, beta_g, d3),
+        beta_witness=beta.witness if exact else None,
+        beta_exact=None if beta is None else beta.exact,
         candidates=hb.candidates,
     )

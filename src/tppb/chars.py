@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .groups import Group, conjugacy_classes, group_stats, prime_power
+from .groups import Group, conjugacy_classes, derived_subgroup, group_stats, prime_power
 
 __all__ = [
     "CharacterDegrees",
@@ -187,7 +187,9 @@ def character_degrees(G: Group, prime: int | None = None) -> CharacterDegrees:
 
     Abelian groups short-circuit to all ones. With an explicit prime the
     computation runs once; otherwise split failures retry on the next
-    admissible primes before giving up.
+    admissible primes before giving up.  A split's result must pass
+    `validate_degrees` and have [G:G'] degrees equal to 1, else
+    InvariantViolation.
     """
     st = group_stats(G)
     n = st.order
@@ -209,10 +211,17 @@ def character_degrees(G: Group, prime: int | None = None) -> CharacterDegrees:
     for p in candidates:
         try:
             lines = _split_to_lines(A, sizes, p)
-            return CharacterDegrees(_degrees_from_lines(lines, sizes, inv_class, n, p), n)
+            degrees = _degrees_from_lines(lines, sizes, inv_class, n, p)
+            break
         except errors.EigenspaceSplitFailure as exc:
             failure = exc
-    raise failure
+    else:
+        raise failure
+    result = validate_degrees(degrees, n)
+    index = n // len(derived_subgroup(G))
+    if degrees.count(1) != index:
+        raise errors.InvariantViolation("[G:G'] linear characters", f"{degrees} for [G:G'] = {index}")
+    return result
 
 
 def d_sum_int(deg: CharacterDegrees, w: int) -> int:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import errors
-from .bounds import bounds_report
+from .bounds import ReportRow, bounds_report
 from .chars import character_degrees, d_sum_int
 from .groups import (
     ElementSet,
@@ -31,7 +31,6 @@ from .groups import (
     prime_power,
     validate_family_parameter,
 )
-from .lattice import enumerate_subgroups, normal_cores
 from .tpp import verify_triple_report
 
 CSV_SCHEMA = "tppb-csv-v1"
@@ -137,10 +136,11 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse `cyclic:n | dihedral:m | dicyclic:m | sym:k | alt:k |
     elem_abelian:p^k | perm:<path> | table:<path> | product(<spec>,<spec>)`."""
-    if not text or not text.strip():
-        raise errors.ParseError(text or "", 0, "empty group spec")
-    spec, pos = _parse_spec_at(text.strip(), 0)
-    if pos != len(text.strip()):
+    text = text.strip()
+    if not text:
+        raise errors.ParseError(text, 0, "empty group spec")
+    spec, pos = _parse_spec_at(text, 0)
+    if pos != len(text):
         raise errors.ParseError(text, pos, "unexpected trailing characters")
     return spec
 
@@ -214,61 +214,16 @@ def load_manifest(path) -> CatalogManifest:
     return CatalogManifest(tuple(entries), declared)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One evaluated catalog entry; blank-rendered fields stay None."""
-
-    name: str
-    order: int | None = None
-    is_abelian: bool | None = None
-    subgroup_count: int | None = None
-    class_count: int | None = None
-    d3: int | None = None
-    t: int | None = None
-    b_or_blank: int | None = None
-    h: int | None = None
-    t_le_d3: bool | None = None
-    h_le_d3: bool | None = None
-    beta_g_or_blank: int | None = None
-    runtime_ms: int | None = None
-    error: str = ""
-
-
 def evaluate_spec(
     name: str,
     spec: GroupSpec,
     base_dir=".",
     exact_beta: bool = False,
     order_limit: int | None = None,
-    with_runtime: bool = False,
-):
-    """Run the full pipeline for one group and return (ReportRow, BoundsReport)."""
-    start = time.perf_counter()
+) -> ReportRow:
+    """Build the group and run the whole pipeline on it."""
     G = realize_group_spec(spec, base_dir, order_limit)
-    lattice = enumerate_subgroups(G)
-    cores = normal_cores(G, lattice)
-    degrees = character_degrees(G)
-    report = bounds_report(
-        G, lattice, cores, degrees, group_name=name, exact_beta=exact_beta
-    )
-    runtime = int((time.perf_counter() - start) * 1000) if with_runtime else None
-    row = ReportRow(
-        name=name,
-        order=G.order,
-        # Abelian iff every conjugacy class is a singleton.
-        is_abelian=len(degrees.degrees) == G.order,
-        subgroup_count=lattice.count,
-        class_count=len(degrees.degrees),
-        d3=report.d3,
-        t=report.t,
-        b_or_blank=report.b,
-        h=report.h,
-        t_le_d3=report.flags.t_le_d3,
-        h_le_d3=report.flags.h_le_d3,
-        beta_g_or_blank=report.beta_g,
-        runtime_ms=runtime,
-    )
-    return row, report
+    return bounds_report(G, group_name=name, exact_beta=exact_beta)
 
 
 def _cell(value) -> str:
@@ -281,26 +236,19 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _row_cells(row: ReportRow):
-    return [_cell(getattr(row, attr)) for _, attr in _COLUMNS]
-
-
 def write_report_csv(path, rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(_row_cells(row))
+            writer.writerow([_cell(getattr(row, attr)) for _, attr in _COLUMNS])
 
 
 def _batch_worker(payload):
-    index, name, spec_text, base_dir, exact_beta, order_limit, declared = payload
+    index, name, spec, base_dir, exact_beta, order_limit, declared = payload
     try:
-        spec = parse_group_spec(spec_text)
-        row, _ = evaluate_spec(
-            name, spec, base_dir, exact_beta=exact_beta, order_limit=order_limit
-        )
+        row = evaluate_spec(name, spec, base_dir, exact_beta=exact_beta, order_limit=order_limit)
         if declared is not None and row.order != declared:
             return index, ReportRow(
                 name=name,
@@ -316,15 +264,7 @@ def _cmd_batch(args) -> int:
     manifest = load_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     payloads = [
-        (
-            index,
-            name,
-            render_group_spec(spec),
-            base_dir,
-            args.exact_beta,
-            args.order_limit,
-            manifest.declared_order,
-        )
+        (index, name, spec, base_dir, args.exact_beta, args.order_limit, manifest.declared_order)
         for index, (name, spec) in enumerate(manifest.entries)
     ]
     if args.jobs > 1 and len(payloads) > 1:
@@ -350,34 +290,30 @@ def _cmd_batch(args) -> int:
 
 def _cmd_analyze(args) -> int:
     spec = parse_group_spec(args.spec)
-    row, report = evaluate_spec(
-        spec.name,
-        spec,
-        exact_beta=args.exact_beta,
-        order_limit=args.order_limit,
-        with_runtime=True,
-    )
+    start = time.perf_counter()
+    row = evaluate_spec(spec.name, spec, exact_beta=args.exact_beta, order_limit=args.order_limit)
+    runtime_ms = int((time.perf_counter() - start) * 1000)
     print(f"group: {row.name}")
     print(f"order: {row.order}")
     print(f"abelian: {_cell(row.is_abelian)}")
     print(f"subgroups: {row.subgroup_count}")
     print(f"classes: {row.class_count}")
-    print(f"degrees: {' '.join(str(d) for d in report.degrees.degrees)}")
+    print(f"degrees: {' '.join(str(d) for d in row.degrees.degrees)}")
     print(f"d3: {row.d3}")
-    print(f"N: {report.N}")
+    print(f"N: {row.N}")
     print(f"t: {row.t}")
     print(f"b: {_cell(row.b_or_blank)}")
     print(f"h: {row.h}")
     if args.exact_beta:
         print(f"beta_g: {_cell(row.beta_g_or_blank)}")
-        witness = report.beta_witness
+        witness = row.beta_witness
         print(f"beta_witness: {','.join(map(str, witness)) if witness else ''}")
     print(f"t_le_d3: {_cell(row.t_le_d3)}")
     print(f"h_le_d3: {_cell(row.h_le_d3)}")
-    print(f"runtime_ms: {row.runtime_ms}")
+    print(f"runtime_ms: {runtime_ms}")
     if args.verbose:
         print("candidates:")
-        for c in report.candidates:
+        for c in row.candidates:
             print(
                 f"  i={c.index} order={c.order} core={c.core_size}"
                 f" delta={_cell(c.delta)} left={c.left}"

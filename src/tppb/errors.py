@@ -119,7 +119,11 @@ class ParseError(TppbError):
 
     def __init__(self, text: str, pos: int, detail: str):
         self.pos = pos
-        super().__init__(f"cannot parse {text!r} at position {pos}: {detail}")
+        # Quote at most 60 characters around pos, so a long spec gives a short message.
+        lo = max(0, min(pos - 30, len(text) - 60))
+        quoted = repr(text[lo : lo + 60])
+        quoted = ("..." if lo else "") + quoted + ("..." if lo + 60 < len(text) else "")
+        super().__init__(f"cannot parse {quoted} at position {pos}: {detail}")
 
 
 class UnknownElement(TppbError):

@@ -152,22 +152,42 @@ class GroupStats:
     center_size: int
 
 
+# Miller-Rabin with these bases has no strong pseudoprime below 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """Largest r with r**k <= q, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def prime_power(q: int):
     """(p, k) with q == p**k for a prime p and k >= 1; None when q is not a
-    prime power.  Exact by trial division, so q is prime iff the result is
-    (q, 1)."""
+    prime power.  Exact for every q below 3.3e24, far past any order that
+    can be built, so there q is prime iff the result is (q, 1)."""
     if q < 2:
         return None
-    p = 2
-    while q % p:
-        if p * p > q:
-            return (q, 1)
-        p += 1
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
+    # The largest k with an exact k-th root gives a base that is no perfect
+    # power; q is a prime power iff that base is prime.
+    for k in range(q.bit_length(), 0, -1):
+        p = _iroot(q, k)
+        if p**k == q:
+            return (p, k) if _is_prime(p) else None
 
 
 def _check_limit(n: int, limit: int, what: str):
@@ -322,10 +342,8 @@ def validate_family_parameter(family: str, parameter: int) -> None:
         if p < 3:
             raise errors.BadParameter("alt parameter must be >= 3")
     elif family == "elem_abelian":
-        if p < 2:
-            raise errors.BadParameter("elem_abelian parameter must be a prime power >= 2")
         if prime_power(p) is None:
-            raise errors.BadParameter(f"{p} is not a prime power")
+            raise errors.BadParameter(f"elem_abelian parameter must be a prime power, got {p}")
     else:
         raise errors.UnknownFamily(f"unknown builtin family {family!r}")
 

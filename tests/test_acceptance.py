@@ -88,13 +88,13 @@ class TestSym3EndToEnd:
         G = builtin("sym", 3)
         report = bounds_report(G, group_name="s3", exact_beta=True)
         assert report.t == 8
-        assert report.b == 8
+        assert report.b_or_blank == 8
         assert report.h == 8
-        assert report.beta_g == 8
+        assert report.beta_g_or_blank == 8
         assert report.beta_exact is True
         assert report.d3 == 10
-        assert report.flags.t_le_d3 is True
-        assert report.flags.h_le_d3 is True
+        assert report.t_le_d3 is True
+        assert report.h_le_d3 is True
 
     def test_witness_is_three_distinct_order_two_subgroups(self):
         G = builtin("sym", 3)

@@ -372,27 +372,25 @@ class TestBoundsReport:
     def test_s3_end_to_end(self):
         G = make("sym:3")
         rep = bounds_report(G, group_name="s3", exact_beta=True)
-        assert rep.group_name == "s3"
+        assert rep.name == "s3"
         assert rep.order == 6
-        assert (rep.N, rep.t, rep.b, rep.h, rep.d3) == (4, 8, 8, 8, 10)
-        assert rep.beta_g == 8
+        assert (rep.N, rep.t, rep.b_or_blank, rep.h, rep.d3) == (4, 8, 8, 8, 10)
+        assert rep.beta_g_or_blank == 8
         assert rep.beta_witness == (2, 3, 4)
-        assert rep.flags.t_le_d3 and rep.flags.h_le_d3 and rep.flags.beta_le_d3
+        assert rep.t_le_d3 and rep.h_le_d3 and rep.beta_g_or_blank <= rep.d3
 
     def test_chain_when_beta_computed(self):
         for spec in ["sym:4", "dihedral:12", "dicyclic:16", "cyclic:3xdihedral:8"]:
             G = make(spec)
             rep = bounds_report(G, exact_beta=True)
-            assert rep.beta_g <= rep.h <= rep.t
+            assert rep.beta_g_or_blank <= rep.h <= rep.t
             assert rep.h >= G.order
 
     def test_beta_omitted_by_default(self):
         rep = bounds_report(make("sym:3"))
-        assert rep.beta_g is None
-        assert rep.flags.beta_le_d3 is None
+        assert rep.beta_g_or_blank is None
+        assert rep.beta_exact is None
 
-    def test_degrees_reused_when_given(self):
+    def test_d3_is_cubic_degree_sum(self):
         G = make("sym:3")
-        deg = character_degrees(G)
-        rep = bounds_report(G, degrees=deg)
-        assert rep.d3 == d_sum_int(deg, 3)
+        assert bounds_report(G).d3 == d_sum_int(character_degrees(G), 3)

@@ -47,8 +47,7 @@ def manifest(name):
 def realized(man):
     out = []
     for name, spec in man.entries:
-        row, report = evaluate_spec(name, spec, base_dir=CATALOG_DIR)
-        out.append((name, spec, row, report))
+        out.append((name, spec, evaluate_spec(name, spec, base_dir=CATALOG_DIR)))
     return out
 
 
@@ -76,17 +75,17 @@ class TestManifestShape:
 
 class TestRealizedGroups:
     def test_orders_match_declaration(self, order24, order50):
-        for name, _, row, _ in order24:
+        for name, _, row in order24:
             assert row.order == 24, name
             assert row.is_abelian is False, name
-        for name, _, row, _ in order50:
+        for name, _, row in order50:
             assert row.order == 50, name
             assert row.is_abelian is False, name
 
     def test_pairwise_nonisomorphic_fingerprints(self, order24, order50):
         for batch, base in ((order24, CATALOG_DIR), (order50, CATALOG_DIR)):
             prints = []
-            for name, spec, row, _ in batch:
+            for name, spec, row in batch:
                 from tppb.cli import realize_group_spec
 
                 G = realize_group_spec(spec, base_dir=base)
@@ -103,26 +102,26 @@ class TestRealizedGroups:
 class TestFrozenValues:
     @pytest.mark.parametrize("name", sorted(ORDER24))
     def test_order24_rows(self, order24, name):
-        row = next(r for n, _, r, _ in order24 if n == name)
+        row = next(r for n, _, r in order24 if n == name)
         want = ORDER24[name]
         got = (row.subgroup_count, row.class_count, row.d3, row.t, row.b_or_blank, row.h)
         assert got == want
 
     @pytest.mark.parametrize("name", sorted(ORDER50))
     def test_order50_rows(self, order50, name):
-        row = next(r for n, _, r, _ in order50 if n == name)
+        row = next(r for n, _, r in order50 if n == name)
         want = ORDER50[name]
         got = (row.subgroup_count, row.class_count, row.d3, row.t, row.b_or_blank, row.h)
         assert got == want
 
     def test_order24_tally(self, order24):
-        t_count = sum(1 for _, _, r, _ in order24 if r.t_le_d3)
-        h_count = sum(1 for _, _, r, _ in order24 if r.h_le_d3)
+        t_count = sum(1 for _, _, r in order24 if r.t_le_d3)
+        h_count = sum(1 for _, _, r in order24 if r.h_le_d3)
         assert (t_count, h_count) == (4, 6)
 
     def test_order50_tally(self, order50):
-        t_count = sum(1 for _, _, r, _ in order50 if r.t_le_d3)
-        h_count = sum(1 for _, _, r, _ in order50 if r.h_le_d3)
+        t_count = sum(1 for _, _, r in order50 if r.t_le_d3)
+        h_count = sum(1 for _, _, r in order50 if r.h_le_d3)
         assert (t_count, h_count) == (1, 2)
 
 
@@ -155,7 +154,7 @@ class TestSpotChecks:
         assert counts[8] == 12
 
     def test_d3_values_match_degree_sums(self, order24):
-        for name, spec, row, _ in order24:
+        for name, spec, row in order24:
             from tppb.cli import realize_group_spec
 
             deg = character_degrees(realize_group_spec(spec, base_dir=CATALOG_DIR))

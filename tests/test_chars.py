@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tppb import errors
+from tppb import chars, errors
 from tppb.chars import (
     CharacterDegrees,
     admissible_primes,
@@ -14,7 +14,14 @@ from tppb.chars import (
     dixon_prime,
     ingest_degrees,
 )
-from tppb.groups import builtin, conjugacy_classes, derived_subgroup, direct_product, group_stats
+from tppb.groups import (
+    ElementSet,
+    builtin,
+    conjugacy_classes,
+    derived_subgroup,
+    direct_product,
+    group_stats,
+)
 from oracles import s4_degrees_by_inner_products
 
 
@@ -126,6 +133,18 @@ class TestCharacterDegrees:
         G = builtin("sym", 3)
         with pytest.raises(errors.BadParameter):
             character_degrees(G, prime=5)
+
+    def test_wrong_derived_subgroup_is_invariant_violation(self, monkeypatch):
+        G = builtin("sym", 4)
+        monkeypatch.setattr(chars, "derived_subgroup", lambda G: ElementSet.from_indices([0]))
+        with pytest.raises(errors.InvariantViolation, match=r"\[G:G'\]"):
+            character_degrees(G)
+
+    def test_split_result_is_validated(self, monkeypatch):
+        # Squares sum to |S4| = 24, but no degree equals 1.
+        monkeypatch.setattr(chars, "_degrees_from_lines", lambda *args: (2,) * 6)
+        with pytest.raises(errors.InvariantViolation, match="trivial character"):
+            character_degrees(builtin("sym", 4))
 
     def test_group_order_recorded(self):
         deg = character_degrees(builtin("sym", 4))

@@ -74,6 +74,11 @@ class TestSpecGrammar:
         else:
             pytest.fail("expected ParseError")
 
+    def test_parse_error_quotes_stripped_text(self):
+        with pytest.raises(errors.ParseError) as exc:
+            parse_group_spec("  sym:3)")
+        assert "'sym:3)' at position 5" in str(exc.value)
+
     def test_unknown_family(self):
         with pytest.raises(errors.UnknownFamily):
             parse_group_spec("foo:3")
@@ -270,6 +275,12 @@ class TestBatch:
         assert code == 2
         assert err.startswith("error: line 2:") and "nesting" in err
 
+    def test_deep_product_error_line_is_short(self, tmp_path, capsys):
+        man = self.write_manifest(tmp_path, f"s3\tsym:3\ndeep\t{nested_product(1500)}\n")
+        code, _, err = run(["batch", str(man), "--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == 2
+        assert len(err.encode()) < 200
+
     def test_unexpected_exception_fills_only_its_row(self, tmp_path, capsys, monkeypatch):
         real = tppb.cli.evaluate_spec
 
@@ -351,17 +362,17 @@ class TestAnalyze:
     def test_group_and_degrees_computed_once(self, capsys, monkeypatch):
         calls = []
 
-        def count_calls(name):
-            real = getattr(tppb.cli, name)
+        def count_calls(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(tppb.cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        count_calls("realize_group_spec")
-        count_calls("character_degrees")
+        count_calls(tppb.cli, "realize_group_spec")
+        count_calls(bounds, "character_degrees")
         code, stdout, _ = run(["analyze", "sym:3"], capsys)
         assert code == 0 and "degrees: 1 1 2" in stdout
         assert sorted(calls) == ["character_degrees", "realize_group_spec"]
@@ -422,7 +433,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "spec",
-        ["alt:100000", "sym:100000", "elem_abelian:2^5000", "elem_abelian:2003", "cyclic:10000000"],
+        [
+            "alt:100000",
+            "sym:100000",
+            "elem_abelian:2^5000",
+            "elem_abelian:2003",
+            "cyclic:10000000",
+            "elem_abelian:2305843009213693951",
+        ],
     )
     def test_huge_builtin_fails_fast(self, capsys, spec):
         # Each family checks its order before it builds anything.
