@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
 from .groups import Group
@@ -151,38 +153,49 @@ class BetaResult:
     checks: int
 
 
-def _concrete_triples(by_size, a, b, c):
-    """Ascending index triples (i, j, k) with orders (c, b, a).
+def _concrete_pairs(by_size, a, b, c):
+    """Ascending index pairs (i, j) with orders (c, b), each with the
+    half-open range of indices k of order a that completes it to an
+    ascending triple (i, j, k).
 
     Equal nontrivial orders draw distinct lattice members; the trivial
     subgroup is the only one allowed to repeat.
     """
     for i in range(*by_size[c]):
         for j in range(i + 1 if b == c > 1 else by_size[b][0], by_size[b][1]):
-            for k in range(j + 1 if a == b > 1 else by_size[a][0], by_size[a][1]):
-                yield i, j, k
+            yield i, j, j + 1 if a == b > 1 else by_size[a][0], by_size[a][1]
 
 
 def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None, cores=None) -> BetaResult:
     """Exact best capacity |S||T||U| over valid subgroup triples.
 
     Enumerates order profiles in descending product, pruning with the size
-    test and with normal-core product limits, and checks survivors with the
-    full verifier.  The whole-group seed (1, 1, count) guarantees |G|.
+    test and with normal-core product limits.  The whole-group seed
+    (1, 1, count) guarantees |G|.
+
+    For subgroups the TPP holds exactly when S∩T = {1} and ST∩U = {1}: if
+    s*t*u = 1 then s*t = u^-1 lies in ST∩U, so s*t = 1 and s = t^-1 lies in
+    S∩T; conversely s = t^-1 in S∩T gives s*t*1 = 1.  So each surviving
+    pair (S, T) is tested against its whole range of third subgroups U at
+    once: one gather over the table gives the product set ST as a mask, and
+    a subgroup-by-element membership matrix intersects it with every U.
+    A check is still one triple tested, so `budget` cuts the range of U at
+    the same triple a per-triple loop would stop at.  The returned witness
+    is verified again with `satisfies_tpp`.
     """
     items = lattice.items
     count = len(items)
     n = G.order
     if cores is None:
         cores = normal_cores(G, lattice)
-    core_size = [len(s) for s in cores]
-    orders = [len(s) for s in items]
+    core_size = np.array([len(s) for s in cores])
+    orders = np.array([len(s) for s in items])
     by_size = {}
-    for x, size in enumerate(orders):
+    for x, size in enumerate(orders.tolist()):
         lo, _ = by_size.get(size, (x, x))
         by_size[size] = (lo, x + 1)
     cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
-    min_core = {size: min(core_size[lo:hi]) for size, (lo, hi) in by_size.items()}
+    min_core = {size: int(core_size[lo:hi].min()) for size, (lo, hi) in by_size.items()}
 
     checks = 1
     if not satisfies_tpp(G, items[0], items[0], items[-1]).holds:
@@ -193,6 +206,14 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     best = n
     witnesses = {seed}
 
+    def result(exact: bool) -> BetaResult:
+        witness = min(witnesses)
+        if not satisfies_tpp(G, *(items[x - 1] for x in witness)).holds:
+            raise errors.InvariantViolation(
+                "beta witness", f"triple {witness} failed verification"
+            )
+        return BetaResult(best, witness, exact, checks)
+
     profiles = []
     for a, b, c in admissible_profiles(cnt, n):
         product = a * b * c
@@ -202,6 +223,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             profiles.append((a, b, c, product))
     profiles.sort(key=lambda r: (-r[3], r[:3]))
 
+    # Subgroup-by-element membership: row x is lattice member x as a bool vector.
+    width = (n + 7) // 8
+    packed = b"".join(s.mask.to_bytes(width, "little") for s in items)
+    member = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(count, width), axis=1, count=n, bitorder="little"
+    ).astype(bool)
     for a, b, c, product in profiles:
         if product < best:
             break
@@ -210,23 +237,33 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             # or later, so the seed witness is already lexicographically
             # minimal and equal-product checks cannot change the result.
             continue
-        for i, j, k in _concrete_triples(by_size, a, b, c):
-            if any(
-                core_size[x] > 1 and (product // orders[x]) * core_size[x] > n
-                for x in (i, j, k)
-            ):
+        keep = ~((core_size > 1) & ((product // orders) * core_size > n))
+        for i, j, lo, hi in _concrete_pairs(by_size, a, b, c):
+            if not (keep[i] and keep[j]):
                 continue
-            if budget is not None and checks >= budget:
-                return BetaResult(best, min(witnesses), False, checks)
-            checks += 1
-            if satisfies_tpp(G, items[i], items[j], items[k]).holds:
-                found = (i + 1, j + 1, k + 1)
-                if product > best:
-                    best = product
-                    witnesses = {found}
-                else:
-                    witnesses.add(found)
-    return BetaResult(best, min(witnesses), True, checks)
+            ks = lo + np.flatnonzero(keep[lo:hi])
+            if not len(ks):
+                continue
+            room = len(ks) if budget is None else budget - checks
+            if room <= 0:
+                return result(False)
+            tested = ks[:room]
+            checks += len(tested)
+            if items[i].mask & items[j].mask == 1:
+                st = np.zeros(n, dtype=bool)
+                st[G.table[np.ix_(np.flatnonzero(member[i]), np.flatnonzero(member[j]))]] = True
+                # The identity lies in every ST∩U; a triple holds when nothing else does.
+                hits = tested[(member[tested] & st).sum(axis=1) == 1]
+                if len(hits):
+                    found = (i + 1, j + 1, int(hits[0]) + 1)
+                    if product > best:
+                        best = product
+                        witnesses = {found}
+                    else:
+                        witnesses.add(found)
+            if len(tested) < len(ks):
+                return result(False)
+    return result(True)
 
 
 @dataclass(frozen=True)

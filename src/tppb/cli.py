@@ -88,11 +88,17 @@ def render_group_spec(spec: GroupSpec) -> str:
     return f"product({render_group_spec(left)},{render_group_spec(right)})"
 
 
+def _quoted(token: str) -> str:
+    """repr of at most 30 characters of token, so a long token gives a short
+    message."""
+    return repr(token[:30]) + ("..." if len(token) > 30 else "")
+
+
 def _parse_int(text: str, pos: int, token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise errors.ParseError(text, pos, f"expected an integer, got {token!r}") from None
+        raise errors.ParseError(text, pos, f"expected an integer, got {_quoted(token)}") from None
 
 
 def _parse_spec_at(text: str, pos: int, depth: int = 0):
@@ -112,7 +118,7 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
         end += 1
     token = text[pos:end]
     if ":" not in token:
-        raise errors.ParseError(text, pos, f"expected '<family>:<parameter>' in {token!r}")
+        raise errors.ParseError(text, pos, f"expected '<family>:<parameter>' in {_quoted(token)}")
     head, _, tail = token.partition(":")
     if head == "perm":
         if not tail:
@@ -123,7 +129,7 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
             raise errors.ParseError(text, pos, "table spec needs a file path")
         return GroupSpec(kind="table", path=tail), end
     if head not in BUILTIN_FAMILIES:
-        raise errors.UnknownFamily(f"unknown builtin family {head!r}")
+        raise errors.UnknownFamily(f"unknown builtin family {_quoted(head)}")
     if head == "elem_abelian" and "^" in tail:
         base, _, exp = tail.partition("^")
         parameter = _parse_int(text, pos, base) ** _parse_int(text, pos, exp)

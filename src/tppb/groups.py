@@ -470,9 +470,15 @@ def closure(G: Group, seed) -> ElementSet:
 
 
 def derived_subgroup(G: Group) -> ElementSet:
-    """Closure of all commutators g^-1 * h^-1 * g * h."""
-    mul, inv, n = G.mul, G.inv, G.order
-    return closure(G, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in range(n) for h in range(n)})
+    """Closure of all commutators g^-1 * h^-1 * g * h, gathered from the
+    table one g at a time so no n x n array is built."""
+    T, n = G.table, G.order
+    inv = np.asarray(G.inv)
+    every = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    for g in range(n):
+        seen[T[T[T[inv[g], inv], g], every]] = True
+    return closure(G, np.flatnonzero(seen).tolist())
 
 
 def element_order(G: Group, g: int) -> int:

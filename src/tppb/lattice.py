@@ -100,11 +100,11 @@ def is_normal(G: Group, S: ElementSet) -> bool:
 def _cores(G: Group, subgroups) -> list:
     """Normal core of each subgroup.  An element lies in every conjugate
     g*S*g^-1 exactly when its whole conjugacy class lies in S, so the core
-    is the union of the classes inside S."""
+    is the union of the classes inside S.  The sets must be subgroups; only
+    callers passing outside sets check that."""
     classes = [c.mask for c in conjugacy_classes(G).classes]
     cores = []
     for S in subgroups:
-        _require_subgroup(G, S)
         core = 0
         for c in classes:
             if c & ~S.mask == 0:
@@ -114,7 +114,9 @@ def _cores(G: Group, subgroups) -> list:
 
 
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
-    """Largest normal subgroup of G contained in S."""
+    """Largest normal subgroup of G contained in S; NotASubgroup when S is
+    not closed, whatever its `is_subgroup` flag says."""
+    _require_subgroup(G, S)
     return _cores(G, [S])[0]
 
 

@@ -10,7 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from tppb import errors
-from tppb.groups import ElementSet
+from tppb.bounds import BetaResult, admissible_profiles
+from tppb.groups import ElementSet, closure
+from tppb.lattice import normal_cores
+from tppb.tpp import satisfies_tpp
 
 __all__ = [
     "TppTriple",
@@ -21,7 +24,9 @@ __all__ = [
     "quotient_set",
     "definitional_tpp",
     "brute_force_subgroup_masks",
+    "commutator_set_derived_subgroup",
     "naive_beta_over_subgroups",
+    "per_triple_search_beta_g",
     "s4_degrees_by_inner_products",
 ]
 
@@ -174,6 +179,77 @@ def naive_beta_over_subgroups(G, subgroup_sets, tpp_predicate) -> int:
                 if tpp_predicate(G, S, T, U):
                     best = size
     return best
+
+
+def _concrete_triples(by_size, a, b, c):
+    """Ascending index triples (i, j, k) with orders (c, b, a); equal
+    nontrivial orders draw distinct lattice members."""
+    for i in range(*by_size[c]):
+        for j in range(i + 1 if b == c > 1 else by_size[b][0], by_size[b][1]):
+            for k in range(j + 1 if a == b > 1 else by_size[a][0], by_size[a][1]):
+                yield i, j, k
+
+
+def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
+    """search_beta_g with one full `satisfies_tpp` call per concrete triple:
+    the same profiles, prunes, order and check budget, so it must return an
+    equal BetaResult, check count included."""
+    items = lattice.items
+    count = len(items)
+    n = G.order
+    if cores is None:
+        cores = normal_cores(G, lattice)
+    core_size = [len(s) for s in cores]
+    orders = [len(s) for s in items]
+    by_size = {}
+    for x, size in enumerate(orders):
+        lo, _ = by_size.get(size, (x, x))
+        by_size[size] = (lo, x + 1)
+    cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
+    min_core = {size: min(core_size[lo:hi]) for size, (lo, hi) in by_size.items()}
+
+    checks = 1
+    assert satisfies_tpp(G, items[0], items[0], items[-1]).holds
+    best = n
+    witnesses = {(1, 1, count)}
+
+    profiles = []
+    for a, b, c in admissible_profiles(cnt, n):
+        product = a * b * c
+        if product >= n and not any(
+            min_core[v] > 1 and (product // v) * min_core[v] > n for v in (a, b, c)
+        ):
+            profiles.append((a, b, c, product))
+    profiles.sort(key=lambda r: (-r[3], r[:3]))
+
+    for a, b, c, product in profiles:
+        if product < best:
+            break
+        if product == best == n:
+            continue
+        for i, j, k in _concrete_triples(by_size, a, b, c):
+            if any(
+                core_size[x] > 1 and (product // orders[x]) * core_size[x] > n
+                for x in (i, j, k)
+            ):
+                continue
+            if budget is not None and checks >= budget:
+                return BetaResult(best, min(witnesses), False, checks)
+            checks += 1
+            if satisfies_tpp(G, items[i], items[j], items[k]).holds:
+                found = (i + 1, j + 1, k + 1)
+                if product > best:
+                    best = product
+                    witnesses = {found}
+                else:
+                    witnesses.add(found)
+    return BetaResult(best, min(witnesses), True, checks)
+
+
+def commutator_set_derived_subgroup(G) -> ElementSet:
+    """Closure of the set of all n^2 commutators g^-1 * h^-1 * g * h."""
+    mul, inv, n = G.mul, G.inv, G.order
+    return closure(G, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in range(n) for h in range(n)})
 
 
 def _perm_parity(perm) -> int:

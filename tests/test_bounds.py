@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from tppb import errors
+from tppb import bounds, errors
 from tppb.bounds import (
     admissible_profiles,
     bounds_report,
@@ -22,8 +22,9 @@ from tppb.bounds import (
 from tppb.chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
 from tppb.groups import builtin, direct_product
 from tppb.lattice import enumerate_subgroups, normal_cores
-from tppb.tpp import satisfies_tpp
-from oracles import delta_index_based, naive_beta_over_subgroups
+from tppb.cli import parse_group_spec, realize_group_spec
+from tppb.tpp import TppVerdict, satisfies_tpp
+from oracles import delta_index_based, naive_beta_over_subgroups, per_triple_search_beta_g
 
 
 def lat_of(G):
@@ -308,6 +309,33 @@ class TestSearchBeta:
         G = make(spec)
         res = search_beta_g(G, lat_of(G))
         assert (res.value, res.witness, res.exact, res.checks) == (value, witness, True, checks)
+
+    def test_matches_per_triple_search_at_every_budget(self, catalog, catalog_lattices):
+        # Value, witness, exactness and check count must all agree, also
+        # where the budget cuts a pair's range of third subgroups.
+        cases = [(name, G, catalog_lattices[name]) for name, G in catalog]
+        for spec in ["sym:5", "product(sym:4,cyclic:4)"]:
+            G = realize_group_spec(parse_group_spec(spec))
+            cases.append((spec, G, lat_of(G)))
+        for name, G, lat in cases:
+            cores = normal_cores(G, lat)
+            full = search_beta_g(G, lat, None, cores)
+            # One check short of the full search cuts its last tested range.
+            for budget in [None, 1, 2, 37, 500, 20_000, full.checks - 1]:
+                got = search_beta_g(G, lat, budget, cores)
+                assert got == per_triple_search_beta_g(G, lat, budget, cores), (name, budget)
+
+    def test_failed_witness_verification_raises(self, monkeypatch):
+        G = make("sym:4")
+        lat = lat_of(G)
+        seed = (lat.items[0], lat.items[0], lat.items[-1])
+
+        def seed_only(G, S, T, U):
+            return TppVerdict((S, T, U) == seed)
+
+        monkeypatch.setattr(bounds, "satisfies_tpp", seed_only)
+        with pytest.raises(errors.InvariantViolation, match="beta witness"):
+            search_beta_g(G, lat)
 
     def test_budget_exhaustion_flags_inexact(self):
         G = make("sym:4")

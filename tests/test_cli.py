@@ -79,6 +79,16 @@ class TestSpecGrammar:
             parse_group_spec("  sym:3)")
         assert "'sym:3)' at position 5" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x" * 1000, "x" * 1000 + ":1", "cyclic:" + "1" * 5000, "elem_abelian:" + "x" * 1000 + "^2"],
+        ids=["no-colon", "family", "integer", "base"],
+    )
+    def test_long_token_gives_short_message(self, text):
+        with pytest.raises((errors.ParseError, errors.UnknownFamily)) as exc:
+            parse_group_spec(text)
+        assert len(str(exc.value)) <= 200
+
     def test_unknown_family(self):
         with pytest.raises(errors.UnknownFamily):
             parse_group_spec("foo:3")

@@ -23,7 +23,12 @@ from tppb.groups import (
     group_stats,
     prime_power,
 )
-from oracles import brute_force_subgroup_masks, element_order, permutation_table
+from oracles import (
+    brute_force_subgroup_masks,
+    commutator_set_derived_subgroup,
+    element_order,
+    permutation_table,
+)
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
 
@@ -465,6 +470,10 @@ class TestDerivedSubgroup:
     def test_sizes(self, family, param, size):
         G = builtin(family, param)
         assert len(derived_subgroup(G)) == size
+
+    def test_matches_commutator_set_on_catalog(self, catalog):
+        for name, G in catalog:
+            assert derived_subgroup(G) == commutator_set_derived_subgroup(G), name
 
 
 class TestGroupInvariants:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tppb import errors
+from tppb import errors, lattice
 from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import enumerate_subgroups, is_normal, normal_core, normal_cores
 from oracles import brute_force_subgroup_masks, conjugate_intersection_core
@@ -177,6 +177,25 @@ class TestNormalCore:
         G = builtin("cyclic", 4)
         with pytest.raises(errors.NotASubgroup):
             normal_core(G, ElementSet.from_indices([0, 1]))
+
+    def test_wrongly_flagged_set_still_checked(self):
+        # The check closes the set; a wrong is_subgroup flag does not skip it.
+        G = builtin("cyclic", 4)
+        with pytest.raises(errors.NotASubgroup):
+            normal_core(G, ElementSet.from_indices([0, 1], is_subgroup=True))
+
+    def test_normal_cores_trust_lattice_members(self, monkeypatch):
+        # Lattice members were built as subgroups; re-closing each one would
+        # cost |S|^2 products per member.
+        G = builtin("sym", 4)
+        lat = enumerate_subgroups(G)
+
+        def no_closure(*args):
+            raise AssertionError("normal_cores called closure")
+
+        monkeypatch.setattr(lattice, "closure", no_closure)
+        got = [c.mask for c in normal_cores(G, lat)]
+        assert got == [conjugate_intersection_core(G, s) for s in lat.items]
 
     @pytest.mark.parametrize(
         "make",
