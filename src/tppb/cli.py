@@ -56,6 +56,10 @@ CSV_COLUMNS = [header for header, _ in _COLUMNS]
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "sym", "alt", "elem_abelian")
 # Parsing, rendering and building recurse once per product level.
 MAX_PRODUCT_DEPTH = 100
+# Largest elem_abelian:p^k order, in bits, that parsing evaluates.  No group
+# near it can be built; the cap keeps p**k cheap before the order limit
+# refuses it.
+MAX_ORDER_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,11 @@ def render_group_spec(spec: GroupSpec) -> str:
     return f"product({render_group_spec(left)},{render_group_spec(right)})"
 
 
-def _quoted(token: str) -> str:
-    """repr of at most 30 characters of token, so a long token gives a short
-    message."""
-    return repr(token[:30]) + ("..." if len(token) > 30 else "")
-
-
 def _parse_int(text: str, pos: int, token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise errors.ParseError(text, pos, f"expected an integer, got {_quoted(token)}") from None
+        raise errors.ParseError(text, pos, f"expected an integer, got {errors.quoted(token)}") from None
 
 
 def _parse_spec_at(text: str, pos: int, depth: int = 0):
@@ -118,7 +116,7 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
         end += 1
     token = text[pos:end]
     if ":" not in token:
-        raise errors.ParseError(text, pos, f"expected '<family>:<parameter>' in {_quoted(token)}")
+        raise errors.ParseError(text, pos, f"expected '<family>:<parameter>' in {errors.quoted(token)}")
     head, _, tail = token.partition(":")
     if head == "perm":
         if not tail:
@@ -129,14 +127,25 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
             raise errors.ParseError(text, pos, "table spec needs a file path")
         return GroupSpec(kind="table", path=tail), end
     if head not in BUILTIN_FAMILIES:
-        raise errors.UnknownFamily(f"unknown builtin family {_quoted(head)}")
+        raise errors.UnknownFamily(f"unknown builtin family {errors.quoted(head)}")
     if head == "elem_abelian" and "^" in tail:
-        base, _, exp = tail.partition("^")
-        parameter = _parse_int(text, pos, base) ** _parse_int(text, pos, exp)
-    else:
-        parameter = _parse_int(text, pos, tail)
+        return GroupSpec(kind="builtin", family=head, parameter=_parse_power(text, pos, tail)), end
+    parameter = _parse_int(text, pos, tail)
     validate_family_parameter(head, parameter)
     return GroupSpec(kind="builtin", family=head, parameter=parameter), end
+
+
+def _parse_power(text: str, pos: int, tail: str) -> int:
+    """p**k from `p^k`, checked as a prime p and k >= 1 without a root search."""
+    base, _, exp = tail.partition("^")
+    prime, k = _parse_int(text, pos, base), _parse_int(text, pos, exp)
+    if k < 1:
+        raise errors.ParseError(text, pos, f"expected an exponent >= 1, got {errors.quoted(exp)}")
+    if prime_power(prime) != (prime, 1):
+        raise errors.BadParameter(f"elem_abelian base must be a prime, got {errors.quoted(base)}")
+    if k * prime.bit_length() > MAX_ORDER_BITS:
+        raise errors.ParseError(text, pos, f"order has more than {MAX_ORDER_BITS} bits")
+    return prime**k
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the token quoting their
+messages share."""
 
 __all__ = [
     "TppbError",
@@ -22,7 +23,14 @@ __all__ = [
     "ParseError",
     "UnknownElement",
     "ManifestError",
+    "quoted",
 ]
+
+
+def quoted(token: str) -> str:
+    """repr of at most 30 characters of token, so a long token gives a short
+    message."""
+    return repr(token[:30]) + ("..." if len(token) > 30 else "")
 
 
 class TppbError(Exception):
@@ -121,9 +129,9 @@ class ParseError(TppbError):
         self.pos = pos
         # Quote at most 60 characters around pos, so a long spec gives a short message.
         lo = max(0, min(pos - 30, len(text) - 60))
-        quoted = repr(text[lo : lo + 60])
-        quoted = ("..." if lo else "") + quoted + ("..." if lo + 60 < len(text) else "")
-        super().__init__(f"cannot parse {quoted} at position {pos}: {detail}")
+        shown = repr(text[lo : lo + 60])
+        shown = ("..." if lo else "") + shown + ("..." if lo + 60 < len(text) else "")
+        super().__init__(f"cannot parse {shown} at position {pos}: {detail}")
 
 
 class UnknownElement(TppbError):

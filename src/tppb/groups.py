@@ -176,18 +176,43 @@ def _iroot(q: int, k: int) -> int:
     return r
 
 
+def _exact_root(q: int, k: int):
+    """r with r**k == q for a prime k, else None.  The integer root is taken
+    only after q is a k-th power residue modulo four primes l = 1 (mod k),
+    which a random q passes with chance k**-4."""
+    m, tested = 1, 0
+    while tested < 4:
+        l = m * k + 1
+        if _is_prime(l):
+            r = q % l
+            if r and pow(r, m, l) != 1:
+                return None
+            tested += 1
+        m += 1
+    r = _iroot(q, k)
+    return r if r**k == q else None
+
+
 def prime_power(q: int):
     """(p, k) with q == p**k for a prime p and k >= 1; None when q is not a
     prime power.  Exact for every q below 3.3e24, far past any order that
     can be built, so there q is prime iff the result is (q, 1)."""
     if q < 2:
         return None
-    # The largest k with an exact k-th root gives a base that is no perfect
-    # power; q is a prime power iff that base is prime.
-    for k in range(q.bit_length(), 0, -1):
-        p = _iroot(q, k)
-        if p**k == q:
-            return (p, k) if _is_prime(p) else None
+    for p in _WITNESSES:
+        if q % p == 0:
+            k = round(math.log(q, p))
+            return (p, k) if p**k == q else None
+    # No prime up to 37 divides q, so a root r exceeds 2**5 and q = r**l needs
+    # l <= (bits - 1) // 5.  Roots are taken one prime exponent l at a time.
+    k, l = 1, 2
+    while l <= (q.bit_length() - 1) // 5:
+        r = _exact_root(q, l) if _is_prime(l) else None
+        if r is None:
+            l += 1
+        else:
+            q, k = r, k * l
+    return (q, k) if _is_prime(q) else None
 
 
 def _check_limit(n: int, limit: int, what: str):
@@ -343,7 +368,9 @@ def validate_family_parameter(family: str, parameter: int) -> None:
             raise errors.BadParameter("alt parameter must be >= 3")
     elif family == "elem_abelian":
         if prime_power(p) is None:
-            raise errors.BadParameter(f"elem_abelian parameter must be a prime power, got {p}")
+            raise errors.BadParameter(
+                f"elem_abelian parameter must be a prime power, got {errors.quoted(str(p))}"
+            )
     else:
         raise errors.UnknownFamily(f"unknown builtin family {family!r}")
 

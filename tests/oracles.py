@@ -11,7 +11,7 @@ from itertools import combinations
 
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
-from tppb.groups import ElementSet, closure
+from tppb.groups import ElementSet, _coset_join, closure
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
 
@@ -24,6 +24,7 @@ __all__ = [
     "quotient_set",
     "definitional_tpp",
     "brute_force_subgroup_masks",
+    "cyclic_join_lattice",
     "commutator_set_derived_subgroup",
     "naive_beta_over_subgroups",
     "per_triple_search_beta_g",
@@ -158,6 +159,35 @@ def brute_force_subgroup_masks(G) -> set:
                     mask |= 1 << a
                 found.add(mask)
     return found
+
+
+def cyclic_join_lattice(G) -> list:
+    """Subgroup masks in lattice order, by joining every known subgroup
+    with every cyclic subgroup until no new subgroup appears.  Any join
+    decomposes into a chain of single-generator extensions, so this
+    fixpoint is the whole lattice; no conjugacy classes are used."""
+    mul = G.mul
+    seeds = {}
+    for g in range(1, G.order):
+        seeds.setdefault(closure(G, (g,)).mask, g)
+    seed_items = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+
+    # mask -> (member list, generator tuple)
+    known = {1: ([0], ())}
+    for mask, g in seed_items:
+        known[mask] = (list(ElementSet(mask).indices()), (g,))
+    queue = list(known.keys())
+    while queue:
+        hmask = queue.pop()
+        members, gens = known[hmask]
+        for smask, g in seed_items:
+            if smask & ~hmask == 0:
+                continue
+            kmembers, kmask = _coset_join(mul, members, hmask, gens + (g,))
+            if kmask not in known:
+                known[kmask] = (kmembers, gens + (g,))
+                queue.append(kmask)
+    return sorted(known, key=lambda m: (m.bit_count(), tuple(ElementSet(m).indices())))
 
 
 def naive_beta_over_subgroups(G, subgroup_sets, tpp_predicate) -> int:

@@ -61,7 +61,22 @@ class TestSpecGrammar:
         spec = parse_group_spec("product(sym:3,cyclic:4)")
         assert spec.name == "product(sym:3,cyclic:4)"
 
-    @pytest.mark.parametrize("text", ["", "   ", "sym", "cyclic:x", "product(sym:3", "product(sym:3,)", "sym:3)", "sym:3 extra"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "   ",
+            "sym",
+            "cyclic:x",
+            "product(sym:3",
+            "product(sym:3,)",
+            "sym:3)",
+            "sym:3 extra",
+            "elem_abelian:2^-1",
+            "elem_abelian:2^0",
+            "elem_abelian:3^99999999",
+        ],
+    )
     def test_parse_errors(self, text):
         with pytest.raises(errors.ParseError):
             parse_group_spec(text)
@@ -81,11 +96,17 @@ class TestSpecGrammar:
 
     @pytest.mark.parametrize(
         "text",
-        ["x" * 1000, "x" * 1000 + ":1", "cyclic:" + "1" * 5000, "elem_abelian:" + "x" * 1000 + "^2"],
-        ids=["no-colon", "family", "integer", "base"],
+        [
+            "x" * 1000,
+            "x" * 1000 + ":1",
+            "cyclic:" + "1" * 5000,
+            "elem_abelian:" + "x" * 1000 + "^2",
+            "elem_abelian:" + "9" * 400,
+        ],
+        ids=["no-colon", "family", "integer", "base", "parameter"],
     )
     def test_long_token_gives_short_message(self, text):
-        with pytest.raises((errors.ParseError, errors.UnknownFamily)) as exc:
+        with pytest.raises((errors.ParseError, errors.UnknownFamily, errors.BadParameter)) as exc:
             parse_group_spec(text)
         assert len(str(exc.value)) <= 200
 
@@ -106,6 +127,16 @@ class TestSpecGrammar:
             parse_group_spec("dihedral:7")
         with pytest.raises(errors.BadParameter):
             parse_group_spec("elem_abelian:6")
+        with pytest.raises(errors.BadParameter, match="must be a prime"):
+            parse_group_spec("elem_abelian:6^2")
+
+    def test_power_form_needs_no_root_search(self, monkeypatch):
+        def no_root(*args):
+            raise AssertionError("root search")
+
+        monkeypatch.setattr(groups, "_iroot", no_root)
+        spec = parse_group_spec("elem_abelian:1000003^3000")
+        assert spec.parameter == 1000003**3000
 
 
 class TestRealize:
@@ -447,6 +478,7 @@ class TestAnalyze:
             "alt:100000",
             "sym:100000",
             "elem_abelian:2^5000",
+            "elem_abelian:3^20000",
             "elem_abelian:2003",
             "cyclic:10000000",
             "elem_abelian:2305843009213693951",

@@ -1,6 +1,7 @@
 """Group construction, builtin families, stats, classes, and closure."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,23 @@ class TestPrimePower:
                     q, k = q * p, k + 1
         for q in range(-1, limit):
             assert prime_power(q) == want.get(q), q
+
+    @pytest.mark.parametrize(
+        "q,want",
+        [
+            (3**20000, (3, 20000)),
+            (41**12000, (41, 12000)),
+            (1000003**3000, (1000003, 3000)),
+            ((2**61 - 1) ** 6, (2**61 - 1, 6)),
+            (2 * 1009**9000, None),
+            (1009**9000 * 1013**9000, None),
+        ],
+        ids=["3^20000", "41^12000", "1000003^3000", "mersenne61^6", "times-2", "two-primes"],
+    )
+    def test_large_orders_fast(self, q, want):
+        start = time.perf_counter()
+        assert prime_power(q) == want
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBuiltin:

@@ -1,11 +1,29 @@
 """Subgroup lattice enumeration, normality, and normal cores."""
 
+import random
+
 import pytest
 
 from tppb import errors, lattice
-from tppb.groups import ElementSet, builtin, direct_product
+from tppb.cli import parse_group_spec, realize_group_spec
+from tppb.groups import ElementSet, builtin, closure, direct_product, from_permutation_generators
 from tppb.lattice import enumerate_subgroups, is_normal, normal_core, normal_cores
-from oracles import brute_force_subgroup_masks, conjugate_intersection_core
+from oracles import brute_force_subgroup_masks, conjugate_intersection_core, cyclic_join_lattice
+
+
+def spec_group(text):
+    return realize_group_spec(parse_group_spec(text))
+
+
+def renumbered(G, seed):
+    """G rebuilt from random elements that generate it, acting on G by left
+    multiplication, so the breadth-first element numbering follows the seed."""
+    rng = random.Random(seed)
+    gens = []
+    while len(closure(G, gens)) < G.order:
+        gens.append(rng.randrange(1, G.order))
+    perms = [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
+    return from_permutation_generators(G.order, perms)
 
 
 def order_multiset(lat):
@@ -80,6 +98,31 @@ class TestEnumerate:
         with pytest.raises(errors.LatticeLimitExceeded):
             enumerate_subgroups(builtin("sym", 4), lattice_limit=10)
 
+    # Whole conjugacy classes are added at once, but the limit counts
+    # members: the whole lattice passes at its size and fails one below.
+    # A5's last class has five members, so a check per class overshoots.
+    @pytest.mark.parametrize("family,k,count", [("sym", 4, 30), ("alt", 5, 59)])
+    def test_lattice_limit_boundary(self, family, k, count):
+        G = builtin(family, k)
+        assert enumerate_subgroups(G, lattice_limit=count).count == count
+        with pytest.raises(errors.LatticeLimitExceeded):
+            enumerate_subgroups(G, lattice_limit=count - 1)
+
+    # Frozen join counts: one join per (class representative, seed) pair,
+    # so a lost cut shows here even when timings hide it.
+    @pytest.mark.parametrize("spec,joins", [("sym:5", 901), ("alt:6", 3307)])
+    def test_frozen_join_counts(self, monkeypatch, spec, joins):
+        calls = []
+        real = lattice._coset_join
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_coset_join", counting)
+        enumerate_subgroups(spec_group(spec))
+        assert len(calls) == joins
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -96,6 +139,28 @@ class TestEnumerate:
         G = make()
         lat = enumerate_subgroups(G)
         assert {s.mask for s in lat.items} == brute_force_subgroup_masks(G)
+
+    def test_matches_cyclic_join_oracle_on_catalog(self, catalog, catalog_lattices):
+        for name, G in catalog:
+            got = [s.mask for s in catalog_lattices[name].items]
+            assert got == cyclic_join_lattice(G), name
+
+    # Renumbered groups: the element numbering sets the join order and the
+    # representative of each class.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: renumbered(spec_group("sym:5"), seed="sym:5"),
+            lambda: renumbered(spec_group("product(sym:4,dihedral:8)"), seed="sym4xd8"),
+            lambda: renumbered(spec_group("product(alt:4,alt:4)"), seed="a4xa4"),
+            lambda: builtin("alt", 6),
+        ],
+        ids=["sym:5-renumbered", "sym4xd8-renumbered", "a4xa4-renumbered", "alt:6"],
+    )
+    def test_matches_cyclic_join_oracle(self, make):
+        G = make()
+        got = [s.mask for s in enumerate_subgroups(G).items]
+        assert got == cyclic_join_lattice(G)
 
     @pytest.mark.parametrize("make", [lambda: builtin("sym", 4), lambda: builtin("dicyclic", 12)])
     def test_subgroup_invariants(self, make):
