@@ -81,17 +81,6 @@ def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
     return best
 
 
-def compute_delta(G: Group, lattice: SubgroupLattice, i: int):
-    """Best |A|*|B| over distinct nontrivial subgroups A != B, both distinct
-    from S_i, with |B| <= |A| <= |S_i| and the size test passing; None when
-    no pair qualifies.  Relaxes position to order so the value is independent
-    of how equal-order subgroups are arranged."""
-    items = lattice.items
-    if not 1 <= i <= len(items):
-        raise errors.IndexOutOfRange(f"lattice index {i} outside 1..{len(items)}")
-    return _delta_by_order(G, lattice).get(len(items[i - 1]))
-
-
 @dataclass(frozen=True)
 class HCandidate:
     """One evaluated lattice index in the core-refined bound."""
@@ -281,13 +270,17 @@ def exclusion_flags(t: int, h: int, beta_g: int | None, d3: int) -> ExclusionFla
     )
 
 
-def solve_omega_bound(beta: int, degrees: CharacterDegrees, grid_step: float = 1e-4, tol: float = 1e-9):
+OMEGA_GRID_STEP = 1e-4
+OMEGA_TOL = 1e-9
+
+
+def solve_omega_bound(beta: int, degrees: CharacterDegrees):
     """Largest x in [2, 3] with sum(d_i**x) == beta**(x/3).
 
     Returns None when beta <= the cubic sum (no constraint), and raises
     NoRootInRange when beta exceeds it but no crossing lies in the interval.
-    The crossing is bracketed on a descending grid of pitch `grid_step`,
-    then bisected to width `tol`.
+    The crossing is bracketed on a descending grid of pitch OMEGA_GRID_STEP,
+    then bisected to width OMEGA_TOL.
     """
     d3 = d_sum_int(degrees, 3)
     if beta <= d3:
@@ -296,11 +289,11 @@ def solve_omega_bound(beta: int, degrees: CharacterDegrees, grid_step: float = 1
     def gap(x: float) -> float:
         return d_sum_real(degrees, x) - beta ** (x / 3.0)
 
-    steps = int(round(1.0 / grid_step))
+    steps = int(round(1.0 / OMEGA_GRID_STEP))
     hi = 3.0
     bracket = None
     for k in range(1, steps + 1):
-        lo = 2.0 if k == steps else 3.0 - k * grid_step
+        lo = 2.0 if k == steps else 3.0 - k * OMEGA_GRID_STEP
         if gap(lo) >= 0.0:
             bracket = (lo, hi)
             break
@@ -310,7 +303,7 @@ def solve_omega_bound(beta: int, degrees: CharacterDegrees, grid_step: float = 1
             f"no crossing in [2, 3] for beta={beta} against {degrees.degrees}"
         )
     lo, hi = bracket
-    while hi - lo > tol:
+    while hi - lo > OMEGA_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) >= 0.0:
             lo = mid

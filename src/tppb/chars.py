@@ -7,6 +7,11 @@ field with p = 1 (mod exponent) and p^2 > 4|G|, the matrices
 irreducible character: the central character values. Each degree is
 recovered from the orthogonality relation d^2 = |G| / sum_j w_j w_j* / |C_j|
 evaluated mod p and lifted to the unique integer in (0, sqrt(|G|)].
+
+One such prime suffices.  F_p holds the e-th roots of unity for the
+exponent e, so it is a splitting field of G (Brauer), and p does not
+divide |G|; the class algebra over F_p is then F_p^k and the split
+succeeds (Dixon 1967, Numer. Math. 10).  A failure is a hard error.
 """
 
 from __future__ import annotations
@@ -20,17 +25,14 @@ from .groups import Group, conjugacy_classes, derived_subgroup, group_stats, pri
 
 __all__ = [
     "CharacterDegrees",
-    "admissible_primes",
     "dixon_prime",
     "character_degrees",
     "d_sum_int",
     "d_sum_real",
-    "ingest_degrees",
     "validate_degrees",
 ]
 
 PRIME_SEARCH_CAP = 10_000_000
-RETRY_PRIMES = 3
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,8 @@ class CharacterDegrees:
     group_order: int
 
 
-def admissible_primes(G: Group):
-    """Yield primes p = 1 (mod exponent) with p^2 > 4|G|, ascending."""
-    return _admissible_primes(group_stats(G).exponent, G.order)
-
-
 def _admissible_primes(e: int, order: int):
+    """Yield primes p = 1 (mod e) with p^2 > 4*order, ascending."""
     floor = 4 * order
     k = 1
     while k <= PRIME_SEARCH_CAP:
@@ -59,7 +57,7 @@ def _admissible_primes(e: int, order: int):
 
 def dixon_prime(G: Group) -> int:
     """Smallest admissible prime for the finite-field method."""
-    return next(admissible_primes(G))
+    return next(_admissible_primes(group_stats(G).exponent, G.order))
 
 
 def _rref_mod(A: np.ndarray, p: int):
@@ -182,41 +180,22 @@ def _degrees_from_lines(lines, sizes, inv_class, n: int, p: int):
     return tuple(sorted(degrees))
 
 
-def character_degrees(G: Group, prime: int | None = None) -> CharacterDegrees:
+def character_degrees(G: Group) -> CharacterDegrees:
     """Exact degree multiset of the irreducible characters of G.
 
-    Abelian groups short-circuit to all ones. With an explicit prime the
-    computation runs once; otherwise split failures retry on the next
-    admissible primes before giving up.  A split's result must pass
-    `validate_degrees` and have [G:G'] degrees equal to 1, else
-    InvariantViolation.
+    Abelian groups short-circuit to all ones.  Otherwise the class algebra
+    is split once, at the smallest admissible prime: F_p is a splitting
+    field of G, so an EigenspaceSplitFailure there is a hard error, not a
+    reason to try another prime.  The result must pass `validate_degrees`
+    and have [G:G'] degrees equal to 1, else InvariantViolation.
     """
     st = group_stats(G)
     n = st.order
     if st.is_abelian:
         return CharacterDegrees((1,) * n, n)
-
-    if prime is not None:
-        if prime % st.exponent != 1 or prime * prime <= 4 * n or prime_power(prime) != (prime, 1):
-            raise errors.BadParameter(
-                f"prime {prime} is not admissible for exponent {st.exponent}, order {n}"
-            )
-        candidates = [prime]
-    else:
-        gen = _admissible_primes(st.exponent, n)
-        candidates = [next(gen) for _ in range(RETRY_PRIMES)]
-
+    p = next(_admissible_primes(st.exponent, n))
     A, sizes, inv_class = _class_matrices(G)
-    failure = None
-    for p in candidates:
-        try:
-            lines = _split_to_lines(A, sizes, p)
-            degrees = _degrees_from_lines(lines, sizes, inv_class, n, p)
-            break
-        except errors.EigenspaceSplitFailure as exc:
-            failure = exc
-    else:
-        raise failure
+    degrees = _degrees_from_lines(_split_to_lines(A, sizes, p), sizes, inv_class, n, p)
     result = validate_degrees(degrees, n)
     index = n // len(derived_subgroup(G))
     if degrees.count(1) != index:
@@ -259,28 +238,3 @@ def validate_degrees(degrees, order: int) -> CharacterDegrees:
     if degs[0] != 1:
         raise errors.InvariantViolation("trivial character present", "no degree equals 1")
     return CharacterDegrees(degs, order)
-
-
-def ingest_degrees(path) -> CharacterDegrees:
-    """Load `<order>: d1 d2 ... dk` from a file (one record, # comments)."""
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                records.append(line)
-    if len(records) != 1:
-        raise errors.InvariantViolation(
-            "single record", f"expected exactly one record line, got {len(records)}"
-        )
-    head, sep, tail = records[0].partition(":")
-    if not sep:
-        raise errors.InvariantViolation("record format", "missing ':' separator")
-    try:
-        order = int(head.strip())
-        degrees = [int(tok) for tok in tail.split()]
-    except ValueError:
-        raise errors.InvariantViolation(
-            "record format", "order and degrees must be integers"
-        ) from None
-    return validate_degrees(degrees, order)

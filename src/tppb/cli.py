@@ -31,7 +31,7 @@ from .groups import (
     prime_power,
     validate_family_parameter,
 )
-from .tpp import verify_triple_report
+from .tpp import satisfies_tpp
 
 CSV_SCHEMA = "tppb-csv-v1"
 # (CSV header, ReportRow attribute) in column order.
@@ -60,6 +60,9 @@ MAX_PRODUCT_DEPTH = 100
 # near it can be built; the cap keeps p**k cheap before the order limit
 # refuses it.
 MAX_ORDER_BITS = 1 << 16
+# A plain elem_abelian:q, or the base p of p^k, of this many bits or more is
+# refused before its prime test, which takes seconds on thousands of digits.
+MAX_PRIME_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,12 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
         return GroupSpec(kind="table", path=tail), end
     if head not in BUILTIN_FAMILIES:
         raise errors.UnknownFamily(f"unknown builtin family {errors.quoted(head)}")
-    if head == "elem_abelian" and "^" in tail:
-        return GroupSpec(kind="builtin", family=head, parameter=_parse_power(text, pos, tail)), end
+    if head == "elem_abelian":
+        base = tail.partition("^")[0]
+        if _parse_int(text, pos, base).bit_length() >= MAX_PRIME_BITS:
+            raise errors.ParseError(text, pos, f"{errors.quoted(base)} has {MAX_PRIME_BITS} bits or more")
+        if "^" in tail:
+            return GroupSpec(kind="builtin", family=head, parameter=_parse_power(text, pos, tail)), end
     parameter = _parse_int(text, pos, tail)
     validate_family_parameter(head, parameter)
     return GroupSpec(kind="builtin", family=head, parameter=parameter), end
@@ -361,12 +368,12 @@ def _cmd_verify_tpp(args) -> int:
     s = _parse_elements(G, args.s)
     t = _parse_elements(G, args.t)
     u = _parse_elements(G, args.u)
-    verdict = verify_triple_report(G, s, t, u)
+    verdict = satisfies_tpp(G, s, t, u)
     sizes = f"sizes ({len(s)}, {len(t)}, {len(u)})"
     if verdict.holds:
         print(f"TPP holds for {spec.name} with {sizes}")
         return 0
-    ws, wt, wu = verdict.witness_labels
+    ws, wt, wu = (G.label_of(i) for i in verdict.witness)
     print(f"TPP fails for {spec.name} with {sizes}")
     print(f"witness: s={ws!r} t={wt!r} u={wu!r}")
     return 1

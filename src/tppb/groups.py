@@ -67,9 +67,9 @@ class ElementSet:
 
     __slots__ = ("mask", "size", "is_subgroup")
 
-    def __init__(self, mask: int, size: int | None = None, is_subgroup: bool = False):
+    def __init__(self, mask: int, is_subgroup: bool = False):
         self.mask = mask
-        self.size = mask.bit_count() if size is None else size
+        self.size = mask.bit_count()
         self.is_subgroup = is_subgroup
 
     @classmethod
@@ -107,15 +107,14 @@ class Group:
     """Immutable finite group over element indices 0..order-1, held as its
     multiplication table; inverses are read off the table."""
 
-    __slots__ = ("order", "table", "mul", "inv", "labels", "perms", "_label_index")
+    __slots__ = ("order", "table", "mul", "inv", "labels", "_label_index")
 
-    def __init__(self, table, labels=None, perms=None):
+    def __init__(self, table, labels=None):
         self.table = np.asarray(table, dtype=np.int64)
         self.order = len(self.table)
         self.mul = self.table.tolist()
         self.inv = (self.table == 0).argmax(axis=1).tolist()
         self.labels = labels
-        self.perms = perms
         self._label_index = None
 
     def label_of(self, i: int) -> str:
@@ -309,7 +308,7 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
     for x in range(1, n):
         M[x] = L[via[x], M[parent[x]]]
     labels = [" ".join(str(x + 1) for x in p) for p in elems]
-    return Group(M, labels=labels, perms=elems)
+    return Group(M, labels=labels)
 
 
 def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:
@@ -396,8 +395,10 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
                 break
     if order > order_limit:
         prime, k = prime_power(parameter) if family == "elem_abelian" else (0, 1)
-        what = f"elem_abelian:{prime}^{k}" if k > 1 else f"{family}:{parameter}"
-        raise errors.OrderLimitExceeded(f"{what} exceeds order limit {order_limit}")
+        text = f"{prime}^{k}" if k > 1 else str(parameter)
+        # A long parameter is cut as the parse messages cut a token.
+        what = text if len(text) <= 30 else errors.quoted(text)
+        raise errors.OrderLimitExceeded(f"{family}:{what} exceeds order limit {order_limit}")
     p = parameter
     if family == "cyclic":
         if p == 1:

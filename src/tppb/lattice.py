@@ -1,4 +1,4 @@
-"""Complete subgroup lattices, normality tests, and normal cores."""
+"""Complete subgroup lattices and normal cores."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ __all__ = [
     "DEFAULT_LATTICE_LIMIT",
     "SubgroupLattice",
     "enumerate_subgroups",
-    "is_normal",
     "normal_core",
     "normal_cores",
 ]
@@ -125,11 +124,6 @@ def _require_subgroup(G: Group, S: ElementSet):
     H = closure(G, S.indices())
     if H != S:
         raise errors.NotASubgroup(f"set of {len(S)} elements generates a subgroup of order {len(H)}")
-
-
-def is_normal(G: Group, S: ElementSet) -> bool:
-    """True iff g*S*g^-1 = S for every g."""
-    return normal_core(G, S) == S
 
 
 def _cores(G: Group, subgroups) -> list:

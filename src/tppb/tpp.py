@@ -17,7 +17,6 @@ __all__ = [
     "TppVerdict",
     "right_quotient",
     "satisfies_tpp",
-    "verify_triple_report",
 ]
 
 
@@ -28,7 +27,6 @@ class TppVerdict:
 
     holds: bool
     witness: tuple | None = None
-    witness_labels: tuple | None = None
 
 
 def right_quotient(G: Group, X: ElementSet) -> ElementSet:
@@ -64,12 +62,3 @@ def satisfies_tpp(G: Group, S: ElementSet, T: ElementSet, U: ElementSet) -> TppV
             if (qu >> u) & 1 and (s or t):
                 return TppVerdict(False, (s, t, u))
     return TppVerdict(True)
-
-
-def verify_triple_report(G: Group, S: ElementSet, T: ElementSet, U: ElementSet) -> TppVerdict:
-    """As satisfies_tpp, with the witness also rendered via group labels."""
-    verdict = satisfies_tpp(G, S, T, U)
-    if verdict.holds:
-        return verdict
-    labels = tuple(G.label_of(i) for i in verdict.witness)
-    return TppVerdict(False, verdict.witness, labels)

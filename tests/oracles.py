@@ -50,8 +50,9 @@ class TppTriple:
 
 
 def delta_index_based(orders, i: int, group_order: int):
-    """Audit variant of compute_delta using strict positions 1 < k < j < i
-    over an explicit ascending-by-order arrangement; None when empty."""
+    """Audit variant of the order-relaxed delta of `bounds._delta_by_order`,
+    using strict positions 1 < k < j < i over an explicit ascending-by-order
+    arrangement; None when empty."""
     si = orders[i - 1]
     best = None
     for j in range(3, i):
@@ -91,6 +92,14 @@ def element_order(G, g: int) -> int:
         x = G.mul[x][g]
         k += 1
     return k
+
+
+def label_perms(G):
+    """0-based image tuples parsed back from the one-line labels of a
+    permutation group (1-based images), or None for an unlabeled group."""
+    if G.labels is None:
+        return None
+    return [tuple(int(x) - 1 for x in label.split()) for label in G.labels]
 
 
 def permutation_table(perms):
@@ -308,13 +317,13 @@ def s4_degrees_by_inner_products(G, partition) -> list:
     and exact inner products over the class data: the trivial, sign,
     standard, and sign-twisted standard characters are verified pairwise
     orthogonal of norm 1, and the remaining degree is pinned by the
-    squared-degree sum. Requires G to carry its permutation images.
+    squared-degree sum. Requires G to carry permutation labels.
     """
     n = G.order
     k = len(partition.classes)
     sizes = [len(c) for c in partition.classes]
     reps = [min(c.indices()) for c in partition.classes]
-    perms = [G.perms[r] for r in reps]
+    perms = [label_perms(G)[r] for r in reps]
 
     chi_triv = [1] * k
     chi_sign = [_perm_parity(p) for p in perms]

@@ -11,7 +11,6 @@ from tppb.bounds import (
     admissible_profiles,
     bounds_report,
     compute_N,
-    compute_delta,
     compute_h,
     compute_t,
     exclusion_flags,
@@ -136,41 +135,48 @@ class TestComputeN:
 
 
 class TestComputeDelta:
+    """delta at lattice index i is `_delta_by_order` at the order of S_i."""
+
     def test_s3_order2_sees_other_pair(self):
         G = make("sym:3")
         lat = lat_of(G)
-        assert compute_delta(G, lat, 4) == 4
+        delta = bounds._delta_by_order(G, lat)
+        assert delta.get(len(lat[4])) == 4
         # Equal-order subgroups qualify regardless of index position.
-        assert compute_delta(G, lat, 2) == 4
+        assert delta.get(len(lat[2])) == 4
 
     def test_s3_order3_fails_size_test(self):
         # 3*(2+2-1) = 9 > 6, so no pair is admissible at the order-3 member.
         G = make("sym:3")
-        assert compute_delta(G, lat_of(G), 5) is None
+        lat = lat_of(G)
+        assert bounds._delta_by_order(G, lat).get(len(lat[5])) is None
 
     def test_d12_order3_sees_involution_pair(self):
         G = make("dihedral:12")
-        assert compute_delta(G, lat_of(G), 9) == 4
+        lat = lat_of(G)
+        assert bounds._delta_by_order(G, lat).get(len(lat[9])) == 4
 
     def test_quaternion_absent(self):
         G = make("dicyclic:8")
         lat = lat_of(G)
-        assert compute_delta(G, lat, 3) is None
+        assert bounds._delta_by_order(G, lat).get(len(lat[3])) is None
 
     def test_cyclic12_single_small_subgroup(self):
         G = make("cyclic:12")
-        assert compute_delta(G, lat_of(G), 2) is None
+        lat = lat_of(G)
+        assert bounds._delta_by_order(G, lat).get(len(lat[2])) is None
 
     def test_s4_sylow(self):
         G = make("sym:4")
-        assert compute_delta(G, lat_of(G), 28) == 4
+        lat = lat_of(G)
+        assert bounds._delta_by_order(G, lat).get(len(lat[28])) == 4
 
     def test_index_out_of_range(self):
         G = make("sym:3")
         lat = lat_of(G)
         for i in (0, 7):
             with pytest.raises(errors.IndexOutOfRange):
-                compute_delta(G, lat, i)
+                lat[i]
 
     @pytest.mark.parametrize("spec", ["sym:3", "dihedral:8", "dicyclic:8", "cyclic:12", "alt:4"])
     def test_dominates_index_based_under_tie_shuffles(self, spec):
@@ -191,9 +197,10 @@ class TestComputeDelta:
                 arr[lo:hi] = block
                 lo = hi
             arrangements.append(arr)
+        delta = bounds._delta_by_order(G, lat)
         for arr in arrangements:
             for i in range(1, len(arr) + 1):
-                relaxed = compute_delta(G, lat, i)
+                relaxed = delta.get(len(lat[i]))
                 strict = delta_index_based(arr, i, G.order)
                 if strict is not None:
                     assert relaxed is not None and relaxed >= strict

@@ -1,4 +1,4 @@
-"""Character degrees via finite-field class matrices, degree sums, ingestion."""
+"""Character degrees via finite-field class matrices, degree sums, degree invariants."""
 
 import math
 
@@ -7,12 +7,11 @@ import pytest
 from tppb import chars, errors
 from tppb.chars import (
     CharacterDegrees,
-    admissible_primes,
     character_degrees,
     d_sum_int,
     d_sum_real,
     dixon_prime,
-    ingest_degrees,
+    validate_degrees,
 )
 from tppb.groups import (
     ElementSet,
@@ -54,7 +53,7 @@ class TestDixonPrime:
     def test_admissible_primes_increasing(self):
         G = builtin("sym", 3)
         seq = []
-        gen = admissible_primes(G)
+        gen = chars._admissible_primes(group_stats(G).exponent, G.order)
         for _ in range(3):
             seq.append(next(gen))
         assert seq[0] == 7
@@ -121,18 +120,31 @@ class TestCharacterDegrees:
         ],
     )
     def test_prime_independent(self, make):
+        # The split at the second admissible prime gives the same degrees
+        # as the one character_degrees makes at the first.
         G = make()
-        gen = admissible_primes(G)
-        first = next(gen)
-        second = next(gen)
-        a = character_degrees(G, prime=first)
-        b = character_degrees(G, prime=second)
-        assert a.degrees == b.degrees
+        gen = chars._admissible_primes(group_stats(G).exponent, G.order)
+        A, sizes, inv_class = chars._class_matrices(G)
+        got = [
+            chars._degrees_from_lines(chars._split_to_lines(A, sizes, p), sizes, inv_class, G.order, p)
+            for p in (next(gen), next(gen))
+        ]
+        assert got[0] == got[1] == character_degrees(G).degrees
 
-    def test_explicit_inadmissible_prime_rejected(self):
-        G = builtin("sym", 3)
-        with pytest.raises(errors.BadParameter):
-            character_degrees(G, prime=5)
+    def test_split_failure_is_not_retried(self, monkeypatch):
+        # F_p is a splitting field at the first admissible prime, so a
+        # failed split is a hard error, not a reason to try another prime.
+        calls = []
+
+        def failing(A, sizes, p):
+            calls.append(p)
+            raise errors.EigenspaceSplitFailure(f"forced at {p}")
+
+        monkeypatch.setattr(chars, "_split_to_lines", failing)
+        G = builtin("sym", 4)
+        with pytest.raises(errors.EigenspaceSplitFailure, match="forced at 13"):
+            character_degrees(G)
+        assert calls == [dixon_prime(G)]
 
     def test_wrong_derived_subgroup_is_invariant_violation(self, monkeypatch):
         G = builtin("sym", 4)
@@ -186,49 +198,36 @@ class TestDegreeSums:
 
 
 class TestIngestDegrees:
-    def write(self, tmp_path, text):
-        path = tmp_path / "degrees.txt"
-        path.write_text(text)
-        return path
+    """The invariants `validate_degrees` requires of a degree multiset."""
 
-    def test_valid_s3(self, tmp_path):
-        deg = ingest_degrees(self.write(tmp_path, "# comment\n6: 1 1 2\n"))
+    def test_valid_s3(self):
+        deg = validate_degrees([1, 1, 2], 6)
         assert deg.degrees == (1, 1, 2)
         assert deg.group_order == 6
 
-    def test_valid_s4(self, tmp_path):
-        deg = ingest_degrees(self.write(tmp_path, "24: 1 1 2 3 3\n"))
+    def test_valid_s4(self):
+        deg = validate_degrees([1, 1, 2, 3, 3], 24)
         assert deg.degrees == (1, 1, 2, 3, 3)
 
-    def test_unsorted_input_is_sorted(self, tmp_path):
-        deg = ingest_degrees(self.write(tmp_path, "24: 3 1 2 1 3\n"))
+    def test_unsorted_input_is_sorted(self):
+        deg = validate_degrees([3, 1, 2, 1, 3], 24)
         assert deg.degrees == (1, 1, 2, 3, 3)
 
-    def test_square_sum_violation(self, tmp_path):
+    def test_square_sum_violation(self):
         with pytest.raises(errors.InvariantViolation) as exc:
-            ingest_degrees(self.write(tmp_path, "6: 1 1 1 3\n"))
+            validate_degrees([1, 1, 1, 3], 6)
         assert "square" in str(exc.value)
 
-    def test_divisor_violation(self, tmp_path):
+    def test_divisor_violation(self):
         with pytest.raises(errors.InvariantViolation) as exc:
-            ingest_degrees(self.write(tmp_path, "50: 1 1 4 4 4\n"))
+            validate_degrees([1, 1, 4, 4, 4], 50)
         assert "divide" in str(exc.value)
 
-    def test_missing_trivial_character(self, tmp_path):
+    def test_missing_trivial_character(self):
         with pytest.raises(errors.InvariantViolation) as exc:
-            ingest_degrees(self.write(tmp_path, "50: 5 5\n"))
+            validate_degrees([5, 5], 50)
         assert "trivial" in str(exc.value)
 
-    def test_positivity(self, tmp_path):
+    def test_positivity(self):
         with pytest.raises(errors.InvariantViolation):
-            ingest_degrees(self.write(tmp_path, "5: 1 0 2\n"))
-
-    def test_exactly_one_record(self, tmp_path):
-        with pytest.raises(errors.InvariantViolation):
-            ingest_degrees(self.write(tmp_path, "6: 1 1 2\n24: 1 1 2 3 3\n"))
-        with pytest.raises(errors.InvariantViolation):
-            ingest_degrees(self.write(tmp_path, "# nothing\n"))
-
-    def test_malformed_line(self, tmp_path):
-        with pytest.raises(errors.InvariantViolation):
-            ingest_degrees(self.write(tmp_path, "6 1 1 2\n"))
+            validate_degrees([1, 0, 2], 5)

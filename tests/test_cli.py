@@ -492,6 +492,22 @@ class TestAnalyze:
         assert code == 2
         assert err == f"error: {spec} exceeds order limit 2000\n"
 
+    @pytest.mark.parametrize("suffix", ["", "^1"])
+    def test_huge_elem_abelian_number_refused_before_prime_test(self, capsys, suffix):
+        # A 4,269-digit composite with no prime factor up to 37; its prime
+        # test alone takes seconds.
+        digits = str(1009**1420 * 1013)
+        start = time.perf_counter()
+        code, _, err = run(["degrees", f"elem_abelian:{digits}{suffix}"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"'{digits[:30]}'... has 64 bits or more" in err and len(err) <= 200
+
+    def test_long_parameter_order_limit_message_is_short(self, capsys):
+        code, _, err = run(["degrees", "cyclic:" + "9" * 4000], capsys)
+        assert code == 2
+        assert err == "error: cyclic:'" + "9" * 30 + "'... exceeds order limit 2000\n"
+
     def test_env_order_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("TPPB_ORDER_LIMIT", "5")
         code, _, stderr = run(["analyze", "sym:3"], capsys)

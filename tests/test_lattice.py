@@ -7,7 +7,7 @@ import pytest
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import ElementSet, builtin, closure, direct_product, from_permutation_generators
-from tppb.lattice import enumerate_subgroups, is_normal, normal_core, normal_cores
+from tppb.lattice import enumerate_subgroups, normal_core, normal_cores
 from oracles import brute_force_subgroup_masks, conjugate_intersection_core, cyclic_join_lattice
 
 
@@ -182,23 +182,25 @@ class TestEnumerate:
 
 
 class TestIsNormal:
+    """A subgroup is normal exactly when it is its own normal core."""
+
     def test_s3_order3_normal(self):
         G = builtin("sym", 3)
         lat = enumerate_subgroups(G)
         (h,) = [s for s in lat.items if len(s) == 3]
-        assert is_normal(G, h)
+        assert normal_core(G, h) == h
 
     def test_s3_order2_not_normal(self):
         G = builtin("sym", 3)
         lat = enumerate_subgroups(G)
         for s in lat.items:
             if len(s) == 2:
-                assert not is_normal(G, s)
+                assert normal_core(G, s) != s
 
     def test_quaternion_all_normal(self):
         G = builtin("dicyclic", 8)
         for s in enumerate_subgroups(G).items:
-            assert is_normal(G, s)
+            assert normal_core(G, s) == s
 
     def test_center_is_normal(self):
         G = builtin("dihedral", 16)
@@ -206,12 +208,12 @@ class TestIsNormal:
             [z for z in range(G.order) if all(G.mul[z][g] == G.mul[g][z] for g in range(G.order))],
             is_subgroup=True,
         )
-        assert is_normal(G, center)
+        assert normal_core(G, center) == center
 
     def test_not_a_subgroup(self):
         G = builtin("cyclic", 4)
         with pytest.raises(errors.NotASubgroup):
-            is_normal(G, ElementSet.from_indices([0, 1]))
+            normal_core(G, ElementSet.from_indices([0, 1]))
 
 
 class TestNormalCore:
@@ -236,7 +238,7 @@ class TestNormalCore:
         for s in eights:
             core = normal_core(G, s)
             assert len(core) == 4
-            assert is_normal(G, core)
+            assert normal_core(G, core) == core
 
     def test_not_a_subgroup(self):
         G = builtin("cyclic", 4)
@@ -273,11 +275,11 @@ class TestNormalCore:
     def test_core_is_largest_contained_normal_subgroup(self, make):
         G = make()
         lat = enumerate_subgroups(G)
-        normal_masks = [s.mask for s in lat.items if is_normal(G, s)]
+        normal_masks = [s.mask for s in lat.items if normal_core(G, s) == s]
         for s in lat.items:
             core = normal_core(G, s)
             assert core.mask & ~s.mask == 0
-            assert is_normal(G, core)
+            assert normal_core(G, core) == core
             for nm in normal_masks:
                 if nm & ~s.mask == 0:
                     assert nm & ~core.mask == 0

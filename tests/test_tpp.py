@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tppb import errors
 from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import enumerate_subgroups
-from tppb.tpp import right_quotient, satisfies_tpp, verify_triple_report
+from tppb.cli import main
+from tppb.tpp import right_quotient, satisfies_tpp
 from oracles import TppTriple, definitional_tpp, quotient_set
 
 
@@ -164,28 +165,31 @@ class TestAgainstDefinitionalOracle:
 
 
 class TestVerifyTripleReport:
+    """`verify-tpp` reports the `satisfies_tpp` verdict, with the witness in
+    group labels."""
+
     def test_holds_has_no_witness(self):
         G = s3()
         a = eset([0, G.index_of_label("2 1 3")])
         b = eset([0, G.index_of_label("1 3 2")])
         c = eset([0, G.index_of_label("3 2 1")])
-        v = verify_triple_report(G, a, b, c)
-        assert v.holds and v.witness is None and v.witness_labels is None
+        v = satisfies_tpp(G, a, b, c)
+        assert v.holds and v.witness is None
 
-    def test_failing_witness_rendered_with_labels(self):
+    def test_failing_witness_rendered_with_labels(self, capsys):
         G = s3()
-        a3 = eset([0, G.index_of_label("2 3 1"), G.index_of_label("3 1 2")])
-        t = eset([0, G.index_of_label("2 1 3")])
-        u = eset([0, G.index_of_label("1 3 2")])
-        v = verify_triple_report(G, a3, t, u)
+        sets = ("1 2 3,2 3 1,3 1 2", "1 2 3,2 1 3", "1 2 3,1 3 2")
+        v = satisfies_tpp(G, *(eset(G.index_of_label(x) for x in arg.split(",")) for arg in sets))
         assert not v.holds
-        assert v.witness_labels == tuple(G.label_of(i) for i in v.witness)
+        assert tuple(G.label_of(i) for i in v.witness) == ("3 1 2", "2 1 3", "1 3 2")
+        assert main(["verify-tpp", "sym:3", "--s", sets[0], "--t", sets[1], "--u", sets[2]]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "witness: s='3 1 2' t='2 1 3' u='1 3 2'"
 
     def test_subgroup_inputs_short_circuit(self):
         G = s3()
         lat = enumerate_subgroups(G)
         twos = [s for s in lat.items if len(s) == 2]
-        v = verify_triple_report(G, *twos)
+        v = satisfies_tpp(G, *twos)
         assert v.holds
 
 
