@@ -20,6 +20,7 @@ from . import errors
 from .bounds import ReportRow, bounds_report
 from .chars import character_degrees, d_sum_int
 from .groups import (
+    MAX_PRIME_BITS,
     ElementSet,
     Group,
     builtin,
@@ -60,9 +61,6 @@ MAX_PRODUCT_DEPTH = 100
 # near it can be built; the cap keeps p**k cheap before the order limit
 # refuses it.
 MAX_ORDER_BITS = 1 << 16
-# A plain elem_abelian:q, or the base p of p^k, of this many bits or more is
-# refused before its prime test, which takes seconds on thousands of digits.
-MAX_PRIME_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,8 @@ def _parse_spec_at(text: str, pos: int, depth: int = 0):
         raise errors.UnknownFamily(f"unknown builtin family {errors.quoted(head)}")
     if head == "elem_abelian":
         base = tail.partition("^")[0]
+        # The MAX_PRIME_BITS rule of validate_family_parameter, applied to
+        # the token so that the message gives its position.
         if _parse_int(text, pos, base).bit_length() >= MAX_PRIME_BITS:
             raise errors.ParseError(text, pos, f"{errors.quoted(base)} has {MAX_PRIME_BITS} bits or more")
         if "^" in tail:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the token quoting their
 messages share."""
 
+import math
+
 __all__ = [
     "TppbError",
     "NotLatinSquare",
@@ -24,13 +26,33 @@ __all__ = [
     "UnknownElement",
     "ManifestError",
     "quoted",
+    "shown",
 ]
 
 
-def quoted(token: str) -> str:
-    """repr of at most 30 characters of token, so a long token gives a short
-    message."""
-    return repr(token[:30]) + ("..." if len(token) > 30 else "")
+def _text(token) -> str:
+    """str(token), except that an int of more than 40 digits is written to
+    its leading digits only: Python refuses str() past 4,300 digits."""
+    if not isinstance(token, int):
+        return token
+    m = abs(token)
+    if m >= 10**40:
+        m //= 10 ** (int(math.log10(m)) - 40)
+    return ("-" if token < 0 else "") + str(m)
+
+
+def quoted(token) -> str:
+    """repr of at most 30 characters of token (a str or an int), so a long
+    token gives a short message."""
+    text = _text(token)
+    return repr(text[:30]) + ("..." if len(text) > 30 else "")
+
+
+def shown(token) -> str:
+    """token (a str or an int) as text when it has at most 30 characters,
+    else cut by `quoted`."""
+    text = _text(token)
+    return text if len(text) <= 30 else quoted(text)
 
 
 class TppbError(Exception):

@@ -18,6 +18,7 @@ from . import errors
 
 __all__ = [
     "DEFAULT_ORDER_LIMIT",
+    "MAX_PRIME_BITS",
     "check_order_limit",
     "configured_order_limit",
     "ElementSet",
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_LIMIT = 2000
+# An elem_abelian parameter whose prime base would have this many bits or
+# more is refused before the prime test, which takes seconds on thousands
+# of digits.  No group near such an order can be built.
+MAX_PRIME_BITS = 64
 
 
 def check_order_limit(value, source: str = "order limit") -> int:
@@ -196,6 +201,13 @@ def prime_power(q: int):
     """(p, k) with q == p**k for a prime p and k >= 1; None when q is not a
     prime power.  Exact for every q below 3.3e24, far past any order that
     can be built, so there q is prime iff the result is (q, 1)."""
+    base = _power_base(q)
+    return base if base is not None and _is_prime(base[0]) else None
+
+
+def _power_base(q: int):
+    """(r, k) with q == r**k such that q is a prime power iff r is prime;
+    None when q is known not to be one.  The prime test of r is left out."""
     if q < 2:
         return None
     for p in _WITNESSES:
@@ -211,7 +223,7 @@ def prime_power(q: int):
             l += 1
         else:
             q, k = r, k * l
-    return (q, k) if _is_prime(q) else None
+    return q, k
 
 
 def _check_limit(n: int, limit: int, what: str):
@@ -366,9 +378,14 @@ def validate_family_parameter(family: str, parameter: int) -> None:
         if p < 3:
             raise errors.BadParameter("alt parameter must be >= 3")
     elif family == "elem_abelian":
-        if prime_power(p) is None:
+        base = _power_base(p)
+        if base is not None and base[0].bit_length() >= MAX_PRIME_BITS:
             raise errors.BadParameter(
-                f"elem_abelian parameter must be a prime power, got {errors.quoted(str(p))}"
+                f"elem_abelian base {errors.quoted(base[0])} has {MAX_PRIME_BITS} bits or more"
+            )
+        if base is None or not _is_prime(base[0]):
+            raise errors.BadParameter(
+                f"elem_abelian parameter must be a prime power, got {errors.quoted(p)}"
             )
     else:
         raise errors.UnknownFamily(f"unknown builtin family {family!r}")
@@ -394,10 +411,9 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
             if order > order_limit:
                 break
     if order > order_limit:
-        prime, k = prime_power(parameter) if family == "elem_abelian" else (0, 1)
-        text = f"{prime}^{k}" if k > 1 else str(parameter)
+        prime, k = prime_power(parameter) if family == "elem_abelian" else (parameter, 1)
         # A long parameter is cut as the parse messages cut a token.
-        what = text if len(text) <= 30 else errors.quoted(text)
+        what = errors.shown(f"{prime}^{k}" if k > 1 else parameter)
         raise errors.OrderLimitExceeded(f"{family}:{what} exceeds order limit {order_limit}")
     p = parameter
     if family == "cyclic":

@@ -9,9 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
-from tppb.groups import ElementSet, _coset_join, closure
+from tppb.chars import _nullspace_mod, _rref_mod
+from tppb.groups import ElementSet, _coset_join, closure, conjugacy_classes
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
 
@@ -29,6 +32,8 @@ __all__ = [
     "naive_beta_over_subgroups",
     "per_triple_search_beta_g",
     "s4_degrees_by_inner_products",
+    "class_matrices_double_loop",
+    "scan_split_lines",
 ]
 
 
@@ -349,3 +354,53 @@ def s4_degrees_by_inner_products(G, partition) -> list:
         root += 1
     assert root * root == missing
     return sorted(degrees + [root])
+
+
+def class_matrices_double_loop(G):
+    """`chars._class_matrices` by counting, for each class representative
+    z_t, every x in G into cell (class of x, class of x^-1 z_t, t)."""
+    part = conjugacy_classes(G)
+    k = len(part.classes)
+    class_of = part.class_of
+    sizes = [len(c) for c in part.classes]
+    reps = [next(c.indices()) for c in part.classes]
+    inv_class = [class_of[G.inv[r]] for r in reps]
+    A = np.zeros((k, k, k), dtype=np.int64)
+    for t in range(k):
+        zt = reps[t]
+        for x in range(G.order):
+            A[class_of[x], class_of[G.mul[G.inv[x]][zt]], t] += 1
+    return A, sizes, inv_class
+
+
+def scan_split_lines(A, sizes, p: int):
+    """`chars._split_to_lines` by trying every eigenvalue candidate
+    lam = 0, 1, ..., p-1 with a null space computation, stopping once the
+    eigenspaces fill the space being split."""
+    k = A.shape[0]
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    for j in sorted(range(1, k), key=lambda j: (sizes[j], j)):
+        if all(B.shape[0] == 1 for B, _ in spaces):
+            break
+        M = A[j] % p
+        next_spaces = []
+        for B, piv in spaces:
+            d = B.shape[0]
+            if d == 1:
+                next_spaces.append((B, piv))
+                continue
+            Rm = ((M @ B.T) % p)[piv, :]
+            found = 0
+            for lam in range(p):
+                nb = _nullspace_mod((Rm - lam * np.eye(d, dtype=np.int64)) % p, p)
+                if nb.shape[0]:
+                    next_spaces.append(_rref_mod((nb @ B) % p, p))
+                    found += nb.shape[0]
+                    if found == d:
+                        break
+            if found != d:
+                raise errors.EigenspaceSplitFailure(f"matrix {j} is not diagonalizable over F_{p}")
+        spaces = next_spaces
+    if any(B.shape[0] != 1 for B, _ in spaces):
+        raise errors.EigenspaceSplitFailure(f"common eigenspaces not one-dimensional over F_{p}")
+    return [B[0] % p for B, _ in spaces]

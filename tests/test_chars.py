@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tppb import chars, errors
 from tppb.chars import (
@@ -21,7 +24,9 @@ from tppb.groups import (
     direct_product,
     group_stats,
 )
-from oracles import s4_degrees_by_inner_products
+from tppb.cli import parse_group_spec, realize_group_spec
+from conftest import CATALOG_SPECS
+from oracles import class_matrices_double_loop, s4_degrees_by_inner_products, scan_split_lines
 
 
 class TestDixonPrime:
@@ -35,6 +40,7 @@ class TestDixonPrime:
             (lambda: builtin("cyclic", 1), 3),
             (lambda: builtin("cyclic", 12), 13),
             (lambda: builtin("alt", 5), 31),
+            (lambda: builtin("dicyclic", 116), 233),
         ],
     )
     def test_frozen(self, make, want):
@@ -161,6 +167,58 @@ class TestCharacterDegrees:
     def test_group_order_recorded(self):
         deg = character_degrees(builtin("sym", 4))
         assert deg.group_order == 24
+
+
+class TestSplit:
+    """The eigenvalues of each restricted class matrix are the roots of its
+    characteristic polynomial, so the split only visits those."""
+
+    # dicyclic:116 has Dixon prime 233.
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + ["dicyclic:116"])
+    def test_lines_match_eigenvalue_scan(self, spec):
+        G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
+        p = dixon_prime(G)
+        A, sizes, _ = chars._class_matrices(G)
+        got = chars._split_to_lines(A, sizes, p)
+        want = scan_split_lines(A, sizes, p)
+        assert len(got) == len(want) == len(sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_class_matrices_match_double_loop(self, spec):
+        G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
+        A, sizes, inv_class = chars._class_matrices(G)
+        A0, sizes0, inv_class0 = class_matrices_double_loop(G)
+        assert A.shape == A0.shape and np.array_equal(A, A0)
+        assert (sizes, inv_class) == (sizes0, inv_class0)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_charpoly_roots_are_eigenvalues(self, data):
+        p = data.draw(st.sampled_from([3, 13, 293, 1061]))
+        d = data.draw(st.integers(1, 8))
+        R = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)),
+                     dtype=np.int64).reshape(d, d)
+        if data.draw(st.booleans()):
+            # Triangular up to a permutation similarity, so F_p holds every
+            # eigenvalue and the Hessenberg reduction has rows to swap.
+            perm = data.draw(st.permutations(range(d)))
+            R = np.triu(R)[perm][:, perm]
+        coeffs = chars._charpoly_mod(R, p)
+        assert len(coeffs) == d + 1 and coeffs[d] == 1
+        assert coeffs[d - 1] == -int(np.trace(R)) % p
+        eye = np.eye(d, dtype=np.int64)
+        for lam in range(p):
+            value = sum(int(c) * pow(lam, i, p) for i, c in enumerate(coeffs)) % p
+            rank = len(chars._rref_mod((R - lam * eye) % p, p)[1])
+            assert (value == 0) == (rank < d), lam
+
+    def test_jordan_block_is_split_failure(self):
+        # Class 1 acts as the Jordan block [[1, 1], [0, 1]]: the root 1 of
+        # (x - 1)^2 has a one-dimensional eigenspace only.
+        A = np.array([np.eye(2, dtype=np.int64), [[1, 1], [0, 1]]])
+        with pytest.raises(errors.EigenspaceSplitFailure, match="not diagonalizable"):
+            chars._split_to_lines(A, [1, 1], 13)
 
 
 class TestDegreeSums:

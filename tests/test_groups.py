@@ -260,6 +260,46 @@ class TestBuiltin:
         with pytest.raises(errors.UnknownFamily):
             builtin("frieze", 8)
 
+    @pytest.mark.parametrize(
+        "q", [1009**1420 * 1013, (2**89 - 1) ** 2], ids=["4269-digit-composite", "mersenne89^2"]
+    )
+    def test_huge_elem_abelian_base_refused_before_prime_test(self, q):
+        # The prime test of the first base alone takes seconds.
+        start = time.perf_counter()
+        with pytest.raises(errors.BadParameter, match="has 64 bits or more") as exc:
+            builtin("elem_abelian", q)
+        assert time.perf_counter() - start < 0.1
+        assert len(str(exc.value)) <= 200
+
+    @pytest.mark.parametrize(
+        "family,param,error,shown",
+        [
+            ("cyclic", 10**5000, errors.OrderLimitExceeded, "'1" + "0" * 29 + "'..."),
+            ("sym", 10**5000, errors.OrderLimitExceeded, "'1" + "0" * 29 + "'..."),
+            ("elem_abelian", 2 * 10**5000, errors.BadParameter, "'2" + "0" * 29 + "'..."),
+            ("elem_abelian", -(10**5000), errors.BadParameter, "'-1" + "0" * 28 + "'..."),
+        ],
+        ids=["cyclic", "sym", "elem_abelian-composite", "elem_abelian-negative"],
+    )
+    def test_parameter_past_4300_digits_gives_short_message(self, family, param, error, shown):
+        # str() of such an int raises ValueError on Python 3.11 and later.
+        with pytest.raises(error) as exc:
+            builtin(family, param)
+        assert shown in str(exc.value) and len(str(exc.value)) <= 200
+
+    @pytest.mark.parametrize(
+        "family,param,want",
+        [
+            ("cyclic", 10**29, "cyclic:100000000000000000000000000000 exceeds order limit 2000"),
+            ("cyclic", 10**30, "cyclic:'100000000000000000000000000000'... exceeds order limit 2000"),
+            ("elem_abelian", 2**70, "elem_abelian:2^70 exceeds order limit 2000"),
+        ],
+    )
+    def test_order_limit_message_unchanged(self, family, param, want):
+        with pytest.raises(errors.OrderLimitExceeded) as exc:
+            builtin(family, param)
+        assert str(exc.value) == want
+
 
 class TestDirectProduct:
     def test_c2_c2(self):
