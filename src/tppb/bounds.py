@@ -270,7 +270,6 @@ def exclusion_flags(t: int, h: int, beta_g: int | None, d3: int) -> ExclusionFla
     )
 
 
-OMEGA_GRID_STEP = 1e-4
 OMEGA_TOL = 1e-9
 
 
@@ -279,8 +278,12 @@ def solve_omega_bound(beta: int, degrees: CharacterDegrees):
 
     Returns None when beta <= the cubic sum (no constraint), and raises
     NoRootInRange when beta exceeds it but no crossing lies in the interval.
-    The crossing is bracketed on a descending grid of pitch OMEGA_GRID_STEP,
-    then bisected to width OMEGA_TOL.
+
+    gap(x) = sum(d_i**x) - beta**(x/3) has the sign of
+    f(x) = sum(exp(x * ln(d_i / beta**(1/3)))) - 1, a convex function with
+    f(3) = D3 / beta - 1 < 0 once beta > D3.  So {gap < 0} meets [2, 3] in
+    one interval ending at 3: gap(2) < 0 means no crossing at all, and
+    otherwise the crossing is bisected on [2, 3] to width OMEGA_TOL.
     """
     d3 = d_sum_int(degrees, 3)
     if beta <= d3:
@@ -289,20 +292,11 @@ def solve_omega_bound(beta: int, degrees: CharacterDegrees):
     def gap(x: float) -> float:
         return d_sum_real(degrees, x) - beta ** (x / 3.0)
 
-    steps = int(round(1.0 / OMEGA_GRID_STEP))
-    hi = 3.0
-    bracket = None
-    for k in range(1, steps + 1):
-        lo = 2.0 if k == steps else 3.0 - k * OMEGA_GRID_STEP
-        if gap(lo) >= 0.0:
-            bracket = (lo, hi)
-            break
-        hi = lo
-    if bracket is None:
+    if gap(2.0) < 0.0:
         raise errors.NoRootInRange(
             f"no crossing in [2, 3] for beta={beta} against {degrees.degrees}"
         )
-    lo, hi = bracket
+    lo, hi = 2.0, 3.0
     while hi - lo > OMEGA_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) >= 0.0:

@@ -89,36 +89,37 @@ def _rref_mod(A: np.ndarray, p: int):
     return R[:r], pivots
 
 
-def _nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Row basis of the right null space {x : A x = 0} over F_p."""
+def _nullspace_mod(A: np.ndarray, p: int):
+    """Row basis of the right null space {x : A x = 0} over F_p, and its
+    free columns, on which the basis is the identity."""
     R, pivots = _rref_mod(A, p)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-int(R[r, fc])) % p
-    return basis
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = (-R[:, free].T) % p
+    return basis, free
 
 
 def _class_matrices(G: Group):
-    """Structure-constant matrices M_r with (M_r)[s][t] = a_rst, plus
-    class sizes and the inverse-class permutation.
+    """Structure-constant matrices on demand, plus class sizes and the
+    inverse-class permutation.
 
-    a_rst counts the x in G with x in class r and x^-1 z_t in class s, for
-    the representative z_t of class t; one bincount over the flat index
-    (class of x, class of x^-1 z_t, t) counts all of them."""
+    (M_r)[s][t] = a_rst counts the x in class r with x^-1 z_t in class s,
+    for the representative z_t of class t.  One n x k table holds the flat
+    cell (class of x^-1 z_t, t) for every x and t; `matrix(r)` bincounts
+    the rows of class r into M_r, so no k x k x k array is ever built."""
     part = conjugacy_classes(G)
     k = len(part.classes)
     class_of = np.array(part.class_of, dtype=np.int64)
     sizes = [len(c) for c in part.classes]
     reps = [next(c.indices()) for c in part.classes]
     inv_class = [part.class_of[G.inv[r]] for r in reps]
-    quotients = G.table[np.asarray(G.inv)[:, None], reps]
-    flat = (class_of[:, None] * k + class_of[quotients]) * k + np.arange(k)
-    A = np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
-    return A, sizes, inv_class
+    cells = class_of[G.table[np.asarray(G.inv)[:, None], reps]] * k + np.arange(k)
+
+    def matrix(r: int) -> np.ndarray:
+        return np.bincount(cells[class_of == r].ravel(), minlength=k * k).reshape(k, k)
+
+    return matrix, sizes, inv_class
 
 
 def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
@@ -160,71 +161,69 @@ def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
     return P[d]
 
 
-def _split_to_lines(A: np.ndarray, sizes, p: int):
+def _split_to_lines(matrix, sizes, p: int):
     """Split F_p^k into the common eigenvector lines of the class
-    matrices, processing matrices in ascending class-size order.
+    matrices `matrix(j)`, processing them in ascending class-size order.
 
     Each space of dimension d > 1 is split by the restriction R of the next
     class matrix: its eigenvalues are the roots in F_p of det(xI - R)
     (`_charpoly_mod`, Cohen Alg. 2.2.9), found by one vectorised Horner
     pass over all of F_p, and a null space is taken at each root in
     ascending order.  The eigenspaces must fill the space, else R is not
-    diagonalizable over F_p and the split fails."""
-    k = A.shape[0]
-    eye = np.eye(k, dtype=np.int64)
-    spaces = [(eye, list(range(k)))]
-    order = sorted(range(1, k), key=lambda j: (sizes[j], j))
+    diagonalizable over F_p and the split fails.
+
+    A space is a basis B with the identity on columns piv, so R is the piv
+    rows of M B^T.  A null-space basis is the identity on its free columns,
+    so the eigenspace basis nb B is the identity on piv[free]: one
+    elimination per eigenspace.  Each line is scaled to lead with 1."""
+    k = len(sizes)
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     xs = np.arange(p, dtype=np.int64)
-    for j in order:
+    for j in sorted(range(1, k), key=lambda j: (sizes[j], j)):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        M = A[j] % p
+        M = matrix(j) % p
         next_spaces = []
         for B, piv in spaces:
             d = B.shape[0]
             if d == 1:
                 next_spaces.append((B, piv))
                 continue
-            coords = (M @ B.T) % p
-            Rm = coords[piv, :]
+            Rm = (M[piv] @ B.T) % p
             values = np.zeros(p, dtype=np.int64)
             for c in _charpoly_mod(Rm, p)[::-1]:
                 values = (values * xs + int(c)) % p
             found = 0
             for lam in np.nonzero(values == 0)[0]:
-                nb = _nullspace_mod((Rm - int(lam) * np.eye(d, dtype=np.int64)) % p, p)
-                next_spaces.append(_rref_mod((nb @ B) % p, p))
+                nb, free = _nullspace_mod((Rm - int(lam) * np.eye(d, dtype=np.int64)) % p, p)
+                next_spaces.append(((nb @ B) % p, [piv[f] for f in free]))
                 found += nb.shape[0]
             if found != d:
-                raise errors.EigenspaceSplitFailure(
-                    f"matrix {j} is not diagonalizable over F_{p}"
-                )
+                raise errors.EigenspaceSplitFailure(f"matrix {j} is not diagonalizable over F_{p}")
         spaces = next_spaces
     if any(B.shape[0] != 1 for B, _ in spaces):
-        raise errors.EigenspaceSplitFailure(
-            f"common eigenspaces not one-dimensional over F_{p}"
-        )
-    return [B[0] % p for B, _ in spaces]
+        raise errors.EigenspaceSplitFailure(f"common eigenspaces not one-dimensional over F_{p}")
+    return [v * pow(int(v[v != 0][0]), -1, p) % p for (v,), _ in spaces]
 
 
 def _degrees_from_lines(lines, sizes, inv_class, n: int, p: int):
-    half = (p - 1) // 2
-    inv_sizes = [pow(sz, -1, p) for sz in sizes]
-    degrees = []
-    for v in lines:
-        if v[0] == 0:
-            raise errors.EigenspaceSplitFailure("identity-class coordinate vanished")
-        w = (v * pow(int(v[0]), -1, p)) % p
-        denom = 0
-        for j, js in enumerate(inv_class):
-            denom = (denom + int(w[j]) * int(w[js]) % p * inv_sizes[j]) % p
-        if denom == 0:
-            raise errors.EigenspaceSplitFailure("orthogonality denominator vanished")
-        d2 = n % p * pow(denom, -1, p) % p
-        d = next((r for r in range(1, half + 1) if r * r % p == d2), None)
-        if d is None:
-            raise errors.EigenspaceSplitFailure(f"{d2} has no square root mod {p}")
-        degrees.append(d)
+    """Degree of the character of each line v: d^2 = |G| v_1^2 / S over
+    F_p with S = sum_j v_j v_j* / |C_j| (orthogonality at v / v_1), lifted
+    to its root in (0, p/2).  Each check runs over all lines at once."""
+    V = np.array(lines, dtype=np.int64) % p
+    if not V[:, 0].all():
+        raise errors.EigenspaceSplitFailure("identity-class coordinate vanished")
+    inv_sizes = np.array([pow(sz, -1, p) for sz in sizes], dtype=np.int64)
+    S = (V * V[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
+    if not S.all():
+        raise errors.EigenspaceSplitFailure("orthogonality denominator vanished")
+    d2 = [n * v0 * v0 * pow(s, -1, p) % p for v0, s in zip(V[:, 0].tolist(), S.tolist())]
+    roots = np.zeros(p, dtype=np.int64)
+    r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    roots[r * r % p] = r
+    degrees = roots[d2].tolist()
+    if 0 in degrees:
+        raise errors.EigenspaceSplitFailure(f"{d2[degrees.index(0)]} has no square root mod {p}")
     if sum(d * d for d in degrees) != n:
         raise errors.EigenspaceSplitFailure("degree squares do not sum to the group order")
     return tuple(sorted(degrees))
@@ -244,8 +243,8 @@ def character_degrees(G: Group) -> CharacterDegrees:
     if st.is_abelian:
         return CharacterDegrees((1,) * n, n)
     p = next(_admissible_primes(st.exponent, n))
-    A, sizes, inv_class = _class_matrices(G)
-    degrees = _degrees_from_lines(_split_to_lines(A, sizes, p), sizes, inv_class, n, p)
+    matrix, sizes, inv_class = _class_matrices(G)
+    degrees = _degrees_from_lines(_split_to_lines(matrix, sizes, p), sizes, inv_class, n, p)
     result = validate_degrees(degrees, n)
     index = n // len(derived_subgroup(G))
     if degrees.count(1) != index:

@@ -436,10 +436,7 @@ def main(argv=None) -> int:
         if args.order_limit is None:
             args.order_limit = configured_order_limit()
         return args.func(args)
-    except errors.TppbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (errors.TppbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
-from tppb.chars import _nullspace_mod, _rref_mod
+from tppb.chars import _nullspace_mod, _rref_mod, d_sum_int, d_sum_real
 from tppb.groups import ElementSet, _coset_join, closure, conjugacy_classes
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
@@ -34,6 +34,7 @@ __all__ = [
     "s4_degrees_by_inner_products",
     "class_matrices_double_loop",
     "scan_split_lines",
+    "grid_omega_bound",
 ]
 
 
@@ -392,7 +393,7 @@ def scan_split_lines(A, sizes, p: int):
             Rm = ((M @ B.T) % p)[piv, :]
             found = 0
             for lam in range(p):
-                nb = _nullspace_mod((Rm - lam * np.eye(d, dtype=np.int64)) % p, p)
+                nb, _ = _nullspace_mod((Rm - lam * np.eye(d, dtype=np.int64)) % p, p)
                 if nb.shape[0]:
                     next_spaces.append(_rref_mod((nb @ B) % p, p))
                     found += nb.shape[0]
@@ -404,3 +405,31 @@ def scan_split_lines(A, sizes, p: int):
     if any(B.shape[0] != 1 for B, _ in spaces):
         raise errors.EigenspaceSplitFailure(f"common eigenspaces not one-dimensional over F_{p}")
     return [B[0] % p for B, _ in spaces]
+
+
+def grid_omega_bound(beta: int, degrees, step: float = 1e-4, tol: float = 1e-9):
+    """`bounds.solve_omega_bound` by walking a grid of pitch `step` down
+    from 3 to the first x with sum(d_i**x) >= beta**(x/3), then bisecting
+    that cell to width `tol`; NoRootInRange if no grid point qualifies."""
+    if beta <= d_sum_int(degrees, 3):
+        return None
+
+    def gap(x):
+        return d_sum_real(degrees, x) - beta ** (x / 3.0)
+
+    steps = int(round(1.0 / step))
+    hi = 3.0
+    for k in range(1, steps + 1):
+        lo = 2.0 if k == steps else 3.0 - k * step
+        if gap(lo) >= 0.0:
+            break
+        hi = lo
+    else:
+        raise errors.NoRootInRange(f"no crossing in [2, 3] for beta={beta}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

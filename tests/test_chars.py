@@ -1,6 +1,7 @@
 """Character degrees via finite-field class matrices, degree sums, degree invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,9 +131,9 @@ class TestCharacterDegrees:
         # as the one character_degrees makes at the first.
         G = make()
         gen = chars._admissible_primes(group_stats(G).exponent, G.order)
-        A, sizes, inv_class = chars._class_matrices(G)
+        matrix, sizes, inv_class = chars._class_matrices(G)
         got = [
-            chars._degrees_from_lines(chars._split_to_lines(A, sizes, p), sizes, inv_class, G.order, p)
+            chars._degrees_from_lines(chars._split_to_lines(matrix, sizes, p), sizes, inv_class, G.order, p)
             for p in (next(gen), next(gen))
         ]
         assert got[0] == got[1] == character_degrees(G).degrees
@@ -142,7 +143,7 @@ class TestCharacterDegrees:
         # failed split is a hard error, not a reason to try another prime.
         calls = []
 
-        def failing(A, sizes, p):
+        def failing(matrix, sizes, p):
             calls.append(p)
             raise errors.EigenspaceSplitFailure(f"forced at {p}")
 
@@ -178,19 +179,33 @@ class TestSplit:
     def test_lines_match_eigenvalue_scan(self, spec):
         G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
         p = dixon_prime(G)
-        A, sizes, _ = chars._class_matrices(G)
-        got = chars._split_to_lines(A, sizes, p)
-        want = scan_split_lines(A, sizes, p)
+        matrix, sizes, _ = chars._class_matrices(G)
+        got = chars._split_to_lines(matrix, sizes, p)
+        want = scan_split_lines(class_matrices_double_loop(G)[0], sizes, p)
         assert len(got) == len(want) == len(sizes)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS)
     def test_class_matrices_match_double_loop(self, spec):
         G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
-        A, sizes, inv_class = chars._class_matrices(G)
-        A0, sizes0, inv_class0 = class_matrices_double_loop(G)
-        assert A.shape == A0.shape and np.array_equal(A, A0)
+        matrix, sizes, inv_class = chars._class_matrices(G)
+        A, sizes0, inv_class0 = class_matrices_double_loop(G)
         assert (sizes, inv_class) == (sizes0, inv_class0)
+        for j in range(len(sizes)):
+            assert np.array_equal(matrix(j), A[j]), j
+
+    def test_class_algebra_is_never_dense(self):
+        # dihedral:400 has 103 classes, so a k x k x k int64 tensor of its
+        # structure constants alone would take 8.7 MB.
+        G = builtin("dihedral", 400)
+        tracemalloc.start()
+        try:
+            deg = character_degrees(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deg.degrees == (1,) * 4 + (2,) * 99
+        assert peak < 4_000_000
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -213,12 +228,25 @@ class TestSplit:
             rank = len(chars._rref_mod((R - lam * eye) % p, p)[1])
             assert (value == 0) == (rank < d), lam
 
+    @pytest.mark.parametrize(
+        "lines,n,message",
+        [
+            ([[0, 1]], 1, "identity-class coordinate vanished"),
+            ([[1, 5]], 1, "orthogonality denominator vanished"),  # 1 + 5^2 = 0 mod 13
+            ([[1, 0]], 2, "2 has no square root mod 13"),
+            ([[1, 0], [1, 0]], 1, "degree squares do not sum"),
+        ],
+    )
+    def test_degree_checks_are_hard_errors(self, lines, n, message):
+        with pytest.raises(errors.EigenspaceSplitFailure, match=message):
+            chars._degrees_from_lines(np.array(lines), [1, 1], [0, 1], n, 13)
+
     def test_jordan_block_is_split_failure(self):
         # Class 1 acts as the Jordan block [[1, 1], [0, 1]]: the root 1 of
         # (x - 1)^2 has a one-dimensional eigenspace only.
         A = np.array([np.eye(2, dtype=np.int64), [[1, 1], [0, 1]]])
         with pytest.raises(errors.EigenspaceSplitFailure, match="not diagonalizable"):
-            chars._split_to_lines(A, [1, 1], 13)
+            chars._split_to_lines(A.__getitem__, [1, 1], 13)
 
 
 class TestDegreeSums:

@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from tppb import errors
+from tppb.bounds import solve_omega_bound
+from tppb.chars import character_degrees, d_sum_int
+from tppb.cli import parse_group_spec, realize_group_spec
+from oracles import grid_omega_bound
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS = REPO_ROOT / "results"
@@ -49,3 +53,28 @@ def test_explore_omega_bounds_rejects_bad_order_limit(monkeypatch, raw):
     monkeypatch.setattr(script, "realize_group_spec", build)
     with pytest.raises(errors.BadParameter, match="order limit must be an integer >= 1"):
         script.main(["sym:3", "--order-limit", raw])
+
+
+
+@pytest.mark.parametrize("spec", load_script("explore_omega_bounds").DEFAULT_SPECS)
+def test_omega_bisection_matches_grid(spec):
+    # Capacities from just above D3 to past |G|^1.5, where the crossing
+    # leaves [2, 3] and both solvers must raise.
+    degrees = character_degrees(realize_group_spec(parse_group_spec(spec)))
+    d3, n = d_sum_int(degrees, 3), degrees.group_order
+    top = int(2 * n**1.5) + 2
+    betas = sorted({d3, d3 + 1, d3 + 2, int(n**1.5), int(n**1.5) + 1, top}
+                   | {int(d3 * 1.05**i) for i in range(200) if d3 * 1.05**i < top})
+    raised = 0
+    for beta in betas:
+        try:
+            want = grid_omega_bound(beta, degrees)
+        except errors.NoRootInRange:
+            raised += 1
+            with pytest.raises(errors.NoRootInRange):
+                solve_omega_bound(beta, degrees)
+            continue
+        got = solve_omega_bound(beta, degrees)
+        assert (got is None) == (want is None), beta
+        assert want is None or abs(got - want) < 1e-9, beta
+    assert 0 < raised < len(betas)
