@@ -142,17 +142,13 @@ class BetaResult:
     checks: int
 
 
-def _concrete_pairs(by_size, a, b, c):
-    """Ascending index pairs (i, j) with orders (c, b), each with the
-    half-open range of indices k of order a that completes it to an
-    ascending triple (i, j, k).
-
-    Equal nontrivial orders draw distinct lattice members; the trivial
-    subgroup is the only one allowed to repeat.
-    """
-    for i in range(*by_size[c]):
-        for j in range(i + 1 if b == c > 1 else by_size[b][0], by_size[b][1]):
-            yield i, j, j + 1 if a == b > 1 else by_size[a][0], by_size[a][1]
+# Pairs are tested in chunks.  A chunk's pair-by-U array of uint64 words
+# and its product sets, 64 * ceil(|G| / 64) entries per pair, each hold at
+# most BETA_CHUNK_CELLS cells, so none of its arrays exceeds
+# 8 * BETA_CHUNK_CELLS bytes (256 KiB), since |S||T| <= |G| on every
+# admissible profile.  A chunk holds at least one pair, so a single pair
+# whose U range is longer than that still goes whole.
+BETA_CHUNK_CELLS = 1 << 15
 
 
 def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None, cores=None) -> BetaResult:
@@ -164,14 +160,25 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
 
     For subgroups the TPP holds exactly when S∩T = {1} and ST∩U = {1}: if
     s*t*u = 1 then s*t = u^-1 lies in ST∩U, so s*t = 1 and s = t^-1 lies in
-    S∩T; conversely s = t^-1 in S∩T gives s*t*1 = 1.  So each surviving
-    pair (S, T) is tested against its whole range of third subgroups U at
-    once: one gather over the table gives the product set ST as a mask, and
-    a subgroup-by-element membership matrix intersects it with every U.
-    A check is still one triple tested, so `budget` cuts the range of U at
-    the same triple a per-triple loop would stop at.  The returned witness
-    is verified again with `satisfies_tpp`.
+    S∩T; conversely s = t^-1 in S∩T gives s*t*1 = 1.
+
+    The scan visits, profile by profile, every ascending index triple
+    (i, j, k) of orders (c, b, a) whose members pass the core prune, in
+    lexicographic order; a check is one triple of the scan, and `checks`
+    counts the triples of the scan up to the budget, the seed included.
+    Each profile is one step: its pairs (i, j) become index arrays, each
+    pair's number of k comes from a prefix sum of the prune mask, and a
+    cumulative sum of those numbers finds the exact triple where the budget
+    runs out.  The pairs are then tested in scan order, a chunk at a time:
+    S∩T and ST∩U as ANDs of packed bit rows (the identity left out), the
+    product set ST as one gather over the table.  A profile stops at its
+    first hit, which is its lexicographically smallest valid triple, so the
+    rest of the profile cannot change the witness; its checks are counted
+    all the same.  The returned witness is verified again with
+    `satisfies_tpp`.
     """
+    if budget is not None and budget < 1:
+        raise errors.BadParameter(f"budget must be at least 1, got {budget}")
     items = lattice.items
     count = len(items)
     n = G.order
@@ -212,12 +219,40 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             profiles.append((a, b, c, product))
     profiles.sort(key=lambda r: (-r[3], r[:3]))
 
-    # Subgroup-by-element membership: row x is lattice member x as a bool vector.
-    width = (n + 7) // 8
-    packed = b"".join(s.mask.to_bytes(width, "little") for s in items)
-    member = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(count, width), axis=1, count=n, bitorder="little"
-    ).astype(bool)
+    # Row x of `words` is lattice member x without the identity, packed
+    # little-endian into uint64 words; row r of `elements[size]` lists the
+    # elements of the r-th member of that order.
+    width = (n + 63) // 64
+    packed = b"".join((s.mask & ~1).to_bytes(8 * width, "little") for s in items)
+    words = np.frombuffer(packed, dtype="<u8").reshape(count, width)
+    member = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    member[:, 0] = 1
+    elements = {size: np.nonzero(member[lo:hi])[1].reshape(hi - lo, size) for size, (lo, hi) in by_size.items()}
+
+    def first_hit(c, b, u_index, I, J, lo, hi):
+        """The first valid triple, in scan order, of the pairs (I, J) of
+        orders (c, b), pair p tested against u_index[lo[p]:hi[p]]; or None."""
+        u_words = words[u_index]
+        cols = np.arange(len(u_index))
+        step = max(1, BETA_CHUNK_CELLS // (width * max(64, len(u_index))))
+        for start in range(0, len(I), step):
+            chunk = slice(start, start + step)
+            ok = ~(words[I[chunk]] & words[J[chunk]]).any(axis=1)
+            Ic, Jc = I[chunk][ok], J[chunk][ok]
+            if not len(Ic):
+                continue
+            st = np.zeros((len(Ic), 64 * width), dtype=bool)
+            prod = G.table[elements[c][Ic - by_size[c][0], :, None], elements[b][Jc - by_size[b][0], None, :]]
+            st[np.arange(len(Ic))[:, None], prod.reshape(len(Ic), -1)] = True
+            st_words = np.packbits(st, axis=1, bitorder="little").view("<u8")
+            valid = ~(st_words[:, None, :] & u_words[None, :, :]).any(axis=2)
+            valid &= (cols >= lo[chunk][ok, None]) & (cols < hi[chunk][ok, None])
+            x = int(valid.argmax())
+            if valid.flat[x]:
+                p, r = divmod(x, len(u_index))
+                return int(Ic[p]) + 1, int(Jc[p]) + 1, int(u_index[r]) + 1
+        return None
+
     for a, b, c, product in profiles:
         if product < best:
             break
@@ -227,31 +262,45 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             # minimal and equal-product checks cannot change the result.
             continue
         keep = ~((core_size > 1) & ((product // orders) * core_size > n))
-        for i, j, lo, hi in _concrete_pairs(by_size, a, b, c):
-            if not (keep[i] and keep[j]):
-                continue
-            ks = lo + np.flatnonzero(keep[lo:hi])
-            if not len(ks):
-                continue
-            room = len(ks) if budget is None else budget - checks
-            if room <= 0:
-                return result(False)
-            tested = ks[:room]
-            checks += len(tested)
-            if items[i].mask & items[j].mask == 1:
-                st = np.zeros(n, dtype=bool)
-                st[G.table[np.ix_(np.flatnonzero(member[i]), np.flatnonzero(member[j]))]] = True
-                # The identity lies in every ST∩U; a triple holds when nothing else does.
-                hits = tested[(member[tested] & st).sum(axis=1) == 1]
-                if len(hits):
-                    found = (i + 1, j + 1, int(hits[0]) + 1)
-                    if product > best:
-                        best = product
-                        witnesses = {found}
-                    else:
-                        witnesses.add(found)
-            if len(tested) < len(ks):
-                return result(False)
+        kept = np.flatnonzero(keep)
+        csum = np.concatenate(([0], np.cumsum(keep)))
+        ic = kept[csum[by_size[c][0]] : csum[by_size[c][1]]]
+        jb = kept[csum[by_size[b][0]] : csum[by_size[b][1]]]
+        if b == c > 1:
+            # Equal nontrivial orders draw distinct members; the trivial
+            # subgroup is the only one allowed to repeat.
+            I, J = (jb[v] for v in np.triu_indices(len(jb), 1))
+        else:
+            I, J = np.repeat(ic, len(jb)), np.tile(jb, len(ic))
+        # The kept members of order a are kept[u0:u1]; those of a pair are
+        # kept[u0 + lo:u0 + hi], after its second member when a == b > 1.
+        u0, u1 = int(csum[by_size[a][0]]), int(csum[by_size[a][1]])
+        lo = csum[J + 1] - u0 if a == b > 1 else np.broadcast_to(0, J.shape)
+        hi = np.broadcast_to(u1 - u0, J.shape)
+        total = len(J) * (u1 - u0) - int(lo.sum())
+        if not total:
+            continue
+        exhausted = budget is not None and total > budget - checks
+        if exhausted:
+            # The budget runs out inside pair `cut`; with no room left, that
+            # is the first pair, and its range comes out empty.
+            room = budget - checks
+            cum = np.cumsum(hi - lo)
+            cut = int(np.searchsorted(cum, room))
+            I, J, lo, hi = I[: cut + 1], J[: cut + 1], lo[: cut + 1], hi[: cut + 1].copy()
+            hi[cut] -= cum[cut] - room
+            checks = budget
+        else:
+            checks += total
+        found = first_hit(c, b, kept[u0:u1], I, J, lo, hi)
+        if found is not None:
+            if product > best:
+                best = product
+                witnesses = {found}
+            else:
+                witnesses.add(found)
+        if exhausted:
+            return result(False)
     return result(True)
 
 
@@ -343,7 +392,8 @@ def bounds_report(
     d3 and, when asked, the exact beta) and return its record.
 
     `beta_g_or_blank` and `beta_witness` stay None when the search ran out of
-    `beta_budget`; `beta_exact` then reads False.
+    `beta_budget`; `beta_exact` then reads False.  Raises InvariantViolation
+    unless h <= t and, when a beta was computed, beta <= h.
     """
     lattice = enumerate_subgroups(G)
     cores = normal_cores(G, lattice)
@@ -352,6 +402,12 @@ def bounds_report(
     hb = compute_h(G, lattice, cores)
     d3 = d_sum_int(degrees, 3)
     beta = search_beta_g(G, lattice, budget=beta_budget, cores=cores) if exact_beta else None
+    # beta_g <= h is the paper's bound; a beta cut by the budget is a lower
+    # bound on beta_g, so it obeys it too.
+    if hb.h > t:
+        raise errors.InvariantViolation("h <= t", f"h = {hb.h} exceeds t = {t}")
+    if beta is not None and beta.value > hb.h:
+        raise errors.InvariantViolation("beta_g <= h", f"beta = {beta.value} exceeds h = {hb.h}")
     exact = beta is not None and beta.exact
     flags = exclusion_flags(t, hb.h, beta.value if exact else None, d3)
     class_count = len(degrees.degrees)

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from tppb import bounds, errors
 from tppb.bounds import (
+    HBound,
     admissible_profiles,
     bounds_report,
     compute_N,
@@ -327,10 +329,47 @@ class TestSearchBeta:
         for name, G, lat in cases:
             cores = normal_cores(G, lat)
             full = search_beta_g(G, lat, None, cores)
-            # One check short of the full search cuts its last tested range.
-            for budget in [None, 1, 2, 37, 500, 20_000, full.checks - 1]:
+            # One check short of the full search cuts its last tested range;
+            # `full.checks` and one more end the scan exactly at its end.
+            budgets = [None, 1, 2, 37, 500, 20_000, full.checks - 1, full.checks, full.checks + 1]
+            if name in ("sym:4", "dicyclic:48"):
+                # Every budget, so every profile boundary, where the next
+                # profile returns before it tests anything.
+                budgets += range(3, full.checks)
+            for budget in budgets:
+                if budget is not None and budget < 1:
+                    continue
                 got = search_beta_g(G, lat, budget, cores)
                 assert got == per_triple_search_beta_g(G, lat, budget, cores), (name, budget)
+
+    def test_frozen_budget_scale_group(self):
+        # Exact with no budget; a budget of 20,000,000 checks stops short.
+        G = realize_group_spec(parse_group_spec("product(sym:4,dihedral:8)"))
+        res = search_beta_g(G, lat_of(G))
+        assert (res.value, res.witness, res.exact, res.checks) == (384, (67, 618, 723), True, 23_001_662)
+
+    def test_pair_chunks_bound_memory(self):
+        # Its one searched profile (8, 4, 4) has 6,441 pairs of 120 third
+        # subgroups each: 6.2 MB of pair-by-U words if tested in one array.
+        G = realize_group_spec(parse_group_spec("product(dihedral:8,dihedral:8)"))
+        lat = lat_of(G)
+        cores = normal_cores(G, lat)
+        tracemalloc.start()
+        try:
+            res = search_beta_g(G, lat, None, cores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.witness, res.exact, res.checks) == (128, (39, 74, 301), True, 772_921)
+        # A few chunk arrays of at most 256 KiB plus the pair index arrays.
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "sym:3"])
+    @pytest.mark.parametrize("budget", [0, -1, -500])
+    def test_budget_below_one_is_rejected(self, spec, budget):
+        G = make(spec)
+        with pytest.raises(errors.BadParameter, match="budget"):
+            search_beta_g(G, lat_of(G), budget=budget)
 
     def test_failed_witness_verification_raises(self, monkeypatch):
         G = make("sym:4")
@@ -420,6 +459,19 @@ class TestBoundsReport:
             rep = bounds_report(G, exact_beta=True)
             assert rep.beta_g_or_blank <= rep.h <= rep.t
             assert rep.h >= G.order
+
+    @pytest.mark.parametrize(
+        "h,budget,invariant",
+        [
+            (10**6, None, "h <= t"),  # above t = 8
+            (7, None, "beta_g <= h"),  # below the exact beta 8
+            (5, 1, "beta_g <= h"),  # below the inexact lower bound |G| = 6
+        ],
+    )
+    def test_bound_chain_is_a_hard_error(self, monkeypatch, h, budget, invariant):
+        monkeypatch.setattr(bounds, "compute_h", lambda G, lat, cores: HBound(b=h, h=h, candidates=[]))
+        with pytest.raises(errors.InvariantViolation, match=invariant):
+            bounds_report(make("sym:3"), exact_beta=True, beta_budget=budget)
 
     def test_beta_omitted_by_default(self):
         rep = bounds_report(make("sym:3"))
