@@ -480,8 +480,8 @@ def conjugacy_classes(G: Group) -> ConjugacyPartition:
     return ConjugacyPartition(classes, class_of)
 
 
-def _coset_join(mul, members, mask, multipliers):
-    """Members and mask of <H, multipliers> by right-coset search.
+def _coset_join(mul, members, mask, multipliers) -> int:
+    """Mask of <H, multipliers> by right-coset search.
 
     H is given by its member list and mask; multipliers must include a
     generating set of H. New coset representatives are found by right-
@@ -489,40 +489,42 @@ def _coset_join(mul, members, mask, multipliers):
     multiplying every member of H into r.
     """
     kmask = mask
-    kmembers = list(members)
     reps = [0]
-    pos = 0
-    while pos < len(reps):
-        r = reps[pos]
-        pos += 1
+    # reps grows while it is read, so each new representative is used in turn.
+    for r in reps:
         for m in multipliers:
             cand = mul[r][m]
             if not (kmask >> cand) & 1:
                 reps.append(cand)
                 for h in members:
-                    x = mul[h][cand]
-                    kmask |= 1 << x
-                    kmembers.append(x)
-    return kmembers, kmask
+                    kmask |= 1 << mul[h][cand]
+    return kmask
 
 
 def closure(G: Group, seed) -> ElementSet:
     """Smallest subgroup containing the seed elements: the coset search
     started from the trivial subgroup."""
-    _, mask = _coset_join(G.mul, [0], 1, tuple(seed))
-    return ElementSet(mask, is_subgroup=True)
+    return ElementSet(_coset_join(G.mul, [0], 1, tuple(seed)), is_subgroup=True)
 
 
-def derived_subgroup(G: Group) -> ElementSet:
-    """Closure of all commutators g^-1 * h^-1 * g * h, gathered from the
-    table one g at a time so no n x n array is built."""
-    T, n = G.table, G.order
+def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
+    """Subgroup generated by the commutators a^-1 * b^-1 * a * b of H (of
+    G when H is None).  They are gathered from the table one a at a time,
+    so no |H| x |H| array is built, and each one not yet inside joins the
+    running subgroup by one coset search."""
+    T = G.table
     inv = np.asarray(G.inv)
-    every = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    for g in range(n):
-        seen[T[T[T[inv[g], inv], g], every]] = True
-    return closure(G, np.flatnonzero(seen).tolist())
+    members = np.arange(G.order) if H is None else np.fromiter(H.indices(), dtype=np.int64)
+    inverses = inv[members]
+    seen = np.zeros(G.order, dtype=bool)
+    for a in members.tolist():
+        seen[T[T[T[inv[a], inverses], a], members]] = True
+    mask, gens = 1, ()
+    for c in np.flatnonzero(seen).tolist():
+        if not (mask >> c) & 1:
+            gens += (c,)
+            mask = _coset_join(G.mul, list(ElementSet(mask).indices()), mask, gens)
+    return ElementSet(mask, is_subgroup=True)
 
 
 def element_order(G: Group, g: int) -> int:

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .groups import ElementSet, Group, _coset_join, closure, conjugacy_classes, prime_power
+from .groups import (
+    ElementSet,
+    Group,
+    _coset_join,
+    closure,
+    conjugacy_classes,
+    derived_subgroup,
+    prime_power,
+)
 
 __all__ = [
     "DEFAULT_LATTICE_LIMIT",
@@ -13,6 +21,7 @@ __all__ = [
     "enumerate_subgroups",
     "normal_core",
     "normal_cores",
+    "perfect_residual",
 ]
 
 DEFAULT_LATTICE_LIMIT = 100000
@@ -44,76 +53,167 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _conjugate_masks(T, inv, members) -> set:
+def _bits(mask: int, n: int):
+    """Boolean membership array of a mask over n elements."""
+    row = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(row, count=n, bitorder="little").view(bool)
+
+
+def _conjugate_masks(T, inv, members):
     """Masks of the conjugates x*K*x^-1 of the subgroup with the given
-    member array, one table gather for every x at once."""
+    member array, one table gather for every x at once, and the mask of
+    its normalizer: the x whose conjugate is K itself (row 0, x = 1)."""
     n = len(T)
     conj = T[T[:, members], inv[:, None]]
     hit = np.zeros((n, n), dtype=bool)
     hit[np.arange(n)[:, None], conj] = True
     packed = np.packbits(hit, axis=1, bitorder="little")
-    return {int.from_bytes(row.tobytes(), "little") for row in packed}
+    normalizer = np.packbits((packed == packed[0]).all(axis=1), bitorder="little")
+    masks = {int.from_bytes(row.tobytes(), "little") for row in packed}
+    return masks, int.from_bytes(normalizer.tobytes(), "little")
+
+
+def _gather_extension(mul, members, mask, powers) -> int:
+    """Mask of R<g> = R ∪ Rg ∪ ... ∪ Rg^(p-1), given R's member list and
+    mask and the powers g^1..g^(p-1) of a g that normalizes R with g^p
+    in R: the cosets are filled as `_coset_join` fills them, with no
+    search for their representatives."""
+    for x in powers:
+        for h in members:
+            mask |= 1 << mul[h][x]
+    return mask
+
+
+def _prime_divisor_count(n: int) -> int:
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
+
+
+def perfect_residual(G: Group) -> ElementSet:
+    """The last term G^(∞) of the derived series, the largest perfect
+    subgroup of G.  A group whose order has at most two prime divisors is
+    solvable (Burnside's p^a q^b theorem), so its residual is trivial and
+    nothing is computed."""
+    if _prime_divisor_count(G.order) <= 2:
+        return ElementSet(1, is_subgroup=True)
+    D = ElementSet((1 << G.order) - 1, is_subgroup=True)
+    while (E := derived_subgroup(G, D)).size < D.size:
+        D = E
+    return D
 
 
 def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupLattice:
     """Enumerate every subgroup of G by cyclic extension over conjugacy
     classes of subgroups.
 
-    Seeds are the cyclic subgroups of prime-power order.  A finite group
-    is generated by its elements of prime-power order, so every subgroup K
-    ends a chain 1 = K_0 < ... < K_m = K with K_i = <K_(i-1), g_i> and each
-    g_i of prime-power order.  One representative per conjugacy class of
-    subgroups is joined with every seed it does not contain.  That reaches
-    every class: if K = <K', g> and R = x*K'*x^-1 represents the class of
-    K', then x*K*x^-1 = <R, x*g*x^-1>, and x*g*x^-1 generates a seed.
-    A join that gives a new subgroup K adds K's whole conjugacy class at
-    once, as bit masks gathered from the table (x*y*x^-1 = T[T[x, y],
-    inv[x]]), and queues K as the class representative.  A normal K is its
-    own class and skips the gather: K is normal exactly when the union of
-    its members' conjugacy classes is K.
+    Seeds are the cyclic subgroups <g> of prime-power order p^k.  One
+    representative R per conjugacy class of subgroups is extended by each
+    seed with g outside R, in one of two ways:
+
+    - gather: when g normalizes R and g^p lies in R, K = <R, g> is
+      R ∪ Rg ∪ ... ∪ Rg^(p-1), of prime index p over R, read off the
+      table.  Any g' in K outside R gives <R, g'> = K, so the seeds whose
+      generator an earlier gather from R already covers are skipped;
+    - coset search: otherwise, and only when R and g both lie in the
+      perfect residual P = G^(∞), K = <R, g> by `_coset_join`.
+
+    Every other pair is skipped, and still every subgroup is reached.
+    Both steps commute with conjugation: if K = <K', g> and
+    R = x*K'*x^-1 represents the class of K', then
+    x*K*x^-1 = <R, x*g*x^-1>, where x*g*x^-1 generates a seed and meets
+    the same condition as g.  So a class is reached once some chain of
+    steps from 1 ends in it; a covered seed that is skipped only repeats
+    a known extension.  Every subgroup of P ends such a chain, because
+    for R and g in P one of the two steps always runs.  Any K lies above
+    its own perfect residual K^(∞), a subgroup of P, and K/K^(∞) is
+    solvable, so a composition series of it lifts to a chain
+    K^(∞) = K_0 ⊲ K_1 ⊲ ... ⊲ K_m = K in which each index is a prime p.
+    Take y in K_(i+1) outside K_i.  Its image generates K_(i+1)/K_i, of
+    order p, and so does the image of its p-part g, since the rest of y
+    has order prime to p.  Then g normalizes K_i, g^p lies in K_i, and
+    K_(i+1) = <K_i, g> is a gather.  The same holds for the seed's own
+    generator, a power of g that generates <g>.  When |G| has at most
+    two prime divisors, G is solvable (Burnside's p^a q^b theorem),
+    P = 1 and no coset search runs.
+
+    A new subgroup K adds its whole conjugacy class at once, as bit masks
+    gathered from the table (x*y*x^-1 = T[T[x, y], inv[x]]), and is
+    queued as the class representative; the same gather gives its
+    normalizer, the x with x*K*x^-1 = K.  A normal K is its own class
+    and skips the gather: K is normal exactly when the union of its
+    members' conjugacy classes is K.
 
     `lattice_limit` caps the number of subgroups; it is checked as each
     class is added, so LatticeLimitExceeded is raised exactly when the
     count would pass the limit.
     """
     limit = lattice_limit if lattice_limit is not None else DEFAULT_LATTICE_LIMIT
-    mul, T = G.mul, G.table
+    n, mul, T = G.order, G.mul, G.table
     inv = np.asarray(G.inv)
     class_of = np.asarray(conjugacy_classes(G).class_of)
     class_size = np.bincount(class_of)
     seeds = {}
-    for g in range(1, G.order):
+    for g in range(1, n):
         cyclic = closure(G, (g,))
         if prime_power(cyclic.size) is not None:
             seeds.setdefault(cyclic.mask, g)
     seeds = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+    seed_gens = [g for _, g in seeds]
+    powers, roots = [], []  # g^1..g^(p-1) and g^p, p the prime of the seed <g>
+    for smask, g in seeds:
+        x, pw = g, []
+        for _ in range(prime_power(smask.bit_count())[0] - 1):
+            pw.append(x)
+            x = mul[x][g]
+        powers.append(pw)
+        roots.append(x)
+    gen_idx, root_idx = np.asarray(seed_gens, dtype=np.int64), np.asarray(roots, dtype=np.int64)
+    residual = perfect_residual(G).mask
+    gen_in_residual = _bits(residual, n)[gen_idx]
 
     known = set()
-    reps = []  # (member list, mask, generator tuple) per class
+    reps = []  # (mask, generator tuple, normalizer mask) per class
 
-    def add_class(members, mask, gens):
-        idx = np.asarray(members)
+    def add_class(mask, gens):
+        members = np.flatnonzero(_bits(mask, n))
         touched = np.zeros(len(class_size), dtype=bool)
-        touched[class_of[idx]] = True
+        touched[class_of[members]] = True
         if class_size[touched].sum() == len(members):
-            conjugates = (mask,)
+            conjugates, normalizer = (mask,), (1 << n) - 1
         else:
-            conjugates = _conjugate_masks(T, inv, idx)
+            conjugates, normalizer = _conjugate_masks(T, inv, members)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
         known.update(conjugates)
-        reps.append((members, mask, gens))
+        reps.append((mask, gens, normalizer))
 
-    add_class([0], 1, ())
+    add_class(1, ())
     # add_class appends to reps as this loop runs, so each new class is
-    # joined in turn.
-    for members, hmask, gens in reps:
-        for smask, g in seeds:
-            if smask & ~hmask == 0:
+    # extended in turn.
+    for hmask, gens, normalizer in reps:
+        inside = _bits(hmask, n)
+        members = np.flatnonzero(inside).tolist()
+        outside = ~inside[gen_idx]
+        gather = outside & inside[root_idx] & _bits(normalizer, n)[gen_idx]
+        todo = gather | (outside & gen_in_residual) if hmask & ~residual == 0 else gather
+        covered = 0
+        for s in np.flatnonzero(todo).tolist():
+            g = seed_gens[s]
+            if (covered >> g) & 1:
                 continue
-            kmembers, kmask = _coset_join(mul, members, hmask, gens + (g,))
+            if gather[s]:
+                kmask = _gather_extension(mul, members, hmask, powers[s])
+                covered |= kmask
+            else:
+                kmask = _coset_join(mul, members, hmask, gens + (g,))
             if kmask not in known:
-                add_class(kmembers, kmask, gens + (g,))
+                add_class(kmask, gens + (g,))
 
     items = [ElementSet(mask, is_subgroup=True) for mask in known]
     items.sort(key=lambda s: (s.size, tuple(s.indices())))
@@ -129,12 +229,19 @@ def _require_subgroup(G: Group, S: ElementSet):
 def _cores(G: Group, subgroups) -> list:
     """Normal core of each subgroup.  An element lies in every conjugate
     g*S*g^-1 exactly when its whole conjugacy class lies in S, so the core
-    is the union of the classes inside S.  The sets must be subgroups; only
-    callers passing outside sets check that."""
-    classes = [c.mask for c in conjugacy_classes(G).classes]
+    is the union of the classes inside S.  The central elements are the
+    one-element classes, so the core starts as S ∩ Z(G) and only the
+    other classes are tested.  The sets must be subgroups; only callers
+    passing outside sets check that."""
+    center, classes = 0, []
+    for c in conjugacy_classes(G).classes:
+        if c.size == 1:
+            center |= c.mask
+        else:
+            classes.append(c.mask)
     cores = []
     for S in subgroups:
-        core = 0
+        core = S.mask & center
         for c in classes:
             if c & ~S.mask == 0:
                 core |= c

@@ -14,7 +14,7 @@ import numpy as np
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
 from tppb.chars import _nullspace_mod, _rref_mod, d_sum_int, d_sum_real
-from tppb.groups import ElementSet, _coset_join, closure, conjugacy_classes
+from tppb.groups import ElementSet, conjugacy_classes
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
 
@@ -27,8 +27,10 @@ __all__ = [
     "quotient_set",
     "definitional_tpp",
     "brute_force_subgroup_masks",
+    "plain_closure",
     "cyclic_join_lattice",
     "commutator_set_derived_subgroup",
+    "derived_series_residual",
     "naive_beta_over_subgroups",
     "per_triple_search_beta_g",
     "s4_degrees_by_inner_products",
@@ -176,31 +178,55 @@ def brute_force_subgroup_masks(G) -> set:
     return found
 
 
+def plain_closure(mul, seed, members=(0,)) -> int:
+    """Mask of the subgroup generated by the seed elements and the
+    subgroup H with the given members (the trivial group by default); the
+    seed must include generators of H.  Every element reached is
+    multiplied on the right by every seed element until nothing new
+    appears (in a finite group the monoid generated is the subgroup).
+    Each new element y brings its whole right coset H*y, and only y is
+    multiplied further: H*y*s is the coset of y*s."""
+    mask, reached = 0, [0]
+    for h in members:
+        mask |= 1 << h
+    for y in reached:
+        row = mul[y]
+        for s in seed:
+            z = row[s]
+            if not (mask >> z) & 1:
+                reached.append(z)
+                for h in members:
+                    mask |= 1 << mul[h][z]
+    return mask
+
+
 def cyclic_join_lattice(G) -> list:
     """Subgroup masks in lattice order, by joining every known subgroup
     with every cyclic subgroup until no new subgroup appears.  Any join
     decomposes into a chain of single-generator extensions, so this
-    fixpoint is the whole lattice; no conjugacy classes are used."""
+    fixpoint is the whole lattice; no conjugacy classes are used, and
+    every join is a `plain_closure`."""
     mul = G.mul
     seeds = {}
     for g in range(1, G.order):
-        seeds.setdefault(closure(G, (g,)).mask, g)
+        seeds.setdefault(plain_closure(mul, (g,)), g)
     seed_items = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
-    # mask -> (member list, generator tuple)
-    known = {1: ([0], ())}
+    # mask -> generator tuple
+    known = {1: ()}
     for mask, g in seed_items:
-        known[mask] = (list(ElementSet(mask).indices()), (g,))
+        known[mask] = (g,)
     queue = list(known.keys())
     while queue:
         hmask = queue.pop()
-        members, gens = known[hmask]
+        gens = known[hmask]
+        members = list(ElementSet(hmask).indices())
         for smask, g in seed_items:
             if smask & ~hmask == 0:
                 continue
-            kmembers, kmask = _coset_join(mul, members, hmask, gens + (g,))
+            kmask = plain_closure(mul, gens + (g,), members)
             if kmask not in known:
-                known[kmask] = (kmembers, gens + (g,))
+                known[kmask] = gens + (g,)
                 queue.append(kmask)
     return sorted(known, key=lambda m: (m.bit_count(), tuple(ElementSet(m).indices())))
 
@@ -291,10 +317,23 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
     return BetaResult(best, min(witnesses), True, checks)
 
 
+def _commutator_closure(G, members) -> int:
+    mul, inv = G.mul, G.inv
+    return plain_closure(mul, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in members for h in members})
+
+
 def commutator_set_derived_subgroup(G) -> ElementSet:
     """Closure of the set of all n^2 commutators g^-1 * h^-1 * g * h."""
-    mul, inv, n = G.mul, G.inv, G.order
-    return closure(G, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in range(n) for h in range(n)})
+    return ElementSet(_commutator_closure(G, range(G.order)), is_subgroup=True)
+
+
+def derived_series_residual(G) -> int:
+    """Mask of the last term of the derived series, each term the closure
+    of all commutators of the one before."""
+    mask = (1 << G.order) - 1
+    while (nxt := _commutator_closure(G, list(ElementSet(mask).indices()))) != mask:
+        mask = nxt
+    return mask
 
 
 def _perm_parity(perm) -> int:

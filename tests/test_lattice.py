@@ -7,8 +7,13 @@ import pytest
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import ElementSet, builtin, closure, direct_product, from_permutation_generators
-from tppb.lattice import enumerate_subgroups, normal_core, normal_cores
-from oracles import brute_force_subgroup_masks, conjugate_intersection_core, cyclic_join_lattice
+from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect_residual
+from oracles import (
+    brute_force_subgroup_masks,
+    conjugate_intersection_core,
+    cyclic_join_lattice,
+    derived_series_residual,
+)
 
 
 def spec_group(text):
@@ -101,27 +106,46 @@ class TestEnumerate:
     # Whole conjugacy classes are added at once, but the limit counts
     # members: the whole lattice passes at its size and fails one below.
     # A5's last class has five members, so a check per class overshoots.
-    @pytest.mark.parametrize("family,k,count", [("sym", 4, 30), ("alt", 5, 59)])
+    # In elem_abelian:16 every class has one member and the last one, the
+    # whole group, comes from a prime-index gather.
+    @pytest.mark.parametrize(
+        "family,k,count", [("sym", 4, 30), ("alt", 5, 59), ("elem_abelian", 16, 67)]
+    )
     def test_lattice_limit_boundary(self, family, k, count):
         G = builtin(family, k)
         assert enumerate_subgroups(G, lattice_limit=count).count == count
         with pytest.raises(errors.LatticeLimitExceeded):
             enumerate_subgroups(G, lattice_limit=count - 1)
 
-    # Frozen join counts: one join per (class representative, seed) pair,
-    # so a lost cut shows here even when timings hide it.
-    @pytest.mark.parametrize("spec,joins", [("sym:5", 901), ("alt:6", 3307)])
-    def test_frozen_join_counts(self, monkeypatch, spec, joins):
-        calls = []
-        real = lattice._coset_join
+    # Frozen work counts: coset-search joins (only inside the perfect
+    # residual) and prime-index gathers (each over the normalizing seeds
+    # of a class representative, once per extension it reaches), so a lost
+    # cut shows here even when timings hide it.  sym:4 and cyclic:30 are
+    # solvable: no coset search runs, whether their trivial residual comes
+    # from Burnside's p^a q^b theorem or, for cyclic:30, from the series.
+    @pytest.mark.parametrize(
+        "spec,coset_joins,gathers",
+        [
+            ("sym:4", 0, 25),
+            ("cyclic:30", 0, 12),
+            ("sym:5", 180, 64),
+            ("alt:6", 3086, 146),
+            ("product(sym:4,dihedral:8)", 0, 1177),
+            ("elem_abelian:2^6", 0, 23562),
+        ],
+    )
+    def test_frozen_extension_counts(self, monkeypatch, spec, coset_joins, gathers):
+        calls = {"_coset_join": 0, "_gather_extension": 0}
+        for name in calls:
+            real = getattr(lattice, name)
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(lattice, "_coset_join", counting)
+            monkeypatch.setattr(lattice, name, counting)
         enumerate_subgroups(spec_group(spec))
-        assert len(calls) == joins
+        assert (calls["_coset_join"], calls["_gather_extension"]) == (coset_joins, gathers)
 
     @pytest.mark.parametrize(
         "make",
@@ -146,16 +170,27 @@ class TestEnumerate:
             assert got == cyclic_join_lattice(G), name
 
     # Renumbered groups: the element numbering sets the join order and the
-    # representative of each class.
+    # representative of each class.  In alt:5 x cyclic:2 the perfect
+    # residual is proper and nontrivial, so both coset searches and
+    # gathers run; elem_abelian:2^5 is reached by gathers alone.
     @pytest.mark.parametrize(
         "make",
         [
             lambda: renumbered(spec_group("sym:5"), seed="sym:5"),
             lambda: renumbered(spec_group("product(sym:4,dihedral:8)"), seed="sym4xd8"),
             lambda: renumbered(spec_group("product(alt:4,alt:4)"), seed="a4xa4"),
+            lambda: renumbered(spec_group("product(alt:5,cyclic:2)"), seed="a5xc2"),
+            lambda: builtin("elem_abelian", 32),
             lambda: builtin("alt", 6),
         ],
-        ids=["sym:5-renumbered", "sym4xd8-renumbered", "a4xa4-renumbered", "alt:6"],
+        ids=[
+            "sym:5-renumbered",
+            "sym4xd8-renumbered",
+            "a4xa4-renumbered",
+            "a5xc2-renumbered",
+            "elem_abelian:2^5",
+            "alt:6",
+        ],
     )
     def test_matches_cyclic_join_oracle(self, make):
         G = make()
@@ -179,6 +214,21 @@ class TestEnumerate:
         for a in lat.items:
             for b in lat.items:
                 assert (a.mask & b.mask) in masks
+
+
+class TestPerfectResidual:
+    @pytest.mark.parametrize(
+        "spec,order",
+        [("sym:4", 1), ("sym:5", 60), ("alt:5", 60), ("product(alt:5,sym:3)", 60), ("alt:6", 360)],
+    )
+    def test_order(self, spec, order):
+        assert len(perfect_residual(spec_group(spec))) == order
+
+    # Orders with at most two prime divisors take Burnside's shortcut; the
+    # rest compute the series.  Both agree with the oracle's series.
+    def test_matches_derived_series_on_catalog(self, catalog):
+        for name, G in catalog:
+            assert perfect_residual(G).mask == derived_series_residual(G), name
 
 
 class TestIsNormal:
