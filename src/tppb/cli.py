@@ -290,7 +290,8 @@ def _cmd_batch(args) -> int:
         for index, (name, spec) in enumerate(manifest.entries)
     ]
     if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Every worker is started at once, so no more than there are entries.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             results = list(pool.map(_batch_worker, payloads))
     else:
         results = [_batch_worker(p) for p in payloads]
@@ -350,7 +351,7 @@ def _parse_elements(G: Group, text: str) -> ElementSet:
         token = token.strip()
         if not token:
             continue
-        if token.isdigit():
+        if token.isdecimal():
             index = int(token)
             if index >= G.order:
                 raise errors.UnknownElement(f"index {index} outside 0..{G.order - 1}")
@@ -391,6 +392,11 @@ def _cmd_degrees(args) -> int:
     return 0
 
 
+def _check_jobs(value) -> int:
+    """`value` as a worker count: an integer >= 1, else BadParameter."""
+    return check_order_limit(value, "jobs")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tppb",
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser("batch", help="evaluate a manifest into a CSV report")
     batch.add_argument("manifest")
     batch.add_argument("--out", required=True)
-    batch.add_argument("--jobs", type=int, default=1)
+    batch.add_argument("--jobs", type=_check_jobs, default=1)
     batch.add_argument("--exact-beta", action="store_true")
     batch.add_argument("--order-limit", type=check_order_limit, default=None)
     batch.set_defaults(func=_cmd_batch)

@@ -31,6 +31,7 @@ __all__ = [
     "builtin",
     "conjugacy_classes",
     "closure",
+    "cyclic_subgroups",
     "derived_subgroup",
     "group_stats",
     "element_order",
@@ -110,9 +111,16 @@ class ElementSet:
 
 class Group:
     """Immutable finite group over element indices 0..order-1, held as its
-    multiplication table; inverses are read off the table."""
+    multiplication table; inverses are read off the table.
 
-    __slots__ = ("order", "table", "mul", "inv", "labels", "_label_index")
+    Three invariants are kept once computed: the conjugacy partition
+    (`conjugacy_classes`), the mask of <g> for every g
+    (`cyclic_subgroups`) and G' (`derived_subgroup`).  The first reader
+    of each pays for it; every later one reads the stored value."""
+
+    __slots__ = (
+        "order", "table", "mul", "inv", "labels", "_label_index", "_classes", "_cyclic", "_derived",
+    )
 
     def __init__(self, table, labels=None):
         self.table = np.asarray(table, dtype=np.int64)
@@ -121,6 +129,7 @@ class Group:
         self.inv = (self.table == 0).argmax(axis=1).tolist()
         self.labels = labels
         self._label_index = None
+        self._classes = self._cyclic = self._derived = None
 
     def label_of(self, i: int) -> str:
         if self.labels is not None:
@@ -142,10 +151,11 @@ class Group:
 
 @dataclass(frozen=True)
 class ConjugacyPartition:
-    """Conjugacy classes as element sets plus the element -> class map."""
+    """Conjugacy classes as element sets plus the element -> class map,
+    both tuples: one partition is shared by every reader of a group."""
 
-    classes: list
-    class_of: list
+    classes: tuple
+    class_of: tuple
 
 
 @dataclass(frozen=True)
@@ -459,11 +469,18 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
 
 
 def conjugacy_classes(G: Group) -> ConjugacyPartition:
-    """Partition elements by the orbit relation x ~ g*x*g^-1.
+    """Partition elements by the orbit relation x ~ g*x*g^-1, computed on
+    the first call and stored on G.
 
     Classes are numbered by ascending minimal element, so the identity
     class is always class 0.
     """
+    if G._classes is None:
+        G._classes = _conjugacy_partition(G)
+    return G._classes
+
+
+def _conjugacy_partition(G: Group) -> ConjugacyPartition:
     n = G.order
     mul = G.mul
     inv = G.inv
@@ -477,7 +494,7 @@ def conjugacy_classes(G: Group) -> ConjugacyPartition:
         for y in orbit:
             class_of[y] = cid
         classes.append(ElementSet.from_indices(orbit))
-    return ConjugacyPartition(classes, class_of)
+    return ConjugacyPartition(tuple(classes), tuple(class_of))
 
 
 def _coset_join(mul, members, mask, multipliers) -> int:
@@ -507,14 +524,51 @@ def closure(G: Group, seed) -> ElementSet:
     return ElementSet(_coset_join(G.mul, [0], 1, tuple(seed)), is_subgroup=True)
 
 
+def cyclic_subgroups(G: Group) -> tuple:
+    """Mask of the cyclic subgroup <g> for every element g, in index
+    order, computed on the first call and stored on G."""
+    if G._cyclic is None:
+        G._cyclic = _cyclic_masks(G)
+    return G._cyclic
+
+
+def _cyclic_masks(G: Group) -> tuple:
+    """Walks the powers of each g not yet reached; the same <g> is then
+    stored for every generator g^k of it, k prime to the order of g."""
+    mul = G.mul
+    masks = [0] * G.order
+    for g in range(G.order):
+        if masks[g]:
+            continue
+        powers, mask, x = [0], 1, g
+        while x:
+            powers.append(x)
+            mask |= 1 << x
+            x = mul[x][g]
+        m = len(powers)
+        for k in range(m):
+            if math.gcd(k, m) == 1:
+                masks[powers[k]] = mask
+    return tuple(masks)
+
+
 def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
     """Subgroup generated by the commutators a^-1 * b^-1 * a * b of H (of
-    G when H is None).  They are gathered from the table one a at a time,
-    so no |H| x |H| array is built, and each one not yet inside joins the
-    running subgroup by one coset search."""
+    G when H is None or G itself, in which case G' is stored on G and
+    computed only on the first call)."""
+    if H is not None and H.size < G.order:
+        return _commutator_subgroup(G, np.fromiter(H.indices(), dtype=np.int64))
+    if G._derived is None:
+        G._derived = _commutator_subgroup(G, np.arange(G.order))
+    return G._derived
+
+
+def _commutator_subgroup(G: Group, members) -> ElementSet:
+    """The commutators of the members are gathered from the table one a at
+    a time, so no |H| x |H| array is built, and each one not yet inside
+    joins the running subgroup by one coset search."""
     T = G.table
     inv = np.asarray(G.inv)
-    members = np.arange(G.order) if H is None else np.fromiter(H.indices(), dtype=np.int64)
     inverses = inv[members]
     seen = np.zeros(G.order, dtype=bool)
     for a in members.tolist():
@@ -528,13 +582,13 @@ def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
 
 
 def element_order(G: Group, g: int) -> int:
-    return len(closure(G, (g,)))
+    return cyclic_subgroups(G)[g].bit_count()
 
 
 def group_stats(G: Group) -> GroupStats:
     """Order, commutativity, exponent (lcm of element orders), center size."""
     center_size = int((G.table == G.table.T).all(axis=1).sum())
-    exponent = math.lcm(*(element_order(G, g) for g in range(G.order)))
+    exponent = math.lcm(*{mask.bit_count() for mask in cyclic_subgroups(G)})
     return GroupStats(G.order, center_size == G.order, exponent, center_size)
 
 

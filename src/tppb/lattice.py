@@ -11,6 +11,7 @@ from .groups import (
     _coset_join,
     closure,
     conjugacy_classes,
+    cyclic_subgroups,
     derived_subgroup,
     prime_power,
 )
@@ -97,12 +98,13 @@ def _prime_divisor_count(n: int) -> int:
 
 def perfect_residual(G: Group) -> ElementSet:
     """The last term G^(∞) of the derived series, the largest perfect
-    subgroup of G.  A group whose order has at most two prime divisors is
-    solvable (Burnside's p^a q^b theorem), so its residual is trivial and
-    nothing is computed."""
+    subgroup of G.  The series starts from the G' stored on G.  A group
+    whose order has at most two prime divisors is solvable (Burnside's
+    p^a q^b theorem), so its residual is trivial and nothing is
+    computed."""
     if _prime_divisor_count(G.order) <= 2:
         return ElementSet(1, is_subgroup=True)
-    D = ElementSet((1 << G.order) - 1, is_subgroup=True)
+    D = derived_subgroup(G)
     while (E := derived_subgroup(G, D)).size < D.size:
         D = E
     return D
@@ -112,7 +114,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     """Enumerate every subgroup of G by cyclic extension over conjugacy
     classes of subgroups.
 
-    Seeds are the cyclic subgroups <g> of prime-power order p^k.  One
+    Seeds are the cyclic subgroups <g> of prime-power order p^k, read
+    from the masks `cyclic_subgroups` keeps on G.  One
     representative R per conjugacy class of subgroups is extended by each
     seed with g outside R, in one of two ways:
 
@@ -159,10 +162,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     class_of = np.asarray(conjugacy_classes(G).class_of)
     class_size = np.bincount(class_of)
     seeds = {}
-    for g in range(1, n):
-        cyclic = closure(G, (g,))
-        if prime_power(cyclic.size) is not None:
-            seeds.setdefault(cyclic.mask, g)
+    for g, cyclic in enumerate(cyclic_subgroups(G)):
+        if g and prime_power(cyclic.bit_count()) is not None:
+            seeds.setdefault(cyclic, g)
     seeds = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     seed_gens = [g for _, g in seeds]
     powers, roots = [], []  # g^1..g^(p-1) and g^p, p the prime of the seed <g>
@@ -257,6 +259,5 @@ def normal_core(G: Group, S: ElementSet) -> ElementSet:
 
 
 def normal_cores(G: Group, lattice: SubgroupLattice) -> list:
-    """Normal core of every lattice member, aligned with lattice.items;
-    the conjugacy classes are computed once."""
+    """Normal core of every lattice member, aligned with lattice.items."""
     return _cores(G, lattice.items)

@@ -372,6 +372,44 @@ class TestBatch:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc"])
+    def test_bad_jobs_option(self, tmp_path, capsys, raw):
+        man = self.write_manifest(tmp_path, "s3\tsym:3\n")
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["batch", str(man), "--out", str(out), "--jobs", raw], capsys)
+        assert code == 2
+        assert err.startswith("error: jobs must be an integer >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("64", 3)])
+    def test_pool_no_larger_than_manifest(self, tmp_path, capsys, monkeypatch, jobs, workers):
+        # A recording stand-in for the pool, so no process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(tppb.cli, "ProcessPoolExecutor", RecordingPool)
+        man = self.write_manifest(tmp_path, "s3\tsym:3\nq8\tdicyclic:8\nc9\tcyclic:9\n")
+        outputs = []
+        for tag, n in (("serial", "1"), ("pool", jobs)):
+            out = tmp_path / f"rows-{tag}.csv"
+            code, _, _ = run(["batch", str(man), "--out", str(out), "--jobs", n], capsys)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert sizes == [workers]
+        assert outputs[0] == outputs[1]
+
     def test_manifest_relative_perm_entry(self, tmp_path, capsys):
         (tmp_path / "s3.pgens").write_text("degree 3\n2 1 3\n2 3 1\n")
         man = self.write_manifest(tmp_path, "file_s3\tperm:s3.pgens\n")
@@ -460,6 +498,30 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", "sym:4"], capsys)
         assert code == 0 and "abelian: false" in stdout
         assert calls == [24]
+
+    def test_group_invariants_computed_once(self, capsys, monkeypatch):
+        # sym:5 has three prime divisors, so the perfect residual A5 is
+        # computed: its derived series starts from G' = A5 and takes one
+        # more commutator subgroup, A5' = A5, to stop.
+        names = ("_conjugacy_partition", "_cyclic_masks", "_commutator_subgroup")
+        calls = {name: [] for name in names}
+        for name, made in calls.items():
+            real = getattr(groups, name)
+
+            def recording(*args, real=real, made=made):
+                made.append((args, real(*args)))
+                return made[-1][1]
+
+            monkeypatch.setattr(groups, name, recording)
+        code, stdout, _ = run(["analyze", "sym:5"], capsys)
+        assert code == 0 and "degrees: 1 1 4 4 5 5 6" in stdout
+        assert len(calls["_conjugacy_partition"]) == len(calls["_cyclic_masks"]) == 1
+        sizes = [len(members) for (G, members), _ in calls["_commutator_subgroup"]]
+        assert sizes == [120, 60]
+        ((_, part),) = calls["_conjugacy_partition"]
+        assert type(part.classes) is tuple and type(part.class_of) is tuple
+        with pytest.raises(AttributeError):
+            part.classes = ()
 
     def test_deep_product_exits_with_parse_error(self, capsys):
         code, _, err = run(["analyze", nested_product(1500)], capsys)
@@ -563,6 +625,15 @@ class TestVerifyTpp:
         )
         assert code == 2
         assert "error" in stderr.lower()
+
+    @pytest.mark.parametrize("token", ["²", "①", "0,³"])
+    def test_non_decimal_digit_is_unknown_label(self, capsys, token):
+        # str.isdigit accepts these, but int() does not parse them.
+        code, _, stderr = run(
+            ["verify-tpp", "sym:3", "--s", token, "--t", "1", "--u", "2"], capsys
+        )
+        assert code == 2
+        assert stderr.startswith("error: no element labeled")
 
     def test_empty_set_rejected(self, capsys):
         code, _, stderr = run(

@@ -15,6 +15,7 @@ from tppb.groups import (
     closure,
     configured_order_limit,
     conjugacy_classes,
+    cyclic_subgroups,
     derived_subgroup,
     direct_product,
     from_cayley_table,
@@ -30,6 +31,7 @@ from oracles import (
     element_order,
     label_perms,
     permutation_table,
+    plain_closure,
 )
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
@@ -472,6 +474,8 @@ class TestClosure:
         for name, G in catalog:
             got = [groups.element_order(G, g) for g in range(G.order)]
             assert got == [element_order(G, g) for g in range(G.order)], name
+            want = tuple(plain_closure(G.mul, (g,)) for g in range(G.order))
+            assert cyclic_subgroups(G) == want, name
 
 
 class TestOrderLimit:
@@ -533,6 +537,12 @@ class TestDerivedSubgroup:
     def test_matches_commutator_set_on_catalog(self, catalog):
         for name, G in catalog:
             assert derived_subgroup(G) == commutator_set_derived_subgroup(G), name
+
+    def test_whole_group_reads_the_stored_value(self):
+        G = builtin("sym", 4)
+        whole = ElementSet((1 << G.order) - 1, is_subgroup=True)
+        assert derived_subgroup(G, whole) is derived_subgroup(G)
+        assert len(derived_subgroup(G, derived_subgroup(G))) == 4
 
 
 class TestGroupInvariants:
