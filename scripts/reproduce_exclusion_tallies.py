@@ -11,7 +11,9 @@ import csv
 import sys
 from pathlib import Path
 
+from tppb import errors
 from tppb.cli import main as tppb_main
+from tppb.groups import check_order_limit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CATALOG_DIR = REPO_ROOT / "catalogs"
@@ -52,8 +54,13 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run the exhaustive subgroup-capacity search per group",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", default=1, help="parallel workers, at least 1")
     args = parser.parse_args(argv)
+    try:
+        jobs = check_order_limit(args.jobs, "jobs")
+    except errors.BadParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -64,8 +71,7 @@ def main(argv=None) -> int:
         cli_args = ["batch", str(manifest), "--out", str(out)]
         if args.exact_beta:
             cli_args.append("--exact-beta")
-        if args.jobs > 1:
-            cli_args += ["--jobs", str(args.jobs)]
+        cli_args += ["--jobs", str(jobs)]
         print(f"== {manifest.name} -> {out}")
         code = tppb_main(cli_args)
         failures += code != 0

@@ -191,7 +191,6 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         lo, _ = by_size.get(size, (x, x))
         by_size[size] = (lo, x + 1)
     cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
-    min_core = {size: int(core_size[lo:hi].min()) for size, (lo, hi) in by_size.items()}
 
     checks = 1
     if not satisfies_tpp(G, items[0], items[0], items[-1]).holds:
@@ -210,13 +209,7 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             )
         return BetaResult(best, witness, exact, checks)
 
-    profiles = []
-    for a, b, c in admissible_profiles(cnt, n):
-        product = a * b * c
-        if product >= n and not any(
-            min_core[v] > 1 and (product // v) * min_core[v] > n for v in (a, b, c)
-        ):
-            profiles.append((a, b, c, product))
+    profiles = [(a, b, c, a * b * c) for a, b, c in admissible_profiles(cnt, n) if a * b * c >= n]
     profiles.sort(key=lambda r: (-r[3], r[:3]))
 
     # Row x of `words` is lattice member x without the identity, packed

@@ -109,6 +109,19 @@ class ElementSet:
         return f"ElementSet({sorted(self.indices())}, subgroup={self.is_subgroup})"
 
 
+# A mask holds element i in bit i; as bytes it is little-endian, so its
+# membership row is the little-endian unpacking of those bytes.
+def _bits(mask: int, n: int):
+    """Boolean membership row of a mask over n elements."""
+    row = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(row, count=n, bitorder="little").view(bool)
+
+
+def _mask(row) -> int:
+    """Mask of a boolean membership row; the inverse of `_bits`."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
 class Group:
     """Immutable finite group over element indices 0..order-1, held as its
     multiplication table; inverses are read off the table.
@@ -480,21 +493,27 @@ def conjugacy_classes(G: Group) -> ConjugacyPartition:
     return G._classes
 
 
+def _conjugates(T, inv, members):
+    """Row g holds g*y*g^-1 for each y of the member array, for every g
+    at once: one gather over the table T with inverse array inv."""
+    return T[T[:, members], inv[:, None]]
+
+
 def _conjugacy_partition(G: Group) -> ConjugacyPartition:
+    """Each element not yet in a class starts a new one, its orbit
+    gathered whole by `_conjugates`; so the classes come out numbered by
+    their least elements."""
     n = G.order
-    mul = G.mul
-    inv = G.inv
-    class_of = [-1] * n
+    inv = np.asarray(G.inv)
+    class_of = np.full(n, -1)
     classes = []
     for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        cid = len(classes)
-        orbit = {mul[mul[g][x]][inv[g]] for g in range(n)}
-        for y in orbit:
-            class_of[y] = cid
-        classes.append(ElementSet.from_indices(orbit))
-    return ConjugacyPartition(tuple(classes), tuple(class_of))
+        if class_of[x] < 0:
+            row = np.zeros(n, dtype=bool)
+            row[_conjugates(G.table, inv, [x])] = True
+            class_of[row] = len(classes)
+            classes.append(ElementSet(_mask(row)))
+    return ConjugacyPartition(tuple(classes), tuple(class_of.tolist()))
 
 
 def _coset_join(mul, members, mask, multipliers) -> int:
@@ -557,7 +576,7 @@ def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
     G when H is None or G itself, in which case G' is stored on G and
     computed only on the first call)."""
     if H is not None and H.size < G.order:
-        return _commutator_subgroup(G, np.fromiter(H.indices(), dtype=np.int64))
+        return _commutator_subgroup(G, np.flatnonzero(_bits(H.mask, G.order)))
     if G._derived is None:
         G._derived = _commutator_subgroup(G, np.arange(G.order))
     return G._derived
@@ -577,7 +596,7 @@ def _commutator_subgroup(G: Group, members) -> ElementSet:
     for c in np.flatnonzero(seen).tolist():
         if not (mask >> c) & 1:
             gens += (c,)
-            mask = _coset_join(G.mul, list(ElementSet(mask).indices()), mask, gens)
+            mask = _coset_join(G.mul, np.flatnonzero(_bits(mask, G.order)).tolist(), mask, gens)
     return ElementSet(mask, is_subgroup=True)
 
 
@@ -586,8 +605,9 @@ def element_order(G: Group, g: int) -> int:
 
 
 def group_stats(G: Group) -> GroupStats:
-    """Order, commutativity, exponent (lcm of element orders), center size."""
-    center_size = int((G.table == G.table.T).all(axis=1).sum())
+    """Order, commutativity, exponent (lcm of element orders), center size:
+    the number of one-element conjugacy classes."""
+    center_size = sum(c.size == 1 for c in conjugacy_classes(G).classes)
     exponent = math.lcm(*{mask.bit_count() for mask in cyclic_subgroups(G)})
     return GroupStats(G.order, center_size == G.order, exponent, center_size)
 

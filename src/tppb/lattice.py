@@ -8,7 +8,10 @@ from . import errors
 from .groups import (
     ElementSet,
     Group,
+    _bits,
+    _conjugates,
     _coset_join,
+    _mask,
     closure,
     conjugacy_classes,
     cyclic_subgroups,
@@ -54,24 +57,19 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _bits(mask: int, n: int):
-    """Boolean membership array of a mask over n elements."""
-    row = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(row, count=n, bitorder="little").view(bool)
-
-
-def _conjugate_masks(T, inv, members):
-    """Masks of the conjugates x*K*x^-1 of the subgroup with the given
-    member array, one table gather for every x at once, and the mask of
-    its normalizer: the x whose conjugate is K itself (row 0, x = 1)."""
-    n = len(T)
-    conj = T[T[:, members], inv[:, None]]
-    hit = np.zeros((n, n), dtype=bool)
-    hit[np.arange(n)[:, None], conj] = True
-    packed = np.packbits(hit, axis=1, bitorder="little")
-    normalizer = np.packbits((packed == packed[0]).all(axis=1), bitorder="little")
-    masks = {int.from_bytes(row.tobytes(), "little") for row in packed}
-    return masks, int.from_bytes(normalizer.tobytes(), "little")
+def _conjugate_masks(T, inv, members, inside):
+    """Masks of the distinct conjugates x*K*x^-1 of the subgroup K with the
+    given member array and membership row, and the membership row of its
+    normalizer N(K): the x whose conjugate lies inside K.  One table
+    gather gives every conjugate at once; x and x*m for m in N(K) give the
+    same conjugate, so each left coset x*N(K) is turned into a mask once,
+    at its least element: the x that is the least of x*N(K)."""
+    conj = _conjugates(T, inv, members)
+    normalizer = inside[conj].all(axis=1)
+    reps = np.flatnonzero(T[:, normalizer].min(axis=1) == np.arange(len(T)))
+    hit = np.zeros((len(reps), len(T)), dtype=bool)
+    hit[np.arange(len(reps))[:, None], conj[reps]] = True
+    return [_mask(row) for row in hit], normalizer
 
 
 def _gather_extension(mul, members, mask, powers) -> int:
@@ -85,25 +83,9 @@ def _gather_extension(mul, members, mask, powers) -> int:
     return mask
 
 
-def _prime_divisor_count(n: int) -> int:
-    count, p = 0, 2
-    while p * p <= n:
-        if n % p == 0:
-            count += 1
-            while n % p == 0:
-                n //= p
-        p += 1
-    return count + (n > 1)
-
-
 def perfect_residual(G: Group) -> ElementSet:
     """The last term G^(∞) of the derived series, the largest perfect
-    subgroup of G.  The series starts from the G' stored on G.  A group
-    whose order has at most two prime divisors is solvable (Burnside's
-    p^a q^b theorem), so its residual is trivial and nothing is
-    computed."""
-    if _prime_divisor_count(G.order) <= 2:
-        return ElementSet(1, is_subgroup=True)
+    subgroup of G.  The series starts from the G' stored on G."""
     D = derived_subgroup(G)
     while (E := derived_subgroup(G, D)).size < D.size:
         D = E
@@ -141,8 +123,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     order p, and so does the image of its p-part g, since the rest of y
     has order prime to p.  Then g normalizes K_i, g^p lies in K_i, and
     K_(i+1) = <K_i, g> is a gather.  The same holds for the seed's own
-    generator, a power of g that generates <g>.  When |G| has at most
-    two prime divisors, G is solvable (Burnside's p^a q^b theorem),
+    generator, a power of g that generates <g>.  When G is solvable,
     P = 1 and no coset search runs.
 
     A new subgroup K adds its whole conjugacy class at once, as bit masks
@@ -150,7 +131,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     queued as the class representative; the same gather gives its
     normalizer, the x with x*K*x^-1 = K.  A normal K is its own class
     and skips the gather: K is normal exactly when the union of its
-    members' conjugacy classes is K.
+    members' conjugacy classes is K.  Each representative's record (its
+    member list, membership row, normalizer row and generators) is built
+    once, when its class is added, and read as it is extended.
 
     `lattice_limit` caps the number of subgroups; it is checked as each
     class is added, so LatticeLimitExceeded is raised exactly when the
@@ -179,30 +162,29 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     residual = perfect_residual(G).mask
     gen_in_residual = _bits(residual, n)[gen_idx]
 
-    known = set()
-    reps = []  # (mask, generator tuple, normalizer mask) per class
+    known, whole = set(), np.ones(n, dtype=bool)
+    reps = []  # (mask, member list, membership row, normalizer row, generators) per class
 
     def add_class(mask, gens):
-        members = np.flatnonzero(_bits(mask, n))
+        inside = _bits(mask, n)
+        members = np.flatnonzero(inside)
         touched = np.zeros(len(class_size), dtype=bool)
         touched[class_of[members]] = True
         if class_size[touched].sum() == len(members):
-            conjugates, normalizer = (mask,), (1 << n) - 1
+            conjugates, normalizer = (mask,), whole
         else:
-            conjugates, normalizer = _conjugate_masks(T, inv, members)
+            conjugates, normalizer = _conjugate_masks(T, inv, members, inside)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
         known.update(conjugates)
-        reps.append((mask, gens, normalizer))
+        reps.append((mask, members.tolist(), inside, normalizer, gens))
 
     add_class(1, ())
     # add_class appends to reps as this loop runs, so each new class is
     # extended in turn.
-    for hmask, gens, normalizer in reps:
-        inside = _bits(hmask, n)
-        members = np.flatnonzero(inside).tolist()
+    for hmask, members, inside, normalizer, gens in reps:
         outside = ~inside[gen_idx]
-        gather = outside & inside[root_idx] & _bits(normalizer, n)[gen_idx]
+        gather = outside & inside[root_idx] & normalizer[gen_idx]
         todo = gather | (outside & gen_in_residual) if hmask & ~residual == 0 else gather
         covered = 0
         for s in np.flatnonzero(todo).tolist():

@@ -5,6 +5,7 @@ definitional scans, unpruned enumeration, or classical character
 inner products. They are deliberately slow and simple.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +15,7 @@ import numpy as np
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
 from tppb.chars import _nullspace_mod, _rref_mod, d_sum_int, d_sum_real
-from tppb.groups import ElementSet, conjugacy_classes
+from tppb.groups import ElementSet, closure, conjugacy_classes, from_permutation_generators
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
 
@@ -23,6 +24,8 @@ __all__ = [
     "conjugate_intersection_core",
     "delta_index_based",
     "element_order",
+    "orbit_loop_partition",
+    "renumbered",
     "permutation_table",
     "quotient_set",
     "definitional_tpp",
@@ -100,6 +103,34 @@ def element_order(G, g: int) -> int:
         x = G.mul[x][g]
         k += 1
     return k
+
+
+def orbit_loop_partition(G):
+    """Class masks and element -> class map of the conjugacy partition, by
+    the orbit {g*x*g^-1 : g in G} of each element x not yet placed, found
+    one product at a time; classes are numbered by their least elements."""
+    mul, inv = G.mul, G.inv
+    class_of = [-1] * G.order
+    classes = []
+    for x in range(G.order):
+        if class_of[x] >= 0:
+            continue
+        orbit = {mul[mul[g][x]][inv[g]] for g in range(G.order)}
+        for y in orbit:
+            class_of[y] = len(classes)
+        classes.append(sum(1 << y for y in orbit))
+    return classes, class_of
+
+
+def renumbered(G, seed):
+    """G rebuilt from random elements that generate it, acting on G by left
+    multiplication, so the breadth-first element numbering follows the seed."""
+    rng = random.Random(seed)
+    gens = []
+    while len(closure(G, gens)) < G.order:
+        gens.append(rng.randrange(1, G.order))
+    perms = [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
+    return from_permutation_generators(G.order, perms)
 
 
 def label_perms(G):

@@ -30,8 +30,10 @@ from oracles import (
     commutator_set_derived_subgroup,
     element_order,
     label_perms,
+    orbit_loop_partition,
     permutation_table,
     plain_closure,
+    renumbered,
 )
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
@@ -424,6 +426,21 @@ class TestConjugacyClasses:
         assert [part.class_of[min(c.indices())] for c in part.classes] == list(
             range(len(part.classes))
         )
+
+    # Class order and class_of must match too: the lattice, the cores and
+    # the class matrices all index classes by number.
+    def test_matches_orbit_loop(self, catalog):
+        sym4xd8 = direct_product(builtin("sym", 4), builtin("dihedral", 8))
+        groups = catalog + [
+            ("sym:5 renumbered", renumbered(builtin("sym", 5), seed="sym:5")),
+            ("sym4xd8 renumbered", renumbered(sym4xd8, seed="sym4xd8")),
+            ("dicyclic:292", builtin("dicyclic", 292)),
+        ]
+        for name, G in groups:
+            part = conjugacy_classes(G)
+            classes, class_of = orbit_loop_partition(G)
+            assert [c.mask for c in part.classes] == classes, name
+            assert list(part.class_of) == class_of, name
 
 
 class TestClosure:

@@ -1,34 +1,22 @@
 """Subgroup lattice enumeration, normality, and normal cores."""
 
-import random
-
 import pytest
 
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
-from tppb.groups import ElementSet, builtin, closure, direct_product, from_permutation_generators
+from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect_residual
 from oracles import (
     brute_force_subgroup_masks,
     conjugate_intersection_core,
     cyclic_join_lattice,
     derived_series_residual,
+    renumbered,
 )
 
 
 def spec_group(text):
     return realize_group_spec(parse_group_spec(text))
-
-
-def renumbered(G, seed):
-    """G rebuilt from random elements that generate it, acting on G by left
-    multiplication, so the breadth-first element numbering follows the seed."""
-    rng = random.Random(seed)
-    gens = []
-    while len(closure(G, gens)) < G.order:
-        gens.append(rng.randrange(1, G.order))
-    perms = [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
-    return from_permutation_generators(G.order, perms)
 
 
 def order_multiset(lat):
@@ -121,8 +109,8 @@ class TestEnumerate:
     # residual) and prime-index gathers (each over the normalizing seeds
     # of a class representative, once per extension it reaches), so a lost
     # cut shows here even when timings hide it.  sym:4 and cyclic:30 are
-    # solvable: no coset search runs, whether their trivial residual comes
-    # from Burnside's p^a q^b theorem or, for cyclic:30, from the series.
+    # solvable: their derived series ends in the trivial group, so no
+    # coset search runs.
     @pytest.mark.parametrize(
         "spec,coset_joins,gathers",
         [
@@ -224,8 +212,8 @@ class TestPerfectResidual:
     def test_order(self, spec, order):
         assert len(perfect_residual(spec_group(spec))) == order
 
-    # Orders with at most two prime divisors take Burnside's shortcut; the
-    # rest compute the series.  Both agree with the oracle's series.
+    # The series from the stored G' agrees with the oracle's series, each
+    # term the closure of all commutators of the one before.
     def test_matches_derived_series_on_catalog(self, catalog):
         for name, G in catalog:
             assert perfect_residual(G).mask == derived_series_residual(G), name

@@ -35,6 +35,14 @@ def test_reproduce_matches_committed_results(tmp_path, capsys, jobs):
         assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
 
 
+def test_reproduce_rejects_jobs_below_one(tmp_path, capsys):
+    script = load_script("reproduce_exclusion_tallies")
+    code = script.main(["--out-dir", str(tmp_path), "--jobs", "0"])
+    assert code == 2
+    assert "jobs must be an integer >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_explore_omega_bounds_rows(capsys):
     assert load_script("explore_omega_bounds").main(["sym:3", "sym:4"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
