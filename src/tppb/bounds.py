@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
-from .groups import Group
+from .groups import Group, _packed
 from .lattice import SubgroupLattice, enumerate_subgroups, normal_cores
 from .tpp import satisfies_tpp
 
@@ -215,11 +215,9 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     # Row x of `words` is lattice member x without the identity, packed
     # little-endian into uint64 words; row r of `elements[size]` lists the
     # elements of the r-th member of that order.
-    width = (n + 63) // 64
-    packed = b"".join((s.mask & ~1).to_bytes(8 * width, "little") for s in items)
-    words = np.frombuffer(packed, dtype="<u8").reshape(count, width)
-    member = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
-    member[:, 0] = 1
+    words, member = _packed([s.mask & ~1 for s in items], n)
+    member[:, 0] = True
+    width = words.shape[1]
     elements = {size: np.nonzero(member[lo:hi])[1].reshape(hi - lo, size) for size, (lo, hi) in by_size.items()}
 
     def first_hit(c, b, u_index, I, J, lo, hi):

@@ -122,6 +122,17 @@ def _mask(row) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
+def _packed(masks, n: int):
+    """Masks packed little-endian into rows of uint64 words, and the
+    boolean membership rows unpacked from those words: row i of the
+    second is `_bits(masks[i], n)`."""
+    width = -(-n // 64)
+    packed = b"".join(mask.to_bytes(8 * width, "little") for mask in masks)
+    words = np.frombuffer(packed, dtype="<u8").reshape(len(masks), width)
+    rows = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    return words, rows
+
+
 class Group:
     """Immutable finite group over element indices 0..order-1, held as its
     multiplication table; inverses are read off the table.
@@ -523,7 +534,13 @@ def _coset_join(mul, members, mask, multipliers) -> int:
     generating set of H. New coset representatives are found by right-
     multiplying known representatives, and each coset H*r is filled by
     multiplying every member of H into r.
+
+    The search fills whole cosets, so after k of them the join holds
+    k*|H| elements.  Its order divides n = len(mul), so once k*|H|
+    passes n/2 the join is the whole group and its mask is returned
+    without filling the rest.
     """
+    n = len(mul)
     kmask = mask
     reps = [0]
     # reps grows while it is read, so each new representative is used in turn.
@@ -532,6 +549,8 @@ def _coset_join(mul, members, mask, multipliers) -> int:
             cand = mul[r][m]
             if not (kmask >> cand) & 1:
                 reps.append(cand)
+                if 2 * len(reps) * len(members) > n:
+                    return (1 << n) - 1
                 for h in members:
                     kmask |= 1 << mul[h][cand]
     return kmask

@@ -106,7 +106,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
       table.  Any g' in K outside R gives <R, g'> = K, so the seeds whose
       generator an earlier gather from R already covers are skipped;
     - coset search: otherwise, and only when R and g both lie in the
-      perfect residual P = G^(∞), K = <R, g> by `_coset_join`.
+      perfect residual P = G^(∞), K = <R, g> by `_coset_join`, once per
+      N(R)-orbit of such seeds, at the orbit's least seed.
 
     Every other pair is skipped, and still every subgroup is reached.
     Both steps commute with conjugation: if K = <K', g> and
@@ -114,7 +115,11 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     x*K*x^-1 = <R, x*g*x^-1>, where x*g*x^-1 generates a seed and meets
     the same condition as g.  So a class is reached once some chain of
     steps from 1 ends in it; a covered seed that is skipped only repeats
-    a known extension.  Every subgroup of P ends such a chain, because
+    a known extension.  So does a search seed g that is not the least of
+    its orbit: for x in N(R), <R, x*g*x^-1> = x*<R, g>*x^-1 is in the
+    class of <R, g>, and x*g*x^-1 again lies outside R, inside P and
+    fails the gather test, so the orbit's least seed, searched first,
+    reaches that class.  Every subgroup of P ends such a chain, because
     for R and g in P one of the two steps always runs.  Any K lies above
     its own perfect residual K^(∞), a subgroup of P, and K/K^(∞) is
     solvable, so a composition series of it lifts to a chain
@@ -159,6 +164,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         powers.append(pw)
         roots.append(x)
     gen_idx, root_idx = np.asarray(seed_gens, dtype=np.int64), np.asarray(roots, dtype=np.int64)
+    index = {smask: s for s, (smask, _) in enumerate(seeds)}
+    seed_of = np.asarray([index.get(cyclic, -1) for cyclic in cyclic_subgroups(G)])
     residual = perfect_residual(G).mask
     gen_in_residual = _bits(residual, n)[gen_idx]
 
@@ -185,7 +192,14 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     for hmask, members, inside, normalizer, gens in reps:
         outside = ~inside[gen_idx]
         gather = outside & inside[root_idx] & normalizer[gen_idx]
-        todo = gather | (outside & gen_in_residual) if hmask & ~residual == 0 else gather
+        todo = gather
+        if hmask & ~residual == 0 and (search := outside & gen_in_residual & ~gather).any():
+            # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the least
+            # seed of each N(R)-orbit is searched.
+            ids, xs = np.flatnonzero(search), np.flatnonzero(normalizer)
+            orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
+            search[ids[orbits.min(axis=0) < ids]] = False
+            todo = gather | search
         covered = 0
         for s in np.flatnonzero(todo).tolist():
             g = seed_gens[s]

@@ -462,6 +462,28 @@ class TestClosure:
         assert len(got) == 6
         assert got.is_subgroup
 
+    # The coset search returns the whole group once its cosets fill more
+    # than half of it; a join of exactly half the order is still filled.
+    def test_join_of_exactly_half_the_group_is_filled(self):
+        G = builtin("sym", 5)
+        a = G.index_of_label("2 3 1 4 5")
+        b = G.index_of_label("1 2 4 5 3")
+        got = closure(G, (a, b))
+        assert len(got) == 60
+        assert got.mask == plain_closure(G.mul, (a, b))
+        assert list(closure(G, (0,)).indices()) == [0]
+
+    @pytest.mark.parametrize("spec", ["cyclic:7", "sym:5", "alt:5", "product(alt:5,cyclic:2)"])
+    def test_join_past_half_the_group_is_whole(self, spec):
+        G = realize_group_spec(parse_group_spec(spec))
+        whole = (1 << G.order) - 1
+        gens = [g for g in range(G.order) if g]
+        assert closure(G, gens[:1] + gens[-1:]).mask == plain_closure(G.mul, gens[:1] + gens[-1:])
+        assert closure(G, gens).mask == whole
+        H = closure(G, gens[:1])
+        members = list(H.indices())
+        assert groups._coset_join(G.mul, members, H.mask, (gens[0], *gens)) == whole
+
     def test_result_flagged_subgroup(self):
         G = builtin("dihedral", 8)
         H = closure(G, (1,))

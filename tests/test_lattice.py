@@ -11,6 +11,7 @@ from oracles import (
     conjugate_intersection_core,
     cyclic_join_lattice,
     derived_series_residual,
+    label_perms,
     renumbered,
 )
 
@@ -106,18 +107,20 @@ class TestEnumerate:
             enumerate_subgroups(G, lattice_limit=count - 1)
 
     # Frozen work counts: coset-search joins (only inside the perfect
-    # residual) and prime-index gathers (each over the normalizing seeds
-    # of a class representative, once per extension it reaches), so a lost
-    # cut shows here even when timings hide it.  sym:4 and cyclic:30 are
-    # solvable: their derived series ends in the trivial group, so no
-    # coset search runs.
+    # residual, one per N(R)-orbit of seeds) and prime-index gathers (each
+    # over the normalizing seeds of a class representative, once per
+    # extension it reaches), so a lost cut shows here even when timings
+    # hide it.  sym:4 and cyclic:30 are solvable: their derived series
+    # ends in the trivial group, so no coset search runs.
     @pytest.mark.parametrize(
         "spec,coset_joins,gathers",
         [
             ("sym:4", 0, 25),
             ("cyclic:30", 0, 12),
-            ("sym:5", 180, 64),
-            ("alt:6", 3086, 146),
+            ("sym:5", 29, 64),
+            ("alt:6", 373, 146),
+            ("sym:6", 281, 286),
+            ("product(alt:5,cyclic:2)", 40, 103),
             ("product(sym:4,dihedral:8)", 0, 1177),
             ("elem_abelian:2^6", 0, 23562),
         ],
@@ -184,6 +187,24 @@ class TestEnumerate:
         G = make()
         got = [s.mask for s in enumerate_subgroups(G).items]
         assert got == cyclic_join_lattice(G)
+
+    # The coset search runs once per N(R)-orbit of seeds, at the orbit's
+    # least seed, so which seed runs follows the numbering.  A renumbered
+    # group acts on the builtin by left multiplication, so each element is
+    # the image of the identity under its permutation; mapped back through
+    # that, its lattice must be the builtin's.
+    @pytest.mark.parametrize("spec", ["alt:6", "sym:6"])
+    def test_renumbered_lattice_maps_to_builtin(self, spec):
+        G = spec_group(spec)
+        H = renumbered(G, seed=spec)
+        old = [p[0] for p in label_perms(H)]
+        mapped = set()
+        for s in enumerate_subgroups(H).items:
+            mask = 0
+            for i in s.indices():
+                mask |= 1 << old[i]
+            mapped.add(mask)
+        assert mapped == {s.mask for s in enumerate_subgroups(G).items}
 
     @pytest.mark.parametrize("make", [lambda: builtin("sym", 4), lambda: builtin("dicyclic", 12)])
     def test_subgroup_invariants(self, make):
