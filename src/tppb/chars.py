@@ -4,24 +4,46 @@ finite-field common-eigenvector method on conjugacy class matrices.
 The class sums K_r multiply as K_r K_s = sum_t a_rst K_t. Over a prime
 field with p = 1 (mod exponent) and p^2 > 4|G|, the matrices
 (M_r)[s][t] = a_rst commute and share exactly one common eigenvector per
-irreducible character: the central character values. Each degree is
-recovered from the orthogonality relation d^2 = |G| / sum_j w_j w_j* / |C_j|
-evaluated mod p and lifted to the unique integer in (0, sqrt(|G|)].
+irreducible character chi: w_chi with w_chi[t] = |C_t| chi(z_t) / chi(1),
+the central character values. Each degree is recovered from the
+orthogonality relation d^2 = |G| / sum_j w_j w_j* / |C_j| evaluated mod p
+and lifted to the unique integer in (0, sqrt(|G|)].
 
 One such prime suffices.  F_p holds the e-th roots of unity for the
 exponent e, so it is a splitting field of G (Brauer), and p does not
 divide |G|; the class algebra over F_p is then F_p^k and the split
 succeeds (Dixon 1967, Numer. Math. 10).  A failure is a hard error.
 
-The split visits only eigenvalues: each space is cut by the restriction
-of the next class matrix at the roots in F_p of its characteristic
-polynomial, which a Hessenberg reduction gives (Cohen, GTM 138,
-Alg. 2.2.9), not at every element of F_p.
+The split follows Dixon as revisited by Schneider (J. Symbolic Comput. 9,
+1990): first by one generic combination A = sum_j 3^j M_j, then class
+matrix by class matrix on what A leaves unsplit.
+- The identity class vector e_0 reaches every line.  Column
+  orthogonality gives e_0 = sum_chi (chi(1)^2 / |G|) w_chi, and no
+  coefficient vanishes mod p, as p does not divide |G|.  So for each
+  root lam of f = det(xI - A) and the squarefree m = prod (x - lam),
+  (m / (x - lam))(A) e_0 is a nonzero eigenvector at lam: the part of
+  e_0 in that eigenspace, times prod (lam - mu) over the other roots.
+  One matrix product of the quotient coefficients with the Krylov rows
+  A^i e_0 gives all of them, with no null space per root.
+- A simple root, f'(lam) != 0, has a one-dimensional eigenspace, and
+  each M_j commutes with A, so maps it to itself: it is a common
+  eigenvector, a line.  The roots and their simplicity come from one
+  Horner pass over F_p, and the characteristic polynomial from a
+  Hessenberg reduction (Cohen, GTM 138, Alg. 2.2.9).
+- A repeated root's eigenvector v spans its whole eigenspace under the
+  class matrices, so the rows M_j v, one weighted bincount, give it.
+  Only these small spaces go on to the class matrices.
+
+Every product stays exact.  The Krylov and eigenvector products in
+int64 sum at most k products below p^2, and k*p^2 < 2^63 (k <= 2000 and
+the largest Dixon prime in reach, 87,869, give 1.5e13).  The weighted
+bincounts sum in float64 at most n*k weights below p, and n*k*p < 2^53.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +60,8 @@ __all__ = [
 ]
 
 PRIME_SEARCH_CAP = 10_000_000
+# Cells per weighted bincount of the class algebra (64 KiB per temporary).
+CELLS_PER_BINCOUNT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -86,40 +110,66 @@ def _rref_mod(A: np.ndarray, p: int):
         R = (R - np.outer(col, R[r])) % p
         pivots.append(c)
         r += 1
-    return R[:r], pivots
+        if not R[r:].any():
+            break
+    return R[:r].copy(), pivots
 
 
-def _nullspace_mod(A: np.ndarray, p: int):
-    """Row basis of the right null space {x : A x = 0} over F_p, and its
-    free columns, on which the basis is the identity."""
-    R, pivots = _rref_mod(A, p)
-    free = [c for c in range(A.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
-    basis[:, free] = np.eye(len(free), dtype=np.int64)
-    basis[:, pivots] = (-R[:, free].T) % p
-    return basis, free
-
-
-def _class_matrices(G: Group):
-    """Structure-constant matrices on demand, plus class sizes and the
-    inverse-class permutation.
+class _ClassAlgebra:
+    """The class algebra of G through its structure constants, plus the
+    class sizes and the inverse-class permutation.
 
     (M_r)[s][t] = a_rst counts the x in class r with x^-1 z_t in class s,
     for the representative z_t of class t.  One n x k table holds the flat
-    cell (class of x^-1 z_t, t) for every x and t; `matrix(r)` bincounts
-    the rows of class r into M_r, so no k x k x k array is ever built."""
-    part = conjugacy_classes(G)
-    k = len(part.classes)
-    class_of = np.array(part.class_of, dtype=np.int64)
-    sizes = [len(c) for c in part.classes]
-    reps = [next(c.indices()) for c in part.classes]
-    inv_class = [part.class_of[G.inv[r]] for r in reps]
-    cells = class_of[G.table[np.asarray(G.inv)[:, None], reps]] * k + np.arange(k)
+    cell (class of x, class of x^-1 z_t) for every x and t, so each
+    product below is one bincount over its n*k cells and no k x k x k
+    array is ever built."""
 
-    def matrix(r: int) -> np.ndarray:
-        return np.bincount(cells[class_of == r].ravel(), minlength=k * k).reshape(k, k)
+    def __init__(self, G: Group):
+        part = conjugacy_classes(G)
+        k = len(part.classes)
+        self.class_of = np.array(part.class_of, dtype=np.int64)
+        self.sizes = [len(c) for c in part.classes]
+        reps = [next(c.indices()) for c in part.classes]
+        self.inv_class = [part.class_of[G.inv[r]] for r in reps]
+        self.cells = self.class_of[G.table[np.asarray(G.inv)[:, None], reps]]
+        self.cells += self.class_of[:, None] * k
 
-    return matrix, sizes, inv_class
+    def matrix(self, r: int) -> np.ndarray:
+        """M_r, from the rows of class r alone."""
+        k = len(self.sizes)
+        bins = (self.cells[self.class_of == r] - r * k) * k + np.arange(k)
+        return np.bincount(bins.ravel(), minlength=k * k).reshape(k, k)
+
+    def combination(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c_j M_j: cell (x, t) adds c[class of x] to entry
+        (class of x^-1 z_t, t)."""
+        k = len(self.sizes)
+        return self._weighted_bincount(
+            lambda cells: cells % k * k + np.arange(k), c[self.class_of], np.ones(k)
+        )
+
+    def span(self, u: np.ndarray) -> np.ndarray:
+        """The k x k matrix whose row j is M_j u: cell (x, t) adds u_t to
+        entry (class of x, class of x^-1 z_t)."""
+        return self._weighted_bincount(lambda cells: cells, np.ones(len(self.class_of)), u)
+
+    def _weighted_bincount(self, bins, row_weight, col_weight) -> np.ndarray:
+        """Sum row_weight[x] * col_weight[t] over the cells (x, t) into the
+        k x k entries bins(cells), a block of whole rows at a time: at most
+        CELLS_PER_BINCOUNT cells, so no n x k float64 temporary exists, but
+        at least k rows, so adding up the k x k block sums costs no more
+        than the blocks themselves.  Each sum is an integer below
+        n*k*p < 2^53 (n <= 2000 and k <= n give 3.5e11 at the largest
+        Dixon prime), which float64 holds exactly."""
+        n, k = self.cells.shape
+        total = np.zeros(k * k)
+        step = max(k, CELLS_PER_BINCOUNT // k)
+        for lo in range(0, n, step):
+            block = slice(lo, lo + step)
+            weights = np.outer(row_weight[block], col_weight).ravel()
+            total += np.bincount(bins(self.cells[block]).ravel(), weights, minlength=k * k)
+        return total.astype(np.int64).reshape(k, k)
 
 
 def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
@@ -161,49 +211,124 @@ def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
     return P[d]
 
 
-def _split_to_lines(matrix, sizes, p: int):
-    """Split F_p^k into the common eigenvector lines of the class
-    matrices `matrix(j)`, processing them in ascending class-size order.
-
-    Each space of dimension d > 1 is split by the restriction R of the next
-    class matrix: its eigenvalues are the roots in F_p of det(xI - R)
-    (`_charpoly_mod`, Cohen Alg. 2.2.9), found by one vectorised Horner
-    pass over all of F_p, and a null space is taken at each root in
-    ascending order.  The eigenspaces must fill the space, else R is not
-    diagonalizable over F_p and the split fails.
-
-    A space is a basis B with the identity on columns piv, so R is the piv
-    rows of M B^T.  A null-space basis is the identity on its free columns,
-    so the eigenspace basis nb B is the identity on piv[free]: one
-    elimination per eigenspace.  Each line is scaled to lead with 1."""
-    k = len(sizes)
-    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+def _roots(coeffs: np.ndarray, p: int):
+    """Roots in F_p, ascending, of the polynomial with these coefficients
+    (constant term first), and whether each is simple: one Horner pass
+    over all of F_p evaluates f and f' together."""
     xs = np.arange(p, dtype=np.int64)
-    for j in sorted(range(1, k), key=lambda j: (sizes[j], j)):
-        if all(B.shape[0] == 1 for B, _ in spaces):
-            break
-        M = matrix(j) % p
+    f = np.zeros(p, dtype=np.int64)
+    df = np.zeros(p, dtype=np.int64)
+    for c in coeffs[::-1]:
+        df = (df * xs + f) % p
+        f = (f * xs + int(c)) % p
+    roots = np.flatnonzero(f == 0)
+    return roots, df[roots] != 0
+
+
+def _quotients(roots: np.ndarray, p: int) -> np.ndarray:
+    """Row i: the coefficients, constant term first, of m(x) / (x - roots[i])
+    over F_p, where m is the product of (x - root) over the distinct roots.
+    One synthetic division serves every root at once."""
+    r = len(roots)
+    m = np.zeros(r + 1, dtype=np.int64)
+    m[0] = 1
+    for lam in roots.tolist():
+        m = (np.roll(m, 1) - lam * m) % p
+    Q = np.zeros((r, r), dtype=np.int64)
+    Q[:, -1:] = 1
+    for i in range(r - 1, 0, -1):
+        Q[:, i - 1] = (m[i] + roots * Q[:, i]) % p
+    return Q
+
+
+def _eigenvectors(R: np.ndarray, y: np.ndarray, p: int, name: str):
+    """The roots in F_p of f = det(xI - R), whether each is simple, and
+    one eigenvector per root: row i of L is q_i(R) y for the quotient
+    q_i = m / (x - roots[i]) of the squarefree m, that is the quotient
+    coefficients times the Krylov rows R^i y, i < len(roots).  When y has
+    a part in every eigenspace of a diagonalizable R, each row is that
+    part up to a unit.  A zero row, or a row that R does not scale by its
+    root, is an EigenspaceSplitFailure."""
+    roots, simple = _roots(_charpoly_mod(R, p), p)
+    r = len(roots)
+    K = [y % p]
+    while len(K) < r:
+        K.append(R @ K[-1] % p)
+    L = _quotients(roots, p) @ np.array(K[:r]).reshape(r, len(y)) % p
+    if not L.any(axis=1).all() or (R @ L.T % p != roots * L.T % p).any():
+        raise errors.EigenspaceSplitFailure(f"{name} is not diagonalizable over F_{p}")
+    return roots, simple, L
+
+
+def _generic_combination(algebra: _ClassAlgebra, p: int) -> np.ndarray:
+    """sum_j c_j M_j with c_j = 3^j mod p, a fixed rule, so the split and
+    its work are deterministic.  A linear rule, c_j = j + 1, is not
+    generic enough: on product(alt:6,cyclic:4) it leaves 11 distinct
+    eigenvalues of 28, where powers of 3 leave 25."""
+    k = len(algebra.sizes)
+    return algebra.combination(np.array([pow(3, j, p) for j in range(k)]))
+
+
+def _split_to_lines(algebra: _ClassAlgebra, p: int):
+    """Split F_p^k into the common eigenvector lines of the class matrices.
+
+    The first splitter is the generic combination A (`_generic_combination`),
+    the rest are the class matrices in ascending class-size order.  A space
+    is an echelon basis B (identity on its columns piv; None for all of
+    F_p^k) and a vector u in it whose span under the class matrices is the
+    whole space.  For F_p^k that is e_0, since M_j e_0 = |C_j| e_{j*}, and
+    e_0 = sum_chi (chi(1)^2 / |G|) w_chi meets every line, as p does not
+    divide |G|.  The restriction R of the splitter (the rows piv of M B^T)
+    has one eigenvector q(R) u per root from `_eigenvectors`, each a
+    Krylov product in int64, exact since k*p^2 < 2^63.
+    - A simple root, f'(lam) != 0, has a one-dimensional eigenspace, which
+      every M_j maps to itself, as M_j commutes with the splitter: it is a
+      line.
+    - A repeated root's vector v spans its eigenspace under the class
+      matrices, so the echelon form of `span(v)`, one weighted bincount,
+      exact in float64 since n*k*p < 2^53, is the smaller space.  Only
+      these spaces meet the next splitter.
+    - A root shared by the whole space leaves it as it is: R scales its
+      spanning vector, so R is scalar there.
+    The ranks of the new spaces must sum to the dimension of the split
+    space, else the splitter is not diagonalizable over F_p.  A space
+    still unsplit after the last class matrix is an error too.  Each line
+    is scaled to lead with 1."""
+    k = len(algebra.sizes)
+    e0 = np.zeros(k, dtype=np.int64)
+    e0[0] = 1
+    order = sorted(range(1, k), key=lambda j: (algebra.sizes[j], j))
+    generic = [("the generic combination", _generic_combination(algebra, p))]
+    splitters = chain(generic, ((f"matrix {j}", algebra.matrix(j)) for j in order))
+    lines = []
+    spaces = [(None, None, e0)]
+    for name, M in splitters:
+        M = M % p
         next_spaces = []
-        for B, piv in spaces:
-            d = B.shape[0]
-            if d == 1:
-                next_spaces.append((B, piv))
+        for B, piv, u in spaces:
+            R = M if B is None else M[piv] @ B.T % p
+            roots, simple, L = _eigenvectors(R, u if B is None else u[piv], p, name)
+            if len(roots) == 1 and not simple[0]:
+                next_spaces.append((B, piv, u))
                 continue
-            Rm = (M[piv] @ B.T) % p
-            values = np.zeros(p, dtype=np.int64)
-            for c in _charpoly_mod(Rm, p)[::-1]:
-                values = (values * xs + int(c)) % p
-            found = 0
-            for lam in np.nonzero(values == 0)[0]:
-                nb, free = _nullspace_mod((Rm - int(lam) * np.eye(d, dtype=np.int64)) % p, p)
-                next_spaces.append(((nb @ B) % p, [piv[f] for f in free]))
-                found += nb.shape[0]
-            if found != d:
-                raise errors.EigenspaceSplitFailure(f"matrix {j} is not diagonalizable over F_{p}")
+            rank = 0
+            for is_simple, y in zip(simple.tolist(), L):
+                v = y if B is None else y @ B % p
+                if is_simple:
+                    lines.append(v)
+                    rank += 1
+                else:
+                    basis, pivots = _rref_mod(algebra.span(v), p)
+                    next_spaces.append((basis, pivots, v))
+                    rank += len(pivots)
+            if rank != len(R):
+                raise errors.EigenspaceSplitFailure(f"{name} is not diagonalizable over F_{p}")
         spaces = next_spaces
-    if any(B.shape[0] != 1 for B, _ in spaces):
+        if not spaces:
+            break
+    else:
         raise errors.EigenspaceSplitFailure(f"common eigenspaces not one-dimensional over F_{p}")
-    return [v * pow(int(v[v != 0][0]), -1, p) % p for (v,), _ in spaces]
+    return [v * pow(int(v[v != 0][0]), -1, p) % p for v in lines]
 
 
 def _degrees_from_lines(lines, sizes, inv_class, n: int, p: int):
@@ -243,8 +368,9 @@ def character_degrees(G: Group) -> CharacterDegrees:
     if st.is_abelian:
         return CharacterDegrees((1,) * n, n)
     p = next(_admissible_primes(st.exponent, n))
-    matrix, sizes, inv_class = _class_matrices(G)
-    degrees = _degrees_from_lines(_split_to_lines(matrix, sizes, p), sizes, inv_class, n, p)
+    algebra = _ClassAlgebra(G)
+    lines = _split_to_lines(algebra, p)
+    degrees = _degrees_from_lines(lines, algebra.sizes, algebra.inv_class, n, p)
     result = validate_degrees(degrees, n)
     index = n // len(derived_subgroup(G))
     if degrees.count(1) != index:

@@ -14,7 +14,7 @@ import numpy as np
 
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
-from tppb.chars import _nullspace_mod, _rref_mod, d_sum_int, d_sum_real
+from tppb.chars import _rref_mod, d_sum_int, d_sum_real
 from tppb.groups import ElementSet, closure, conjugacy_classes, from_permutation_generators
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
@@ -38,6 +38,7 @@ __all__ = [
     "per_triple_search_beta_g",
     "s4_degrees_by_inner_products",
     "class_matrices_double_loop",
+    "DenseClassAlgebra",
     "scan_split_lines",
     "grid_omega_bound",
 ]
@@ -444,10 +445,41 @@ def class_matrices_double_loop(G):
     return A, sizes, inv_class
 
 
+class DenseClassAlgebra:
+    """`chars._ClassAlgebra` read from a dense k x k x k array A with
+    A[r] = M_r, as `class_matrices_double_loop` gives or a test writes by
+    hand: the combinations and spans are plain sums over A."""
+
+    def __init__(self, A, sizes):
+        self.A = np.asarray(A, dtype=np.int64)
+        self.sizes = list(sizes)
+
+    def matrix(self, r: int):
+        return self.A[r]
+
+    def combination(self, c):
+        return np.tensordot(np.asarray(c, dtype=np.int64), self.A, axes=1)
+
+    def span(self, u):
+        return self.A @ np.asarray(u, dtype=np.int64)
+
+
+def _nullspace_mod(A: np.ndarray, p: int):
+    """Row basis of the right null space {x : A x = 0} over F_p, and its
+    free columns, on which the basis is the identity."""
+    R, pivots = _rref_mod(A, p)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = (-R[:, free].T) % p
+    return basis, free
+
+
 def scan_split_lines(A, sizes, p: int):
-    """`chars._split_to_lines` by trying every eigenvalue candidate
-    lam = 0, 1, ..., p-1 with a null space computation, stopping once the
-    eigenspaces fill the space being split."""
+    """`chars._split_to_lines` by splitting the whole space class matrix
+    by class matrix, trying every eigenvalue candidate lam = 0, 1, ...,
+    p-1 with a null space computation, stopping once the eigenspaces fill
+    the space being split."""
     k = A.shape[0]
     spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     for j in sorted(range(1, k), key=lambda j: (sizes[j], j)):

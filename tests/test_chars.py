@@ -27,7 +27,12 @@ from tppb.groups import (
 )
 from tppb.cli import parse_group_spec, realize_group_spec
 from conftest import CATALOG_SPECS
-from oracles import class_matrices_double_loop, s4_degrees_by_inner_products, scan_split_lines
+from oracles import (
+    DenseClassAlgebra,
+    class_matrices_double_loop,
+    s4_degrees_by_inner_products,
+    scan_split_lines,
+)
 
 
 class TestDixonPrime:
@@ -131,9 +136,11 @@ class TestCharacterDegrees:
         # as the one character_degrees makes at the first.
         G = make()
         gen = chars._admissible_primes(group_stats(G).exponent, G.order)
-        matrix, sizes, inv_class = chars._class_matrices(G)
+        algebra = chars._ClassAlgebra(G)
         got = [
-            chars._degrees_from_lines(chars._split_to_lines(matrix, sizes, p), sizes, inv_class, G.order, p)
+            chars._degrees_from_lines(
+                chars._split_to_lines(algebra, p), algebra.sizes, algebra.inv_class, G.order, p
+            )
             for p in (next(gen), next(gen))
         ]
         assert got[0] == got[1] == character_degrees(G).degrees
@@ -143,7 +150,7 @@ class TestCharacterDegrees:
         # failed split is a hard error, not a reason to try another prime.
         calls = []
 
-        def failing(matrix, sizes, p):
+        def failing(algebra, p):
             calls.append(p)
             raise errors.EigenspaceSplitFailure(f"forced at {p}")
 
@@ -169,30 +176,64 @@ class TestCharacterDegrees:
         deg = character_degrees(builtin("sym", 4))
         assert deg.group_order == 24
 
+    def test_dihedral_1000(self):
+        # 253 classes: the split by one generic class combination takes
+        # about 0.2 s here, where a null space per eigenvalue of each class
+        # matrix took seconds.
+        assert character_degrees(builtin("dihedral", 1000)).degrees == (1,) * 4 + (2,) * 249
+
+
+def _sorted_lines(lines):
+    return sorted(tuple(int(x) for x in v) for v in lines)
+
 
 class TestSplit:
-    """The eigenvalues of each restricted class matrix are the roots of its
-    characteristic polynomial, so the split only visits those."""
+    """One generic class combination splits the space at the roots of its
+    characteristic polynomial; the class matrices split only what it
+    leaves."""
 
     # dicyclic:116 has Dixon prime 233.
     @pytest.mark.parametrize("spec", CATALOG_SPECS + ["dicyclic:116"])
     def test_lines_match_eigenvalue_scan(self, spec):
+        # The set of common eigenlines is unique; their order follows the
+        # method, so the lines are compared as sorted lists.
         G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
         p = dixon_prime(G)
-        matrix, sizes, _ = chars._class_matrices(G)
-        got = chars._split_to_lines(matrix, sizes, p)
-        want = scan_split_lines(class_matrices_double_loop(G)[0], sizes, p)
-        assert len(got) == len(want) == len(sizes)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        algebra = chars._ClassAlgebra(G)
+        got = chars._split_to_lines(algebra, p)
+        want = scan_split_lines(class_matrices_double_loop(G)[0], algebra.sizes, p)
+        assert len(got) == len(want) == len(algebra.sizes)
+        assert _sorted_lines(got) == _sorted_lines(want)
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS)
     def test_class_matrices_match_double_loop(self, spec):
         G = realize_group_spec(parse_group_spec(spec), order_limit=20000)
-        matrix, sizes, inv_class = chars._class_matrices(G)
+        algebra = chars._ClassAlgebra(G)
         A, sizes0, inv_class0 = class_matrices_double_loop(G)
-        assert (sizes, inv_class) == (sizes0, inv_class0)
-        for j in range(len(sizes)):
-            assert np.array_equal(matrix(j), A[j]), j
+        dense = DenseClassAlgebra(A, sizes0)
+        assert (algebra.sizes, algebra.inv_class) == (sizes0, inv_class0)
+        for j in range(len(sizes0)):
+            assert np.array_equal(algebra.matrix(j), A[j]), j
+        rng = np.random.default_rng(len(sizes0))
+        c, u = rng.integers(0, 87869, size=(2, len(sizes0)))
+        assert np.array_equal(algebra.combination(c), dense.combination(c))
+        assert np.array_equal(algebra.span(u), dense.span(u))
+
+    @pytest.mark.parametrize("spec", ["dicyclic:292", "product(sym:4,dihedral:8)"])
+    def test_repeated_generic_roots_split_by_class_matrices(self, spec):
+        # The generic combination has repeated eigenvalues here (p = 293
+        # and p = 37), so the class-by-class refinement of their spaces runs.
+        G = realize_group_spec(parse_group_spec(spec))
+        p = dixon_prime(G)
+        algebra = chars._ClassAlgebra(G)
+        generic = chars._generic_combination(algebra, p) % p
+        roots, simple = chars._roots(chars._charpoly_mod(generic, p), p)
+        assert not simple.all()
+        assert len(roots) < len(algebra.sizes)
+        A, sizes, inv_class = class_matrices_double_loop(G)
+        want = scan_split_lines(A, sizes, p)
+        assert _sorted_lines(chars._split_to_lines(algebra, p)) == _sorted_lines(want)
+        assert character_degrees(G).degrees == chars._degrees_from_lines(want, sizes, inv_class, G.order, p)
 
     def test_class_algebra_is_never_dense(self):
         # dihedral:400 has 103 classes, so a k x k x k int64 tensor of its
@@ -223,10 +264,17 @@ class TestSplit:
         assert len(coeffs) == d + 1 and coeffs[d] == 1
         assert coeffs[d - 1] == -int(np.trace(R)) % p
         eye = np.eye(d, dtype=np.int64)
+        roots, simple = chars._roots(coeffs, p)
+        want_roots, want_simple = [], []
         for lam in range(p):
             value = sum(int(c) * pow(lam, i, p) for i, c in enumerate(coeffs)) % p
             rank = len(chars._rref_mod((R - lam * eye) % p, p)[1])
             assert (value == 0) == (rank < d), lam
+            if value == 0:
+                slope = sum(i * int(c) * pow(lam, i - 1, p) for i, c in enumerate(coeffs) if i) % p
+                want_roots.append(lam)
+                want_simple.append(slope != 0)
+        assert roots.tolist() == want_roots and simple.tolist() == want_simple
 
     @pytest.mark.parametrize(
         "lines,n,message",
@@ -242,11 +290,42 @@ class TestSplit:
             chars._degrees_from_lines(np.array(lines), [1, 1], [0, 1], n, 13)
 
     def test_jordan_block_is_split_failure(self):
-        # Class 1 acts as the Jordan block [[1, 1], [0, 1]]: the root 1 of
-        # (x - 1)^2 has a one-dimensional eigenspace only.
-        A = np.array([np.eye(2, dtype=np.int64), [[1, 1], [0, 1]]])
-        with pytest.raises(errors.EigenspaceSplitFailure, match="not diagonalizable"):
-            chars._split_to_lines(A.__getitem__, [1, 1], 13)
+        # Class 1 acts as the Jordan block e_0 -> e_0 + e_1, e_1 -> e_1, so
+        # the generic combination 1 + 3 M_1 has the one root 4 with a
+        # one-dimensional eigenspace, and e_0 is not in it.
+        A = np.array([np.eye(2, dtype=np.int64), [[1, 0], [1, 1]]])
+        with pytest.raises(errors.EigenspaceSplitFailure, match="generic combination is not diagonalizable"):
+            chars._split_to_lines(DenseClassAlgebra(A, [1, 1]), 13)
+
+    def test_short_rank_sum_is_split_failure(self):
+        # M_1 v1 = v1, M_1 v2 = v2 + v1, M_1 e_2 = 2 e_2 for v1 = e_0 - e_2,
+        # v2 = e_1: a Jordan block at the root 1, which e_0 = v1 + e_2 meets
+        # only in the eigenvector v1.  Every eigenvector check passes, but
+        # the repeated root spans one dimension, so the ranks sum to 2 of 3.
+        M1 = [[1, 1, 0], [0, 1, 0], [1, 12, 2]]
+        A = np.array([np.eye(3, dtype=np.int64), M1, np.eye(3, dtype=np.int64)])
+        algebra = DenseClassAlgebra(A, [1, 1, 1])
+        generic = chars._generic_combination(algebra, 13) % 13
+        roots, simple = chars._roots(chars._charpoly_mod(generic, 13), 13)
+        assert roots.tolist() == [0, 3] and simple.tolist() == [False, True]
+        chars._eigenvectors(generic, np.eye(3, dtype=np.int64)[0], 13, "A")
+        with pytest.raises(errors.EigenspaceSplitFailure, match="generic combination is not diagonalizable"):
+            chars._split_to_lines(algebra, 13)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quotients_match_direct_products(self, data):
+        # 87,869 is the largest Dixon prime for an exponent of at most 2000.
+        p = data.draw(st.sampled_from([3, 13, 293, 3001, 87869]))
+        roots = sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 12))))
+        Q = chars._quotients(np.array(roots, dtype=np.int64), p)
+        assert Q.shape == (len(roots), len(roots))
+        for i in range(len(roots)):
+            q = [1]
+            for lam in roots[:i] + roots[i + 1 :]:
+                # q * (x - lam), constant term first.
+                q = [(a - lam * b) % p for a, b in zip([0] + q, q + [0])]
+            assert Q[i].tolist() == q, (roots, i)
 
 
 class TestDegreeSums:
