@@ -34,10 +34,15 @@ matrix by class matrix on what A leaves unsplit.
   class matrices, so the rows M_j v, one weighted bincount, give it.
   Only these small spaces go on to the class matrices.
 
-Every product stays exact.  The Krylov and eigenvector products in
-int64 sum at most k products below p^2, and k*p^2 < 2^63 (k <= 2000 and
-the largest Dixon prime in reach, 87,869, give 1.5e13).  The weighted
-bincounts sum in float64 at most n*k weights below p, and n*k*p < 2^53.
+Every product stays exact.  The Krylov products in int64 sum at most
+k products below p^2, far inside int64.  The two k x k x r products of
+the eigenvectors run in float64, which holds their sums of at most k
+products below p^2 exactly while k*p^2 < 2^53, and the weighted
+bincounts sum in float64 at most n*k weights below p, exact while
+n*k*p < 2^53.  Both bounds hold far into reach (k <= n = 2000 and the
+largest Dixon prime for such an order, 87,869, give 1.5e13 and 3.5e11),
+but the order limit can be raised, so each is checked before its
+products and a breach is an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ __all__ = [
 ]
 
 PRIME_SEARCH_CAP = 10_000_000
+# float64 holds every integer below 2^53 exactly.
+FLOAT64_EXACT = 1 << 53
 # Cells per weighted bincount of the class algebra (64 KiB per temporary).
 CELLS_PER_BINCOUNT = 1 << 13
 
@@ -159,9 +166,8 @@ class _ClassAlgebra:
         k x k entries bins(cells), a block of whole rows at a time: at most
         CELLS_PER_BINCOUNT cells, so no n x k float64 temporary exists, but
         at least k rows, so adding up the k x k block sums costs no more
-        than the blocks themselves.  Each sum is an integer below
-        n*k*p < 2^53 (n <= 2000 and k <= n give 3.5e11 at the largest
-        Dixon prime), which float64 holds exactly."""
+        than the blocks themselves.  Each sum is an integer below n*k*p,
+        which float64 holds exactly while `_check_exact` passes."""
         n, k = self.cells.shape
         total = np.zeros(k * k)
         step = max(k, CELLS_PER_BINCOUNT // k)
@@ -170,6 +176,19 @@ class _ClassAlgebra:
             weights = np.outer(row_weight[block], col_weight).ravel()
             total += np.bincount(bins(self.cells[block]).ravel(), weights, minlength=k * k)
         return total.astype(np.int64).reshape(k, k)
+
+
+def _check_exact(what: str, bound: int):
+    """InvariantViolation unless the bound on a float64 sum is below 2^53."""
+    if bound >= FLOAT64_EXACT:
+        raise errors.InvariantViolation(f"{what} < 2^53", f"{bound} is not exact in float64")
+
+
+def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for entries in [0, p), summed in float64 by BLAS:
+    exact when the inner dimension times (p-1)^2 is below 2^53, which the
+    caller checks."""
+    return (A.astype(np.float64) @ B.astype(np.float64) % p).astype(np.int64)
 
 
 def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
@@ -248,14 +267,17 @@ def _eigenvectors(R: np.ndarray, y: np.ndarray, p: int, name: str):
     coefficients times the Krylov rows R^i y, i < len(roots).  When y has
     a part in every eigenspace of a diagonalizable R, each row is that
     part up to a unit.  A zero row, or a row that R does not scale by its
-    root, is an EigenspaceSplitFailure."""
+    root, is an EigenspaceSplitFailure.  The two k x k x r products run in
+    float64 (`_mulmod`), so k*(p-1)^2 < 2^53 is checked first."""
+    k = len(y)
+    _check_exact("k*(p-1)^2", k * (p - 1) ** 2)
     roots, simple = _roots(_charpoly_mod(R, p), p)
     r = len(roots)
     K = [y % p]
     while len(K) < r:
         K.append(R @ K[-1] % p)
-    L = _quotients(roots, p) @ np.array(K[:r]).reshape(r, len(y)) % p
-    if not L.any(axis=1).all() or (R @ L.T % p != roots * L.T % p).any():
+    L = _mulmod(_quotients(roots, p), np.array(K[:r]).reshape(r, k), p)
+    if not L.any(axis=1).all() or (_mulmod(R, L.T, p) != roots * L.T % p).any():
         raise errors.EigenspaceSplitFailure(f"{name} is not diagonalizable over F_{p}")
     return roots, simple, L
 
@@ -280,21 +302,24 @@ def _split_to_lines(algebra: _ClassAlgebra, p: int):
     e_0 = sum_chi (chi(1)^2 / |G|) w_chi meets every line, as p does not
     divide |G|.  The restriction R of the splitter (the rows piv of M B^T)
     has one eigenvector q(R) u per root from `_eigenvectors`, each a
-    Krylov product in int64, exact since k*p^2 < 2^63.
+    product of quotient coefficients and Krylov rows, exact while
+    k*p^2 < 2^53.
     - A simple root, f'(lam) != 0, has a one-dimensional eigenspace, which
       every M_j maps to itself, as M_j commutes with the splitter: it is a
       line.
     - A repeated root's vector v spans its eigenspace under the class
       matrices, so the echelon form of `span(v)`, one weighted bincount,
-      exact in float64 since n*k*p < 2^53, is the smaller space.  Only
+      exact in float64 while n*k*p < 2^53, is the smaller space.  Only
       these spaces meet the next splitter.
     - A root shared by the whole space leaves it as it is: R scales its
       spanning vector, so R is scalar there.
     The ranks of the new spaces must sum to the dimension of the split
     space, else the splitter is not diagonalizable over F_p.  A space
     still unsplit after the last class matrix is an error too.  Each line
-    is scaled to lead with 1."""
+    is scaled to lead with 1.  The bincount bound n*k*(p-1) < 2^53 is
+    checked before the first bincount."""
     k = len(algebra.sizes)
+    _check_exact("n*k*(p-1)", sum(algebra.sizes) * k * (p - 1))
     e0 = np.zeros(k, dtype=np.int64)
     e0[0] = 1
     order = sorted(range(1, k), key=lambda j: (algebra.sizes[j], j))

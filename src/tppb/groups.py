@@ -45,6 +45,9 @@ DEFAULT_ORDER_LIMIT = 2000
 # more is refused before the prime test, which takes seconds on thousands
 # of digits.  No group near such an order can be built.
 MAX_PRIME_BITS = 64
+# Image cells of products per gather of the permutation closure: 4 MiB
+# of uint8 images up to degree 256, 8 MiB of uint16 ones up to 65,536.
+GATHER_CELLS = 1 << 22
 
 
 def check_order_limit(value, source: str = "order limit") -> int:
@@ -137,37 +140,55 @@ class Group:
     """Immutable finite group over element indices 0..order-1, held as its
     multiplication table; inverses are read off the table.
 
+    A group closed from permutations keeps the image array of its
+    elements, `images` (row i holds the 0-based images of element i, in
+    the narrowest unsigned dtype); every other group has None there.  A
+    label is rendered from its row only when asked for.
+
     Three invariants are kept once computed: the conjugacy partition
     (`conjugacy_classes`), the mask of <g> for every g
     (`cyclic_subgroups`) and G' (`derived_subgroup`).  The first reader
     of each pays for it; every later one reads the stored value."""
 
-    __slots__ = (
-        "order", "table", "mul", "inv", "labels", "_label_index", "_classes", "_cyclic", "_derived",
-    )
+    __slots__ = ("order", "table", "mul", "inv", "images", "_classes", "_cyclic", "_derived")
 
-    def __init__(self, table, labels=None):
+    def __init__(self, table, images=None):
         self.table = np.asarray(table, dtype=np.int64)
         self.order = len(self.table)
         self.mul = self.table.tolist()
         self.inv = (self.table == 0).argmax(axis=1).tolist()
-        self.labels = labels
-        self._label_index = None
+        self.images = images
         self._classes = self._cyclic = self._derived = None
 
     def label_of(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return f"g{i}"
+        """One-line notation with 1-based images for a permutation group,
+        `g<i>` otherwise."""
+        if self.images is None:
+            return f"g{i}"
+        return " ".join(str(x + 1) for x in self.images[i].tolist())
 
     def index_of_label(self, text: str) -> int:
-        """Resolve a display label back to an element index."""
-        if self._label_index is None:
-            self._label_index = {self.label_of(i): i for i in range(self.order)}
+        """The element i with `label_of(i) == text`, else UnknownElement.
+        A one-line label is parsed and its row found by one comparison
+        against `images`; the found row is rendered back and must match
+        the text exactly, so spacing and leading zeros count."""
+        i = self.order
         try:
-            return self._label_index[text]
-        except KeyError:
-            raise errors.UnknownElement(f"no element labeled {text!r}") from None
+            if self.images is None:
+                if text[:1] == "g" and text[1:].isdecimal():
+                    i = int(text[1:])
+            else:
+                row = [int(t) - 1 for t in text.split()]
+                if sorted(row) == list(range(self.images.shape[1])):
+                    # With no row equal, argmax gives 0, the identity,
+                    # whose label matches only the identity's text.
+                    i = int((self.images == row).all(axis=1).argmax())
+        except ValueError:
+            # A token that is no integer, or one past int's digit limit.
+            pass
+        if i < self.order and self.label_of(i) == text:
+            return i
+        raise errors.UnknownElement(f"no element labeled {text!r}")
 
     def __repr__(self) -> str:
         return f"Group(order={self.order})"
@@ -317,44 +338,66 @@ def from_permutation_generators(degree: int, gens, order_limit: int | None = Non
     """Close a set of one-line permutations of 1..degree into a Group.
 
     Elements get indices in breadth-first discovery order from the
-    identity; labels are one-line notation with 1-based images.
+    identity: the products g_k * x are taken for x in index order and,
+    for each x, k in generator order, and each product not seen before
+    is the next element.  A step takes every element found but not yet
+    multiplied, at most GATHER_CELLS image cells of products at a time,
+    so it is one breadth-first level or a slice of one.  One gather of
+    the generator images gives all its products, and the bytes of a
+    product row are its key in the index.  The element images are kept
+    on the Group, which renders a label from them when asked.
     """
     limit = _resolve_limit(order_limit)
     if degree < 1:
         raise errors.BadParameter("degree must be at least 1")
-    gens0 = [_as_zero_based_perm(g, degree) for g in gens]
+    dtype = np.min_scalar_type(degree - 1)
+    P = np.array([_as_zero_based_perm(g, degree) for g in gens], dtype=dtype).reshape(-1, degree)
+    k = len(P)
+    width = degree * dtype.itemsize
+    step = max(1, GATHER_CELLS // max(1, k * degree))
 
-    identity = tuple(range(degree))
-    index = {identity: 0}
-    elems = [identity]
-    parent = [0]
-    via = [0]
-    # left[k][y] = index of gens0[k] * elems[y]
-    left = [[] for _ in gens0]
-    for pos, cur in enumerate(elems):
-        for k, g in enumerate(gens0):
-            new = tuple(g[c] for c in cur)
-            if new not in index:
-                if len(elems) + 1 > limit:
+    rows = [np.arange(degree, dtype=dtype)]
+    index = {rows[0].tobytes(): 0}
+    parent, via = [0], [0]
+    # left[y * k + j] = index of gens[j] * element y
+    left = []
+    # ends[s]: the number of elements found once step s is done.
+    ends = [1]
+    pos = 0
+    while pos < len(rows):
+        stop = min(len(rows), pos + step)
+        # Row r of the gather is gens[r % k] * element pos + r // k.
+        raw = np.take(P, rows[pos:stop], axis=1).swapaxes(0, 1).tobytes()
+        new = []
+        for r in range(len(raw) // width):
+            key = raw[r * width : (r + 1) * width]
+            x = index.get(key)
+            if x is None:
+                x = len(index)
+                if x == limit:
                     raise errors.OrderLimitExceeded(
-                        f"closure exceeds order limit {limit}",
-                        partial_count=len(elems) + 1,
+                        f"closure exceeds order limit {limit}", partial_count=limit + 1
                     )
-                index[new] = len(elems)
-                elems.append(new)
-                parent.append(pos)
-                via.append(k)
-            left[k].append(index[new])
+                index[key] = x
+                new.append(r)
+                parent.append(pos + r // k)
+                via.append(r % k)
+            left.append(x)
+        if new:
+            rows.extend(np.frombuffer(raw, dtype=dtype).reshape(-1, degree)[new])
+            ends.append(len(rows))
+        pos = stop
 
-    # x = g * parent(x), so row x of the table is L_g applied to row parent(x).
-    n = len(elems)
-    L = np.array(left, dtype=np.int64)
+    # x = g * parent(x), so row x of the table is L_g applied to row
+    # parent(x); the rows found in one step have their parents in earlier
+    # steps, so each step's rows are one gather from `left`.
+    n = len(index)
+    left, parent, via = np.array(left, dtype=np.int64), np.array(parent), np.array(via)
     M = np.empty((n, n), dtype=np.int64)
     M[0] = np.arange(n)
-    for x in range(1, n):
-        M[x] = L[via[x], M[parent[x]]]
-    labels = [" ".join(str(x + 1) for x in p) for p in elems]
-    return Group(M, labels=labels)
+    for lo, hi in zip(ends, ends[1:]):
+        M[lo:hi] = left[M[parent[lo:hi]] * k + via[lo:hi, None]]
+    return Group(M, images=np.array(rows))
 
 
 def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:

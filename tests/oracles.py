@@ -25,7 +25,9 @@ __all__ = [
     "delta_index_based",
     "element_order",
     "orbit_loop_partition",
+    "random_generators",
     "renumbered",
+    "tuple_closure",
     "permutation_table",
     "quotient_set",
     "definitional_tpp",
@@ -123,23 +125,71 @@ def orbit_loop_partition(G):
     return classes, class_of
 
 
-def renumbered(G, seed):
-    """G rebuilt from random elements that generate it, acting on G by left
-    multiplication, so the breadth-first element numbering follows the seed."""
+def random_generators(G, seed):
+    """Random elements of G, drawn until they generate it, as one-line
+    permutations (1-based images) of the elements of G by left
+    multiplication."""
     rng = random.Random(seed)
     gens = []
     while len(closure(G, gens)) < G.order:
         gens.append(rng.randrange(1, G.order))
-    perms = [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
-    return from_permutation_generators(G.order, perms)
+    return [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
+
+
+def renumbered(G, seed):
+    """G rebuilt from random elements that generate it, acting on G by left
+    multiplication, so the breadth-first element numbering follows the seed."""
+    return from_permutation_generators(G.order, random_generators(G, seed))
+
+
+def tuple_closure(degree: int, gens, order_limit: int):
+    """`groups.from_permutation_generators` one product at a time: each
+    element, in discovery order, is composed as a tuple with every
+    generator in turn, (g * x)(i) = g(x(i)), and a product not seen before
+    is the next element.  Returns the table, the inverses looked up by
+    value, and the one-line labels (1-based images); past the limit it
+    raises OrderLimitExceeded with the count the new element would make."""
+    perms = [tuple(i - 1 for i in g) for g in gens]
+    identity = tuple(range(degree))
+    index = {identity: 0}
+    elems = [identity]
+    parent, via = [0], [0]
+    # left[k][y] = index of perms[k] * elems[y]
+    left = [[] for _ in perms]
+    for pos, cur in enumerate(elems):
+        for k, g in enumerate(perms):
+            new = tuple(g[c] for c in cur)
+            if new not in index:
+                if len(elems) + 1 > order_limit:
+                    raise errors.OrderLimitExceeded(
+                        f"closure exceeds order limit {order_limit}",
+                        partial_count=len(elems) + 1,
+                    )
+                index[new] = len(elems)
+                elems.append(new)
+                parent.append(pos)
+                via.append(k)
+            left[k].append(index[new])
+    n = len(elems)
+    table = [list(range(n))]
+    for x in range(1, n):
+        table.append([left[via[x]][y] for y in table[parent[x]]])
+    inv = []
+    for p in elems:
+        q = [0] * degree
+        for i, image in enumerate(p):
+            q[image] = i
+        inv.append(index[tuple(q)])
+    labels = [" ".join(str(i + 1) for i in p) for p in elems]
+    return table, inv, labels
 
 
 def label_perms(G):
     """0-based image tuples parsed back from the one-line labels of a
     permutation group (1-based images), or None for an unlabeled group."""
-    if G.labels is None:
+    if G.images is None:
         return None
-    return [tuple(int(x) - 1 for x in label.split()) for label in G.labels]
+    return [tuple(int(x) - 1 for x in G.label_of(i).split()) for i in range(G.order)]
 
 
 def permutation_table(perms):

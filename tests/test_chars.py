@@ -312,6 +312,24 @@ class TestSplit:
         with pytest.raises(errors.EigenspaceSplitFailure, match="generic combination is not diagonalizable"):
             chars._split_to_lines(algebra, 13)
 
+    def test_eigenvector_products_refuse_inexact_float64(self):
+        # 3 * (2^26 - 1)^2 >= 2^53, so float64 could round a sum of three
+        # products below p^2.  The check runs before the scan of all of F_p.
+        eye = np.eye(3, dtype=np.int64)
+        with pytest.raises(errors.InvariantViolation, match=r"k\*\(p-1\)\^2 < 2\^53"):
+            chars._eigenvectors(eye, eye[0], 1 << 26, "A")
+
+    def test_class_algebra_refuses_inexact_float64(self):
+        # sym:3 has n*k = 18 cells, and 18 * (2^50 - 1) >= 2^53.
+        algebra = chars._ClassAlgebra(builtin("sym", 3))
+        with pytest.raises(errors.InvariantViolation, match=r"n\*k\*\(p-1\) < 2\^53"):
+            chars._split_to_lines(algebra, 1 << 50)
+
+    def test_exact_bound_is_strict(self):
+        chars._check_exact("bound", (1 << 53) - 1)
+        with pytest.raises(errors.InvariantViolation):
+            chars._check_exact("bound", 1 << 53)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_quotients_match_direct_products(self, data):

@@ -619,6 +619,20 @@ class TestVerifyTpp:
         assert code == 0
         assert "holds" in stdout
 
+    def test_label_witness_line_is_frozen(self, capsys):
+        # Degree 10, so labels carry two-digit images.
+        e, r, r2 = "1 2 3 4 5 6 7 8 9 10", "2 3 4 5 6 7 8 9 10 1", "3 4 5 6 7 8 9 10 1 2"
+        s, rs = "10 9 8 7 6 5 4 3 2 1", "1 10 9 8 7 6 5 4 3 2"
+        code, stdout, _ = run(
+            ["verify-tpp", "dihedral:20", "--s", f"{e},{r},{r2}", "--t", f"{e},{s}", "--u", f"{e},{rs}"],
+            capsys,
+        )
+        assert code == 1
+        assert stdout.splitlines() == [
+            "TPP fails for dihedral:20 with sizes (3, 2, 2)",
+            "witness: s='2 3 4 5 6 7 8 9 10 1' t='10 9 8 7 6 5 4 3 2 1' u='1 10 9 8 7 6 5 4 3 2'",
+        ]
+
     def test_unknown_element(self, capsys):
         code, _, stderr = run(
             ["verify-tpp", "sym:3", "--s", "9", "--t", "0", "--u", "0"], capsys

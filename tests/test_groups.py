@@ -4,6 +4,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tppb import errors, groups
@@ -33,7 +34,9 @@ from oracles import (
     orbit_loop_partition,
     permutation_table,
     plain_closure,
+    random_generators,
     renumbered,
+    tuple_closure,
 )
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalogs"
@@ -139,17 +142,29 @@ class TestFromPermutationGenerators:
 
     def test_identity_is_index_zero(self):
         G = from_permutation_generators(3, [[2, 1, 3]])
-        assert G.labels[0] == "1 2 3"
+        assert G.label_of(0) == "1 2 3"
+
+    @pytest.mark.parametrize("degree", [1, 3, 12])
+    def test_no_generators_is_trivial_group(self, degree):
+        G = from_permutation_generators(degree, [])
+        assert G.order == 1 and G.table.tolist() == [[0]] and G.inv == [0]
+        assert G.label_of(0) == " ".join(str(i) for i in range(1, degree + 1))
 
     def test_not_a_permutation(self):
         with pytest.raises(errors.NotAPermutation):
             from_permutation_generators(3, [[1, 1, 2]])
 
     def test_order_limit_reports_partial_count(self):
+        # S3 from (1 2) and (2 3) has the levels {e}, {a, b}, {ba, ab},
+        # {aba}: the fifth element is the second of level two, so limit 4
+        # stops the closure inside a level.
         with pytest.raises(errors.OrderLimitExceeded) as exc:
             from_permutation_generators(3, [[2, 1, 3], [1, 3, 2]], order_limit=4)
-        assert exc.value.partial_count is not None
-        assert exc.value.partial_count > 4
+        assert exc.value.partial_count == 5
+        with pytest.raises(errors.OrderLimitExceeded) as exc:
+            from_permutation_generators(3, [[2, 1, 3], [1, 3, 2]], order_limit=5)
+        assert exc.value.partial_count == 6
+        assert from_permutation_generators(3, [[2, 1, 3], [1, 3, 2]], order_limit=6).order == 6
 
     @pytest.mark.parametrize("k,fact", [(2, 2), (3, 6), (4, 24), (5, 120), (6, 720)])
     def test_symmetric_group_orders(self, k, fact):
@@ -340,7 +355,7 @@ class TestTableConstruction:
     def test_permutation_tables_match_composition_oracle(self, catalog):
         checked = 0
         for name, G in catalog:
-            if G.labels is None:
+            if G.images is None:
                 continue
             mul, inv = permutation_table(label_perms(G))
             assert G.mul == mul, name
@@ -663,7 +678,7 @@ class TestFileFormats:
 class TestLabels:
     def test_perm_labels_one_line(self):
         G = builtin("sym", 3)
-        assert G.labels[0] == "1 2 3"
+        assert G.label_of(0) == "1 2 3"
         assert G.index_of_label("2 1 3") is not None
 
     def test_label_fallback_for_products(self):
@@ -674,3 +689,131 @@ class TestLabels:
         G = builtin("sym", 3)
         with pytest.raises(errors.UnknownElement):
             G.index_of_label("3 3 3")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2",  # too few images
+            "1 2 3 4",  # too many images
+            "1 2 x",  # a token that is no integer
+            "1 2 3.0",
+            "1 1 3",  # a repeated image
+            "0 1 2",  # an image below 1
+            "1 2 4",  # an image past the degree
+            "1 2 " + "9" * 40,
+            "1 2 " + "9" * 5000,  # past int()'s default digit limit
+            "",
+        ],
+    )
+    def test_malformed_label_is_unknown(self, text):
+        with pytest.raises(errors.UnknownElement):
+            builtin("sym", 3).index_of_label(text)
+
+    def test_permutation_outside_group_is_unknown(self):
+        G = builtin("cyclic", 3)
+        assert G.index_of_label("2 3 1") == 1
+        with pytest.raises(errors.UnknownElement):
+            G.index_of_label("2 1 3")
+
+    @pytest.mark.parametrize("text", [" 1 2 3", "1  2 3", "01 2 3", "+1 2 3", "1 2 3 "])
+    def test_label_must_match_exactly(self, text):
+        # The text parses to the identity, but no label reads that way.
+        with pytest.raises(errors.UnknownElement):
+            builtin("sym", 3).index_of_label(text)
+
+    @pytest.mark.parametrize("text", ["g4", "g03", "g", "3", "g-1", "g٣", "g" + "9" * 5000])
+    def test_unlabeled_label_must_match_exactly(self, text):
+        G = direct_product(builtin("cyclic", 2), builtin("cyclic", 2))
+        with pytest.raises(errors.UnknownElement):
+            G.index_of_label(text)
+        assert [G.index_of_label(f"g{i}") for i in range(4)] == [0, 1, 2, 3]
+
+    def test_label_round_trip(self):
+        G = builtin("sym", 4)
+        labels = [G.label_of(i) for i in range(G.order)]
+        assert len(set(labels)) == G.order
+        assert [G.index_of_label(text) for text in labels] == list(range(G.order))
+
+    def test_labels_past_one_byte(self):
+        # Degree 300 stores its images as uint16; image 256 must print as
+        # 256, not wrap.
+        cycle = list(range(2, 301)) + [1]
+        G = from_permutation_generators(300, [cycle])
+        assert G.images.dtype == np.uint16
+        assert G.label_of(255).split()[:2] == ["256", "257"]
+        assert G.index_of_label(G.label_of(255)) == 255
+
+
+def _pgens(path):
+    """(degree, generators) of a .pgens file, read without the library."""
+    lines = [line.split() for line in path.read_text().splitlines()]
+    lines = [line for line in lines if line and not line[0].startswith("#")]
+    return int(lines[0][1]), [[int(tok) for tok in line] for line in lines[1:]]
+
+
+class TestClosureOracle:
+    """The closure against `tuple_closure`, the one-product-at-a-time
+    closure it replaced: table, inverses and every label must agree."""
+
+    @staticmethod
+    def assert_matches(G, degree, gens):
+        table, inv, labels = tuple_closure(degree, gens, G.order)
+        assert G.table.tolist() == table
+        assert G.inv == inv
+        assert [G.label_of(i) for i in range(G.order)] == labels
+
+    @pytest.mark.parametrize(
+        "family,parameter",
+        [
+            ("cyclic", 1), ("cyclic", 2), ("cyclic", 12),
+            ("dihedral", 4), ("dihedral", 6), ("dihedral", 20),
+            ("dicyclic", 8), ("dicyclic", 12), ("dicyclic", 292),
+            ("sym", 1), ("sym", 2), ("sym", 3), ("sym", 4), ("sym", 6),
+            ("alt", 3), ("alt", 4), ("alt", 5),
+            ("elem_abelian", 2), ("elem_abelian", 8), ("elem_abelian", 9), ("elem_abelian", 25),
+        ],
+    )
+    def test_builtin_families(self, family, parameter, monkeypatch):
+        calls = []
+        close = groups.from_permutation_generators
+
+        def recorded(degree, gens, order_limit=None):
+            calls.append((degree, [list(g) for g in gens]))
+            return close(degree, gens, order_limit)
+
+        monkeypatch.setattr(groups, "from_permutation_generators", recorded)
+        G = builtin(family, parameter)
+        (degree, gens), = calls
+        self.assert_matches(G, degree, gens)
+
+    @pytest.mark.parametrize("path", sorted(CATALOG_DIR.glob("*.pgens")), ids=lambda p: p.name)
+    def test_catalog_pgens(self, path):
+        degree, gens = _pgens(path)
+        self.assert_matches(group_from_pgens_file(path), degree, gens)
+
+    @pytest.mark.parametrize(
+        "spec", ["sym:4", "dicyclic:24", "alt:5", "product(sym:3,cyclic:4)", "elem_abelian:2^4"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_generating_sets(self, spec, seed):
+        gens = random_generators(realize_group_spec(parse_group_spec(spec)), f"{spec}/{seed}")
+        degree = len(gens[0])
+        self.assert_matches(from_permutation_generators(degree, gens), degree, gens)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 7, 23, 24, 25, 119])
+    def test_order_limit_errors_match(self, limit):
+        # sym:5 from (1 2) and (1 2 3 4 5): the limits fall at and inside
+        # breadth-first levels.
+        gens = [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]
+        with pytest.raises(errors.OrderLimitExceeded) as want:
+            tuple_closure(5, gens, limit)
+        with pytest.raises(errors.OrderLimitExceeded) as got:
+            from_permutation_generators(5, gens, order_limit=limit)
+        assert str(got.value) == str(want.value)
+        assert got.value.partial_count == want.value.partial_count == limit + 1
+
+    def test_gather_cap_splits_levels(self, monkeypatch):
+        # A cap of one product row per gather leaves the numbering as it is.
+        monkeypatch.setattr(groups, "GATHER_CELLS", 1)
+        gens = [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]
+        self.assert_matches(from_permutation_generators(5, gens), 5, gens)
