@@ -31,11 +31,18 @@ matrix by class matrix on what A leaves unsplit.
   Horner pass over F_p, and the characteristic polynomial from a
   Hessenberg reduction (Cohen, GTM 138, Alg. 2.2.9).
 - A repeated root's eigenvector v spans its whole eigenspace under the
-  class matrices, so the rows M_j v, one weighted bincount, give it.
-  Only these small spaces go on to the class matrices.
+  class matrices, so the rows M_j v, one weighted bincount, give it; its
+  echelon form is taken on the d pivot columns of the space being split.
+  Only these small spaces go on to the class matrices, and a space on
+  which a class matrix is already scalar passes it with no eigenvector
+  search: a scalar matrix has one root and splits nothing.
 
 Every product stays exact.  The Krylov products in int64 sum at most
-k products below p^2, far inside int64.  The two k x k x r products of
+k products below p^2, far inside int64.  The Hessenberg reduction of
+the characteristic polynomial reduces mod p only the entries each step
+reads, and the whole matrix only when its unreduced entries could carry
+a column product past 2^63: (d(p-1)+1)(p + s(p-1)^2) < 2^63 after s
+steps, checked up front for s = 1.  The two k x k x r products of
 the eigenvectors run in float64, which holds their sums of at most k
 products below p^2 exactly while k*p^2 < 2^53, and the weighted
 bincounts sum in float64 at most n*k weights below p, exact while
@@ -67,6 +74,8 @@ __all__ = [
 PRIME_SEARCH_CAP = 10_000_000
 # float64 holds every integer below 2^53 exactly.
 FLOAT64_EXACT = 1 << 53
+# Every int64 magnitude is below 2^63.
+INT64_LIMIT = 1 << 63
 # Cells per weighted bincount of the class algebra (64 KiB per temporary).
 CELLS_PER_BINCOUNT = 1 << 13
 
@@ -199,13 +208,30 @@ def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
     leading principal minors P_m of xI - H follow the Hessenberg recurrence
     (Cohen, GTM 138, Alg. 2.2.9):
         P_m = (x - h_mm) P_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} P_{i-1}.
-    Entries stay below p, so a product is below p^2 and a row of d of them
-    sums far inside int64 for every Dixon prime in reach (the largest for
-    an exponent <= 2000 is 87,869).
+
+    Step m reduces mod p only what it reads: the pivot column from the
+    subdiagonal down, the pivot row and the new column m.  Its row update
+    covers the columns >= m-1 alone, as the rows below the pivot are zero
+    mod p to their left, and adds less than p^2 to the magnitude of an
+    entry.  So after s unreduced steps an entry is below p + s(p-1)^2, and
+    the column product, d such entries times u < p plus column m itself,
+    is below (d(p-1)+1)(p + s(p-1)^2), which must stay below 2^63.  A full
+    H %= p runs only when the next step would pass that bound: every 17
+    steps for d = 30 at a prime near 2^18, every 27 for d = 503 at 87,869,
+    the largest Dixon prime for an order <= 2000, and never for d = 503 at
+    p = 3001.  If one step alone passes it, InvariantViolation.  The
+    recurrence then updates all of P_m at once, with the running products
+    of the subdiagonal as one array; its sums of d products below p^2 are
+    inside the same bound.
     """
     H = np.array(R % p, dtype=np.int64)
     d = H.shape[0]
+    steps = ((INT64_LIMIT - 1) // (d * (p - 1) + 1) - p) // (p - 1) ** 2
+    if steps < 1:
+        raise errors.InvariantViolation("(d(p-1)+1)(p+(p-1)^2) < 2^63", f"d = {d}, p = {p}")
+    unreduced = 0
     for m in range(1, d - 1):
+        H[m:, m - 1] %= p
         nz = np.nonzero(H[m:, m - 1])[0]
         if nz.size == 0:
             continue
@@ -213,20 +239,29 @@ def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
         if i != m:
             H[[m, i]] = H[[i, m]]
             H[:, [m, i]] = H[:, [i, m]]
+        if unreduced == steps:
+            H %= p
+            unreduced = 0
+        H[m, m - 1 :] %= p
         u = H[m + 1 :, m - 1] * pow(int(H[m, m - 1]), -1, p) % p
-        H[m + 1 :] = (H[m + 1 :] - np.outer(u, H[m])) % p
+        H[m + 1 :, m - 1 :] -= np.outer(u, H[m, m - 1 :])
         H[:, m] = (H[:, m] + H[:, m + 1 :] @ u) % p
+        unreduced += 1
+    H %= p
+    sub = np.diagonal(H, -1)
     P = np.zeros((d + 1, d + 1), dtype=np.int64)
     P[0, 0] = 1
+    # run[i] = h_{i+1,i} h_{i+2,i+1} ... h_{m-1,m-2} for i < m-1; P_i has
+    # degree i, so P[:m-1] is zero past column m-2.
+    run = np.zeros(d, dtype=np.int64)
     for m in range(1, d + 1):
         P[m, 1:] = P[m - 1, :-1]
-        P[m] = (P[m] - int(H[m - 1, m - 1]) * P[m - 1]) % p
-        coef = np.zeros(m - 1, dtype=np.int64)
-        t = 1
-        for i in range(m - 1, 0, -1):
-            t = t * int(H[i, i - 1]) % p
-            coef[i - 1] = t * int(H[i - 1, m - 1]) % p
-        P[m] = (P[m] - coef @ P[: m - 1]) % p
+        P[m] -= H[m - 1, m - 1] * P[m - 1]
+        P[m, : m - 1] -= run[: m - 1] * H[: m - 1, m - 1] % p @ P[: m - 1, : m - 1]
+        P[m] %= p
+        if m < d:
+            run[m - 1] = 1
+            run[:m] = run[:m] * sub[m - 1] % p
     return P[d]
 
 
@@ -252,7 +287,8 @@ def _quotients(roots: np.ndarray, p: int) -> np.ndarray:
     m = np.zeros(r + 1, dtype=np.int64)
     m[0] = 1
     for lam in roots.tolist():
-        m = (np.roll(m, 1) - lam * m) % p
+        m[1:] = (m[:-1] - lam * m[1:]) % p
+        m[0] = -lam * m[0] % p
     Q = np.zeros((r, r), dtype=np.int64)
     Q[:, -1:] = 1
     for i in range(r - 1, 0, -1):
@@ -291,6 +327,24 @@ def _generic_combination(algebra: _ClassAlgebra, p: int) -> np.ndarray:
     return algebra.combination(np.array([pow(3, j, p) for j in range(k)]))
 
 
+def _spanned_space(algebra: _ClassAlgebra, B, piv, v: np.ndarray, p: int):
+    """Echelon basis and pivot columns of the span of v under the class
+    matrices, for v in the space with echelon basis B (None for F_p^k).
+    Each row M_j v of `span(v)` lies in the row space of B, which is the
+    identity on the columns piv, so span(v) = span(v)[:, piv] B, and the
+    echelon form C of the k x d block span(v)[:, piv] gives the basis
+    C B, with pivots piv[c] for the pivots c of C.  That is the echelon
+    form of span(v) itself, as each row of B is zero left of its pivot,
+    and it costs d columns, not k.  C B runs in float64 (`_mulmod`): a B
+    exists only after `_eigenvectors` split all of F_p^k, which checked
+    k*(p-1)^2 < 2^53, and d <= k."""
+    S = algebra.span(v)
+    if B is None:
+        return _rref_mod(S, p)
+    C, cols = _rref_mod(S[:, piv], p)
+    return _mulmod(C, B, p), [piv[c] for c in cols]
+
+
 def _split_to_lines(algebra: _ClassAlgebra, p: int):
     """Split F_p^k into the common eigenvector lines of the class matrices.
 
@@ -308,11 +362,13 @@ def _split_to_lines(algebra: _ClassAlgebra, p: int):
       every M_j maps to itself, as M_j commutes with the splitter: it is a
       line.
     - A repeated root's vector v spans its eigenspace under the class
-      matrices, so the echelon form of `span(v)`, one weighted bincount,
-      exact in float64 while n*k*p < 2^53, is the smaller space.  Only
-      these spaces meet the next splitter.
-    - A root shared by the whole space leaves it as it is: R scales its
-      spanning vector, so R is scalar there.
+      matrices, so the echelon form of `span(v)` (`_spanned_space`), one
+      weighted bincount, exact in float64 while n*k*p < 2^53, is the
+      smaller space.  Only these spaces meet the next splitter.
+    - A space of dimension >= 2 on which R is already scalar goes to the
+      next splitter as it is, with no `_eigenvectors` call: R has the one
+      root there, and no split.  (A space of dimension 1 is a line, and
+      every 1 x 1 R is scalar.)
     The ranks of the new spaces must sum to the dimension of the split
     space, else the splitter is not diagonalizable over F_p.  A space
     still unsplit after the last class matrix is an error too.  Each line
@@ -332,10 +388,10 @@ def _split_to_lines(algebra: _ClassAlgebra, p: int):
         next_spaces = []
         for B, piv, u in spaces:
             R = M if B is None else M[piv] @ B.T % p
-            roots, simple, L = _eigenvectors(R, u if B is None else u[piv], p, name)
-            if len(roots) == 1 and not simple[0]:
+            if len(R) > 1 and (R == R[0, 0] * np.eye(len(R), dtype=np.int64)).all():
                 next_spaces.append((B, piv, u))
                 continue
+            roots, simple, L = _eigenvectors(R, u if B is None else u[piv], p, name)
             rank = 0
             for is_simple, y in zip(simple.tolist(), L):
                 v = y if B is None else y @ B % p
@@ -343,7 +399,7 @@ def _split_to_lines(algebra: _ClassAlgebra, p: int):
                     lines.append(v)
                     rank += 1
                 else:
-                    basis, pivots = _rref_mod(algebra.span(v), p)
+                    basis, pivots = _spanned_space(algebra, B, piv, v, p)
                     next_spaces.append((basis, pivots, v))
                     rank += len(pivots)
             if rank != len(R):

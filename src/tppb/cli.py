@@ -13,7 +13,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import errors
@@ -290,6 +289,9 @@ def _cmd_batch(args) -> int:
         for index, (name, spec) in enumerate(manifest.entries)
     ]
     if args.jobs > 1 and len(payloads) > 1:
+        # Imported here, as its import alone costs a serial run ~10 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Every worker is started at once, so no more than there are entries.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             results = list(pool.map(_batch_worker, payloads))
@@ -352,9 +354,15 @@ def _parse_elements(G: Group, text: str) -> ElementSet:
         if not token:
             continue
         if token.isdecimal():
-            index = int(token)
+            try:
+                index = int(token)
+            except ValueError:
+                # Past int's 4,300-digit limit, so past any order.
+                index = G.order
             if index >= G.order:
-                raise errors.UnknownElement(f"index {index} outside 0..{G.order - 1}")
+                raise errors.UnknownElement(
+                    f"index {errors.shown(token)} outside 0..{G.order - 1}"
+                )
         else:
             index = G.index_of_label(token)
         indices.append(index)

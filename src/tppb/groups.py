@@ -48,6 +48,8 @@ MAX_PRIME_BITS = 64
 # Image cells of products per gather of the permutation closure: 4 MiB
 # of uint8 images up to degree 256, 8 MiB of uint16 ones up to 65,536.
 GATHER_CELLS = 1 << 22
+# Commutators per gather of `derived_subgroup`: 256 KiB of int64 indices.
+COMMUTATOR_CELLS = 1 << 15
 
 
 def check_order_limit(value, source: str = "order limit") -> int:
@@ -645,14 +647,17 @@ def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
 
 
 def _commutator_subgroup(G: Group, members) -> ElementSet:
-    """The commutators of the members are gathered from the table one a at
-    a time, so no |H| x |H| array is built, and each one not yet inside
-    joins the running subgroup by one coset search."""
+    """The commutators a^-1 b^-1 a b of the members are gathered from the
+    table for a block of whole rows a at a time, at most COMMUTATOR_CELLS
+    of them (at least one row), so no |H| x |H| array is built, and each
+    one not yet inside joins the running subgroup by one coset search."""
     T = G.table
     inv = np.asarray(G.inv)
     inverses = inv[members]
     seen = np.zeros(G.order, dtype=bool)
-    for a in members.tolist():
+    step = max(1, COMMUTATOR_CELLS // len(members))
+    for lo in range(0, len(members), step):
+        a = members[lo : lo + step, None]
         seen[T[T[T[inv[a], inverses], a], members]] = True
     mask, gens = 1, ()
     for c in np.flatnonzero(seen).tolist():

@@ -149,16 +149,18 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     inv = np.asarray(G.inv)
     class_of = np.asarray(conjugacy_classes(G).class_of)
     class_size = np.bincount(class_of)
+    orders = [cyclic.bit_count() for cyclic in cyclic_subgroups(G)]
+    prime_of = {order: prime_power(order) for order in set(orders)}
     seeds = {}
     for g, cyclic in enumerate(cyclic_subgroups(G)):
-        if g and prime_power(cyclic.bit_count()) is not None:
+        if g and prime_of[orders[g]] is not None:
             seeds.setdefault(cyclic, g)
     seeds = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     seed_gens = [g for _, g in seeds]
     powers, roots = [], []  # g^1..g^(p-1) and g^p, p the prime of the seed <g>
-    for smask, g in seeds:
+    for _, g in seeds:
         x, pw = g, []
-        for _ in range(prime_power(smask.bit_count())[0] - 1):
+        for _ in range(prime_of[orders[g]][0] - 1):
             pw.append(x)
             x = mul[x][g]
         powers.append(pw)

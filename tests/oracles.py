@@ -404,9 +404,11 @@ def _commutator_closure(G, members) -> int:
     return plain_closure(mul, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in members for h in members})
 
 
-def commutator_set_derived_subgroup(G) -> ElementSet:
-    """Closure of the set of all n^2 commutators g^-1 * h^-1 * g * h."""
-    return ElementSet(_commutator_closure(G, range(G.order)), is_subgroup=True)
+def commutator_set_derived_subgroup(G, H=None) -> ElementSet:
+    """Closure of the set of all commutators g^-1 * h^-1 * g * h of g, h in
+    H, or in G when H is None."""
+    members = range(G.order) if H is None else list(H.indices())
+    return ElementSet(_commutator_closure(G, members), is_subgroup=True)
 
 
 def derived_series_residual(G) -> int:
@@ -512,6 +514,45 @@ class DenseClassAlgebra:
 
     def span(self, u):
         return self.A @ np.asarray(u, dtype=np.int64)
+
+
+def charpoly_scalar_loop(R: np.ndarray, p: int) -> np.ndarray:
+    """`chars._charpoly_mod` with every entry reduced mod p after each
+    Hessenberg step and the recurrence one scalar product at a time.
+
+    R is reduced to upper Hessenberg form H by similarity (each row
+    elimination below the subdiagonal is undone on the columns), then the
+    leading principal minors P_m of xI - H follow the Hessenberg recurrence
+    (Cohen, GTM 138, Alg. 2.2.9):
+        P_m = (x - h_mm) P_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} P_{i-1}.
+    Entries stay below p, so a product is below p^2 and a row of d of them
+    sums inside int64 while d*p^2 < 2^63.
+    """
+    H = np.array(R % p, dtype=np.int64)
+    d = H.shape[0]
+    for m in range(1, d - 1):
+        nz = np.nonzero(H[m:, m - 1])[0]
+        if nz.size == 0:
+            continue
+        i = m + int(nz[0])
+        if i != m:
+            H[[m, i]] = H[[i, m]]
+            H[:, [m, i]] = H[:, [i, m]]
+        u = H[m + 1 :, m - 1] * pow(int(H[m, m - 1]), -1, p) % p
+        H[m + 1 :] = (H[m + 1 :] - np.outer(u, H[m])) % p
+        H[:, m] = (H[:, m] + H[:, m + 1 :] @ u) % p
+    P = np.zeros((d + 1, d + 1), dtype=np.int64)
+    P[0, 0] = 1
+    for m in range(1, d + 1):
+        P[m, 1:] = P[m - 1, :-1]
+        P[m] = (P[m] - int(H[m - 1, m - 1]) * P[m - 1]) % p
+        coef = np.zeros(m - 1, dtype=np.int64)
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * int(H[i, i - 1]) % p
+            coef[i - 1] = t * int(H[i - 1, m - 1]) % p
+        P[m] = (P[m] - coef @ P[: m - 1]) % p
+    return P[d]
 
 
 def _nullspace_mod(A: np.ndarray, p: int):

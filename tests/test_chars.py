@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from tppb.groups import (
     direct_product,
     group_stats,
 )
-from tppb.cli import parse_group_spec, realize_group_spec
+from tppb.cli import load_manifest, parse_group_spec, realize_group_spec
 from conftest import CATALOG_SPECS
 from oracles import (
     DenseClassAlgebra,
+    charpoly_scalar_loop,
     class_matrices_double_loop,
     s4_degrees_by_inner_products,
     scan_split_lines,
@@ -183,8 +185,17 @@ class TestCharacterDegrees:
         assert character_degrees(builtin("dihedral", 1000)).degrees == (1,) * 4 + (2,) * 249
 
 
+CATALOGS = Path(__file__).resolve().parent.parent / "catalogs"
+
+
 def _sorted_lines(lines):
     return sorted(tuple(int(x) for x in v) for v in lines)
+
+
+def _shipped_groups():
+    for name in ("order24_nonabelian", "order50_nonabelian"):
+        for _, spec in load_manifest(CATALOGS / f"{name}.manifest").entries:
+            yield realize_group_spec(spec, CATALOGS)
 
 
 class TestSplit:
@@ -235,6 +246,44 @@ class TestSplit:
         assert _sorted_lines(chars._split_to_lines(algebra, p)) == _sorted_lines(want)
         assert character_degrees(G).degrees == chars._degrees_from_lines(want, sizes, inv_class, G.order, p)
 
+    @pytest.mark.parametrize("spec", ["product(sym:4,dihedral:8)", "product(dicyclic:8,elem_abelian:2^3)"])
+    def test_spanned_space_matches_whole_span(self, spec, monkeypatch):
+        # The span of a repeated root's vector, taken on the pivot columns
+        # of its space and mapped back, is the echelon form of the whole
+        # k x k span, so the lines equal those that the whole span gives.
+        G = realize_group_spec(parse_group_spec(spec))
+        p = dixon_prime(G)
+        algebra = chars._ClassAlgebra(G)
+        real, inside = chars._spanned_space, []
+
+        def whole_span(algebra, B, piv, v, p):
+            want = chars._rref_mod(algebra.span(v), p)
+            got = real(algebra, B, piv, v, p)
+            assert np.array_equal(got[0], want[0]) and list(got[1]) == list(want[1])
+            inside.append(B is not None)
+            return want
+
+        monkeypatch.setattr(chars, "_spanned_space", whole_span)
+        want = chars._split_to_lines(algebra, p)
+        monkeypatch.undo()
+        assert any(inside)
+        assert _sorted_lines(chars._split_to_lines(algebra, p)) == _sorted_lines(want)
+
+    @pytest.mark.parametrize(
+        "groups,calls",
+        [(_shipped_groups, 72), (lambda: [builtin("dicyclic", 292)], 10)],
+        ids=["shipped", "dicyclic:292"],
+    )
+    def test_eigenvector_calls_are_frozen(self, groups, calls, monkeypatch):
+        # A space on which a splitter is scalar goes on to the next one
+        # with no eigenvector search; these counts hold that skip.
+        names = []
+        real = chars._eigenvectors
+        monkeypatch.setattr(chars, "_eigenvectors", lambda R, y, p, name: names.append(name) or real(R, y, p, name))
+        for G in groups():
+            character_degrees(G)
+        assert len(names) == calls
+
     def test_class_algebra_is_never_dense(self):
         # dihedral:400 has 103 classes, so a k x k x k int64 tensor of its
         # structure constants alone would take 8.7 MB.
@@ -275,6 +324,43 @@ class TestSplit:
                 want_roots.append(lam)
                 want_simple.append(slope != 0)
         assert roots.tolist() == want_roots and simple.tolist() == want_simple
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_charpoly_matches_scalar_loop(self, data):
+        # 262,139 is the largest prime below 2^18: there a 30 x 30 matrix
+        # passes the int64 bound after 17 unreduced Hessenberg steps, so
+        # the full reduction runs in between.
+        p = data.draw(st.sampled_from([2, 3, 13, 293, 87869, 262139]))
+        d = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        R = rng.integers(0, p, size=(d, d))
+        if data.draw(st.booleans()):
+            # Block triangular, so column b - 1 has no pivot below the
+            # diagonal and the subdiagonal entry h_{b,b-1} is zero.
+            b = data.draw(st.integers(1, d))
+            R[b:, :b] = 0
+        assert chars._charpoly_mod(R, p).tolist() == charpoly_scalar_loop(R, p).tolist()
+
+    @pytest.mark.parametrize("d", [30, 200])
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_charpoly_with_full_reductions(self, d, blocks):
+        # Every 17 steps at d = 30 and every 2 at d = 200; with no full
+        # reduction, the column products at d = 200 pass 2^63.
+        p = 262139
+        R = np.random.default_rng(d).integers(0, p, size=(d, d))
+        if blocks:
+            R[d // 3 :, : d // 3] = 0
+            R[2 * d // 3 :, : 2 * d // 3] = 0
+        assert chars._charpoly_mod(R, p).tolist() == charpoly_scalar_loop(R, p).tolist()
+
+    def test_charpoly_refuses_int64_overflow(self):
+        # (3 * (2^21 - 1) + 1) * (2^21 + (2^21 - 1)^2) >= 2^63: one
+        # unreduced step could overflow the column product.
+        eye = np.eye(3, dtype=np.int64)
+        chars._charpoly_mod(eye, 1 << 20)
+        with pytest.raises(errors.InvariantViolation, match=r"\(d\(p-1\)\+1\)\(p\+\(p-1\)\^2\) < 2\^63"):
+            chars._charpoly_mod(eye, 1 << 21)
 
     @pytest.mark.parametrize(
         "lines,n,message",

@@ -1,6 +1,11 @@
 """CLI surface: spec grammar, manifests, batch CSV, analyze, verify-tpp."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -399,7 +404,8 @@ class TestBatch:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(tppb.cli, "ProcessPoolExecutor", RecordingPool)
+        # batch imports the pool class only on its --jobs > 1 path.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         man = self.write_manifest(tmp_path, "s3\tsym:3\nq8\tdicyclic:8\nc9\tcyclic:9\n")
         outputs = []
         for tag, n in (("serial", "1"), ("pool", jobs)):
@@ -409,6 +415,17 @@ class TestBatch:
             outputs.append(out.read_bytes())
         assert sizes == [workers]
         assert outputs[0] == outputs[1]
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # A fresh interpreter, as this one has imported the pool already.
+        src = str(Path(tppb.cli.__file__).resolve().parent.parent)
+        code = "import sys, tppb.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_manifest_relative_perm_entry(self, tmp_path, capsys):
         (tmp_path / "s3.pgens").write_text("degree 3\n2 1 3\n2 3 1\n")
@@ -639,6 +656,15 @@ class TestVerifyTpp:
         )
         assert code == 2
         assert "error" in stderr.lower()
+
+    def test_index_past_int_digit_limit(self, capsys):
+        # int() refuses more than 4,300 digits; the token is still an index
+        # outside the group, not a traceback.
+        code, _, stderr = run(
+            ["verify-tpp", "sym:3", "--s", "9" * 5000, "--t", "0", "--u", "0"], capsys
+        )
+        assert code == 2
+        assert stderr == "error: index '" + "9" * 30 + "'... outside 0..5\n"
 
     @pytest.mark.parametrize("token", ["²", "①", "0,³"])
     def test_non_decimal_digit_is_unknown_label(self, capsys, token):

@@ -592,6 +592,21 @@ class TestDerivedSubgroup:
         for name, G in catalog:
             assert derived_subgroup(G) == commutator_set_derived_subgroup(G), name
 
+    def test_blocks_match_commutator_set(self):
+        # alt:6 has 360 rows of commutators, four blocks of at most 2^15
+        # cells; inside sym:6 it is a proper subgroup, as is the point
+        # stabilizer sym:5, whose own G' is alt:5.
+        G = builtin("sym", 6)
+        A6 = derived_subgroup(G)
+        assert len(A6) == 360 and groups.COMMUTATOR_CELLS // 360 < 360
+        S5 = ElementSet.from_indices(i for i in range(G.order) if G.images[i, 0] == 0)
+        for H in (A6, S5):
+            assert derived_subgroup(G, H) == commutator_set_derived_subgroup(G, H)
+        assert len(derived_subgroup(G, S5)) == 60
+        alt6 = builtin("alt", 6)
+        assert derived_subgroup(alt6) == commutator_set_derived_subgroup(alt6)
+        assert len(derived_subgroup(alt6)) == 360
+
     def test_whole_group_reads_the_stored_value(self):
         G = builtin("sym", 4)
         whole = ElementSet((1 << G.order) - 1, is_subgroup=True)
