@@ -20,6 +20,7 @@ __all__ = [
     "DEFAULT_ORDER_LIMIT",
     "MAX_PRIME_BITS",
     "check_order_limit",
+    "check_positive_int",
     "configured_order_limit",
     "ElementSet",
     "Group",
@@ -52,15 +53,23 @@ GATHER_CELLS = 1 << 22
 COMMUTATOR_CELLS = 1 << 15
 
 
-def check_order_limit(value, source: str = "order limit") -> int:
-    """`value` as an order limit: an integer >= 1, else BadParameter."""
-    try:
-        limit = int(value)
-    except (TypeError, ValueError):
-        limit = 0
-    if limit < 1:
+def check_positive_int(value, source: str) -> int:
+    """`value` as a count or limit: an integer >= 1 (a bool, a float or a
+    string is not one), else BadParameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise errors.BadParameter(f"{source} must be an integer >= 1, got {value!r}")
-    return limit
+    return int(value)
+
+
+def check_order_limit(value, source: str = "order limit") -> int:
+    """`value`, an integer or the decimal text of one (from the command
+    line or the environment), as an order limit: >= 1, else BadParameter."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    return check_positive_int(value, source)
 
 
 def configured_order_limit() -> int:

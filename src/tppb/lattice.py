@@ -12,6 +12,8 @@ from .groups import (
     _conjugates,
     _coset_join,
     _mask,
+    _packed,
+    check_positive_int,
     closure,
     conjugacy_classes,
     cyclic_subgroups,
@@ -29,6 +31,9 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_LIMIT = 100000
+# Cells of the membership and seed rows built per block of queued class
+# representatives (block x max(order, seeds)): 32 KiB of booleans.
+LATTICE_CELLS = 1 << 15
 
 
 class SubgroupLattice:
@@ -57,18 +62,20 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _conjugate_masks(T, inv, members, inside):
-    """Masks of the distinct conjugates x*K*x^-1 of the subgroup K with the
-    given member array and membership row, and the membership row of its
-    normalizer N(K): the x whose conjugate lies inside K.  One table
-    gather gives every conjugate at once; x and x*m for m in N(K) give the
-    same conjugate, so each left coset x*N(K) is turned into a mask once,
-    at its least element: the x that is the least of x*N(K)."""
-    conj = _conjugates(T, inv, members)
-    normalizer = inside[conj].all(axis=1)
-    reps = np.flatnonzero(T[:, normalizer].min(axis=1) == np.arange(len(T)))
-    hit = np.zeros((len(reps), len(T)), dtype=bool)
-    hit[np.arange(len(reps))[:, None], conj[reps]] = True
+def _subgroup_class(T, inv, element_class, mask, gens):
+    """The masks of the conjugates of K = <gens> (mask `mask`) and the
+    membership row of its normalizer, or None when K is normal;
+    element_class[x] is the mask of the conjugacy class of x.  See
+    `enumerate_subgroups` for why the generators suffice."""
+    if all(element_class[g] & ~mask == 0 for g in gens):
+        return (mask,), None
+    n = len(T)
+    inside = _bits(mask, n)
+    normalizer = inside[_conjugates(T, inv, list(gens))].all(axis=1)
+    reps = np.flatnonzero(T[:, normalizer].min(axis=1) == np.arange(n))
+    conj = T[T[reps[:, None], np.flatnonzero(inside)], inv[reps][:, None]]
+    hit = np.zeros((len(reps), n), dtype=bool)
+    hit[np.arange(len(reps))[:, None], conj] = True
     return [_mask(row) for row in hit], normalizer
 
 
@@ -81,6 +88,21 @@ def _gather_extension(mul, members, mask, powers) -> int:
         for h in members:
             mask |= 1 << mul[h][x]
     return mask
+
+
+# Byte b with its eight bits in reverse order: its bits unpacked from the
+# highest and packed back from the lowest.
+_REVERSED_BYTES = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).tobytes()
+
+
+def _lattice_key(mask: int, width: int):
+    """Sort key of a mask of at most 8*width bits: its size, then minus
+    its bit reversal, which orders masks of one size by their ascending
+    index tuples (see `enumerate_subgroups`)."""
+    reversed_bits = mask.to_bytes(width, "little").translate(_REVERSED_BYTES)
+    return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
 
 
 def perfect_residual(G: Group) -> ElementSet:
@@ -131,24 +153,50 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     generator, a power of g that generates <g>.  When G is solvable,
     P = 1 and no coset search runs.
 
-    A new subgroup K adds its whole conjugacy class at once, as bit masks
-    gathered from the table (x*y*x^-1 = T[T[x, y], inv[x]]), and is
-    queued as the class representative; the same gather gives its
-    normalizer, the x with x*K*x^-1 = K.  A normal K is its own class
-    and skips the gather: K is normal exactly when the union of its
-    members' conjugacy classes is K.  Each representative's record (its
-    member list, membership row, normalizer row and generators) is built
-    once, when its class is added, and read as it is extended.
+    A new subgroup K = <gens> (the seeds' generators along its chain)
+    adds its whole conjugacy class at once and is queued as the class
+    representative.  K is normal, its own class, exactly when the
+    conjugacy class of each generator lies in K: then x*K*x^-1 =
+    <x*g*x^-1 : g in gens> lies in K for every x.  Otherwise its
+    normalizer is read from the generators alone: x normalizes K exactly
+    when every x*g*x^-1 lies in K, because conjugation by x is an
+    automorphism, so x*<gens>*x^-1 lies in K and, having K's order, is K.
+    That is one n x |gens| gather, not n x |K|.  x and x*m for m in N(K)
+    give the same conjugate, so the conjugates are gathered from the
+    table (x*y*x^-1 = T[T[x, y], inv[x]]) only at the least element of
+    each left coset x*N(K).  A class record keeps only the
+    representative's mask, its normalizer row (None when normal) and its
+    generators.
 
-    `lattice_limit` caps the number of subgroups; it is checked as each
-    class is added, so LatticeLimitExceeded is raised exactly when the
-    count would pass the limit.
+    The queue is read in blocks of representatives of at most
+    LATTICE_CELLS cells (block x max(n, seeds)), so the membership rows,
+    the member lists and the gather and search tests are built once per
+    block, and the block's pair lists stay small.  Its pairs are then
+    walked as one representative at a time would walk them:
+    representatives in queue order, seeds ascending, with the same
+    covered skip, so every class is found with the same representative
+    and generators.
+
+    The lattice is sorted by size, ties broken by the ascending index
+    tuples.  Two masks A and B of one size agree below the lowest bit of
+    A ^ B, and the one holding that bit has the smaller tuple.  Reversing
+    the bits (`_lattice_key`, a byte table) makes that bit the highest
+    one in which they differ, so the mask holding it has the larger
+    reversed value: the key (size, -reversed mask) gives the same order
+    without listing any indices.
+
+    `lattice_limit` caps the number of subgroups; it must be an integer
+    >= 1, else BadParameter.  It is checked as each class is added, so
+    LatticeLimitExceeded is raised exactly when the count would pass the
+    limit.
     """
-    limit = lattice_limit if lattice_limit is not None else DEFAULT_LATTICE_LIMIT
+    limit = DEFAULT_LATTICE_LIMIT
+    if lattice_limit is not None:
+        limit = check_positive_int(lattice_limit, "lattice limit")
     n, mul, T = G.order, G.mul, G.table
     inv = np.asarray(G.inv)
-    class_of = np.asarray(conjugacy_classes(G).class_of)
-    class_size = np.bincount(class_of)
+    partition = conjugacy_classes(G)
+    element_class = [partition.classes[c].mask for c in partition.class_of]
     orders = [cyclic.bit_count() for cyclic in cyclic_subgroups(G)]
     prime_of = {order: prime_power(order) for order in set(orders)}
     seeds = {}
@@ -170,54 +218,64 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     seed_of = np.asarray([index.get(cyclic, -1) for cyclic in cyclic_subgroups(G)])
     residual = perfect_residual(G).mask
     gen_in_residual = _bits(residual, n)[gen_idx]
+    step = max(1, LATTICE_CELLS // max(n, len(seeds)))
 
     known, whole = set(), np.ones(n, dtype=bool)
-    reps = []  # (mask, member list, membership row, normalizer row, generators) per class
+    reps = []  # (mask, normalizer row or None, generators) per class
 
     def add_class(mask, gens):
-        inside = _bits(mask, n)
-        members = np.flatnonzero(inside)
-        touched = np.zeros(len(class_size), dtype=bool)
-        touched[class_of[members]] = True
-        if class_size[touched].sum() == len(members):
-            conjugates, normalizer = (mask,), whole
-        else:
-            conjugates, normalizer = _conjugate_masks(T, inv, members, inside)
+        conjugates, normalizer = _subgroup_class(T, inv, element_class, mask, gens)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
         known.update(conjugates)
-        reps.append((mask, members.tolist(), inside, normalizer, gens))
+        reps.append((mask, normalizer, gens))
 
     add_class(1, ())
-    # add_class appends to reps as this loop runs, so each new class is
-    # extended in turn.
-    for hmask, members, inside, normalizer, gens in reps:
-        outside = ~inside[gen_idx]
-        gather = outside & inside[root_idx] & normalizer[gen_idx]
+    # add_class appends to reps as the blocks are walked, so each new class
+    # is extended in turn, in a later block.
+    head = 0
+    while head < len(reps):
+        block = reps[head : head + step]
+        head += len(block)
+        _, rows = _packed([mask for mask, _, _ in block], n)
+        normalizers = np.array([whole if row is None else row for _, row, _ in block])
+        outside = ~rows[:, gen_idx]
+        gather = outside & rows[:, root_idx] & normalizers[:, gen_idx]
         todo = gather
-        if hmask & ~residual == 0 and (search := outside & gen_in_residual & ~gather).any():
-            # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the least
-            # seed of each N(R)-orbit is searched.
-            ids, xs = np.flatnonzero(search), np.flatnonzero(normalizer)
-            orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
-            search[ids[orbits.min(axis=0) < ids]] = False
+        if residual != 1:  # else G is solvable and no coset search runs
+            search = outside & gen_in_residual & ~gather
+            search[np.array([mask & ~residual != 0 for mask, _, _ in block])] = False
+            for i in np.flatnonzero(search.any(axis=1)).tolist():
+                # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the
+                # least seed of each N(R)-orbit is searched.
+                ids, xs = np.flatnonzero(search[i]), np.flatnonzero(normalizers[i])
+                orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
+                search[i, ids[orbits.min(axis=0) < ids]] = False
             todo = gather | search
-        covered = 0
-        for s in np.flatnonzero(todo).tolist():
-            g = seed_gens[s]
-            if (covered >> g) & 1:
+        at, seed_at = np.nonzero(todo)
+        starts = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
+        pair_seeds, pair_gens = seed_at.tolist(), gen_idx[seed_at].tolist()
+        by_gather = gather[at, seed_at].tolist()
+        members, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(axis=1)).tolist()
+        for i, (hmask, _, gens) in enumerate(block):
+            lo, hi = starts[i], starts[i + 1]
+            if lo == hi:
                 continue
-            if gather[s]:
-                kmask = _gather_extension(mul, members, hmask, powers[s])
-                covered |= kmask
-            else:
-                kmask = _coset_join(mul, members, hmask, gens + (g,))
-            if kmask not in known:
-                add_class(kmask, gens + (g,))
+            rmembers, covered = members[ends[i] - hmask.bit_count() : ends[i]], 0
+            for s, g, by in zip(pair_seeds[lo:hi], pair_gens[lo:hi], by_gather[lo:hi]):
+                if (covered >> g) & 1:
+                    continue
+                if by:
+                    kmask = _gather_extension(mul, rmembers, hmask, powers[s])
+                    covered |= kmask
+                else:
+                    kmask = _coset_join(mul, rmembers, hmask, gens + (g,))
+                if kmask not in known:
+                    add_class(kmask, gens + (g,))
 
-    items = [ElementSet(mask, is_subgroup=True) for mask in known]
-    items.sort(key=lambda s: (s.size, tuple(s.indices())))
-    return SubgroupLattice(items)
+    width = -(-n // 8)
+    masks = sorted(known, key=lambda mask: _lattice_key(mask, width))
+    return SubgroupLattice([ElementSet(mask, is_subgroup=True) for mask in masks])
 
 
 def _require_subgroup(G: Group, S: ElementSet):

@@ -15,7 +15,14 @@ import numpy as np
 from tppb import errors
 from tppb.bounds import BetaResult, admissible_profiles
 from tppb.chars import _rref_mod, d_sum_int, d_sum_real
-from tppb.groups import ElementSet, closure, conjugacy_classes, from_permutation_generators
+from tppb.groups import (
+    ElementSet,
+    _conjugates,
+    _mask,
+    closure,
+    conjugacy_classes,
+    from_permutation_generators,
+)
 from tppb.lattice import normal_cores
 from tppb.tpp import satisfies_tpp
 
@@ -34,6 +41,7 @@ __all__ = [
     "brute_force_subgroup_masks",
     "plain_closure",
     "cyclic_join_lattice",
+    "class_union_is_normal",
     "commutator_set_derived_subgroup",
     "derived_series_residual",
     "naive_beta_over_subgroups",
@@ -311,6 +319,32 @@ def cyclic_join_lattice(G) -> list:
                 known[kmask] = gens + (g,)
                 queue.append(kmask)
     return sorted(known, key=lambda m: (m.bit_count(), tuple(ElementSet(m).indices())))
+
+
+def class_union_is_normal(G, mask) -> bool:
+    """Whether the subgroup with this mask is normal, by the union of the
+    conjugacy classes of all its members: K is normal exactly when that
+    union is K."""
+    partition = conjugacy_classes(G)
+    union = 0
+    for x in ElementSet(mask).indices():
+        union |= partition.classes[partition.class_of[x]].mask
+    return union == mask
+
+
+def _conjugate_masks(T, inv, members, inside):
+    """Masks of the distinct conjugates x*K*x^-1 of the subgroup K with the
+    given member array and membership row, and the membership row of its
+    normalizer N(K): the x whose conjugate lies inside K.  One table
+    gather conjugates every member by every x at once; x and x*m for m in
+    N(K) give the same conjugate, so each left coset x*N(K) is turned into
+    a mask once, at its least element."""
+    conj = _conjugates(T, inv, members)
+    normalizer = inside[conj].all(axis=1)
+    reps = np.flatnonzero(T[:, normalizer].min(axis=1) == np.arange(len(T)))
+    hit = np.zeros((len(reps), len(T)), dtype=bool)
+    hit[np.arange(len(reps))[:, None], conj[reps]] = True
+    return [_mask(row) for row in hit], normalizer
 
 
 def naive_beta_over_subgroups(G, subgroup_sets, tpp_predicate) -> int:

@@ -547,7 +547,7 @@ class TestOrderLimit:
         monkeypatch.setenv("TPPB_ORDER_LIMIT", "7")
         assert configured_order_limit() == 7
 
-    @pytest.mark.parametrize("value", [0, -5, "x"])
+    @pytest.mark.parametrize("value", [0, -5, "x", 2.5, True])
     def test_explicit_limit_checked(self, value):
         with pytest.raises(errors.BadParameter):
             check_order_limit(value)

@@ -1,13 +1,20 @@
 """Subgroup lattice enumeration, normality, and normal cores."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
-from tppb.groups import ElementSet, builtin, direct_product
+from tppb.groups import ElementSet, _bits, builtin, direct_product
 from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect_residual
 from oracles import (
+    _conjugate_masks,
     brute_force_subgroup_masks,
+    class_union_is_normal,
     conjugate_intersection_core,
     cyclic_join_lattice,
     derived_series_residual,
@@ -92,6 +99,14 @@ class TestEnumerate:
         with pytest.raises(errors.LatticeLimitExceeded):
             enumerate_subgroups(builtin("sym", 4), lattice_limit=10)
 
+    @pytest.mark.parametrize("value", ["7", 0, -1, 2.5, True])
+    def test_lattice_limit_must_be_a_positive_integer(self, value):
+        with pytest.raises(errors.BadParameter, match="lattice limit"):
+            enumerate_subgroups(builtin("sym", 3), lattice_limit=value)
+
+    def test_lattice_limit_accepts_numpy_integers(self):
+        assert enumerate_subgroups(builtin("sym", 3), lattice_limit=np.int64(6)).count == 6
+
     # Whole conjugacy classes are added at once, but the limit counts
     # members: the whole lattice passes at its size and fails one below.
     # A5's last class has five members, so a check per class overshoots.
@@ -159,6 +174,73 @@ class TestEnumerate:
         for name, G in catalog:
             got = [s.mask for s in catalog_lattices[name].items]
             assert got == cyclic_join_lattice(G), name
+
+    # Every class passes through _subgroup_class once, with the generators
+    # of its representative.  Its normality test (the class of each
+    # generator inside K) must agree with the union of the classes of all
+    # members, and for a non-normal class the normalizer read from the
+    # generators and the conjugates gathered at one element per coset must
+    # equal those from conjugating every member by every element.
+    def test_classes_match_conjugation_by_every_element(self, monkeypatch, catalog):
+        calls = []
+        real = lattice._subgroup_class
+
+        def recording(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(lattice, "_subgroup_class", recording)
+        groups = catalog + [(spec, spec_group(spec)) for spec in ("sym:5", "product(sym:4,dihedral:8)")]
+        non_normal = 0
+        for name, G in groups:
+            calls.clear()
+            count = enumerate_subgroups(G).count
+            T, inv = G.table, np.asarray(G.inv)
+            assert sum(len(conjugates) for _, (conjugates, _) in calls) == count, name
+            for (_, _, _, mask, gens), (conjugates, normalizer) in calls:
+                assert (normalizer is None) == class_union_is_normal(G, mask), (name, gens)
+                if normalizer is not None:
+                    non_normal += 1
+                    inside = _bits(mask, G.order)
+                    masks, oracle_normalizer = _conjugate_masks(T, inv, np.flatnonzero(inside), inside)
+                    assert np.array_equal(normalizer, oracle_normalizer), (name, gens)
+                    assert conjugates == masks, (name, gens)
+        # Non-normal classes of subgroups over these groups, a property of
+        # the groups alone: 203 of them in sym:4 x dihedral:8.
+        assert non_normal == 363
+
+    # The key orders masks of one size by their ascending index tuples,
+    # for any width, whole bytes or not.
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sort_key_orders_by_index_tuples(self, data):
+        bits = data.draw(st.integers(1, 130))
+        if data.draw(st.booleans()):
+            masks = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=40, unique=True))
+        else:
+            # Masks of one size, so each pair is ordered by its index tuples.
+            size = data.draw(st.integers(0, bits))
+            masks = {
+                sum(1 << i for i in data.draw(st.permutations(range(bits)))[:size])
+                for _ in range(data.draw(st.integers(0, 20)))
+            }
+        width = -(-bits // 8)
+        by_key = sorted(masks, key=lambda mask: lattice._lattice_key(mask, width))
+        by_indices = sorted(masks, key=lambda mask: (mask.bit_count(), tuple(ElementSet(mask).indices())))
+        assert by_key == by_indices
+
+    # The queue is read in blocks of at most LATTICE_CELLS cells, so the
+    # per-block rows and member and pair lists stay small.
+    def test_traced_peak_stays_small(self):
+        G = spec_group("elem_abelian:2^6")
+        tracemalloc.start()
+        try:
+            count = enumerate_subgroups(G).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2825
+        assert peak < 3_000_000
 
     # Renumbered groups: the element numbering sets the join order and the
     # representative of each class.  In alt:5 x cyclic:2 the perfect
