@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
-from .groups import Group, _packed
+from .groups import Group, _packed, check_positive_int
 from .lattice import SubgroupLattice, enumerate_subgroups, normal_cores
 from .tpp import satisfies_tpp
 
@@ -177,8 +177,8 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     all the same.  The returned witness is verified again with
     `satisfies_tpp`.
     """
-    if budget is not None and budget < 1:
-        raise errors.BadParameter(f"budget must be at least 1, got {budget}")
+    if budget is not None:
+        budget = check_positive_int(budget, "budget")
     items = lattice.items
     count = len(items)
     n = G.order

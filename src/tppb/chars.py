@@ -148,7 +148,7 @@ class _ClassAlgebra:
         self.sizes = [len(c) for c in part.classes]
         reps = [next(c.indices()) for c in part.classes]
         self.inv_class = [part.class_of[G.inv[r]] for r in reps]
-        self.cells = self.class_of[G.table[np.asarray(G.inv)[:, None], reps]]
+        self.cells = self.class_of[G.table[G.inv[:, None], reps]]
         self.cells += self.class_of[:, None] * k
 
     def matrix(self, r: int) -> np.ndarray:

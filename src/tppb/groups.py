@@ -149,7 +149,11 @@ def _packed(masks, n: int):
 
 class Group:
     """Immutable finite group over element indices 0..order-1, held as its
-    multiplication table; inverses are read off the table.
+    multiplication table, a C-contiguous int64 array; the int64 array of
+    inverses is read off the table.  Scalar loops read the table through
+    its zero-copy 2-D memoryview, `mul = G.table.data`, as `mul[h, x]`:
+    each read is a Python int and no list copy is made.  The view stays
+    a local of each reader, since a memoryview cannot be pickled.
 
     A group closed from permutations keeps the image array of its
     elements, `images` (row i holds the 0-based images of element i, in
@@ -161,13 +165,12 @@ class Group:
     (`cyclic_subgroups`) and G' (`derived_subgroup`).  The first reader
     of each pays for it; every later one reads the stored value."""
 
-    __slots__ = ("order", "table", "mul", "inv", "images", "_classes", "_cyclic", "_derived")
+    __slots__ = ("order", "table", "inv", "images", "_classes", "_cyclic", "_derived")
 
     def __init__(self, table, images=None):
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = np.ascontiguousarray(table, dtype=np.int64)
         self.order = len(self.table)
-        self.mul = self.table.tolist()
-        self.inv = (self.table == 0).argmax(axis=1).tolist()
+        self.inv = (self.table == 0).argmax(axis=1)
         self.images = images
         self._classes = self._cyclic = self._derived = None
 
@@ -569,20 +572,20 @@ def _conjugacy_partition(G: Group) -> ConjugacyPartition:
     gathered whole by `_conjugates`; so the classes come out numbered by
     their least elements."""
     n = G.order
-    inv = np.asarray(G.inv)
     class_of = np.full(n, -1)
     classes = []
     for x in range(n):
         if class_of[x] < 0:
             row = np.zeros(n, dtype=bool)
-            row[_conjugates(G.table, inv, [x])] = True
+            row[_conjugates(G.table, G.inv, [x])] = True
             class_of[row] = len(classes)
             classes.append(ElementSet(_mask(row)))
     return ConjugacyPartition(tuple(classes), tuple(class_of.tolist()))
 
 
 def _coset_join(mul, members, mask, multipliers) -> int:
-    """Mask of <H, multipliers> by right-coset search.
+    """Mask of <H, multipliers> by right-coset search, reading the table
+    through its memoryview `mul`.
 
     H is given by its member list and mask; multipliers must include a
     generating set of H. New coset representatives are found by right-
@@ -600,20 +603,20 @@ def _coset_join(mul, members, mask, multipliers) -> int:
     # reps grows while it is read, so each new representative is used in turn.
     for r in reps:
         for m in multipliers:
-            cand = mul[r][m]
+            cand = mul[r, m]
             if not (kmask >> cand) & 1:
                 reps.append(cand)
                 if 2 * len(reps) * len(members) > n:
                     return (1 << n) - 1
                 for h in members:
-                    kmask |= 1 << mul[h][cand]
+                    kmask |= 1 << mul[h, cand]
     return kmask
 
 
 def closure(G: Group, seed) -> ElementSet:
     """Smallest subgroup containing the seed elements: the coset search
     started from the trivial subgroup."""
-    return ElementSet(_coset_join(G.mul, [0], 1, tuple(seed)), is_subgroup=True)
+    return ElementSet(_coset_join(G.table.data, [0], 1, tuple(seed)), is_subgroup=True)
 
 
 def cyclic_subgroups(G: Group) -> tuple:
@@ -627,7 +630,7 @@ def cyclic_subgroups(G: Group) -> tuple:
 def _cyclic_masks(G: Group) -> tuple:
     """Walks the powers of each g not yet reached; the same <g> is then
     stored for every generator g^k of it, k prime to the order of g."""
-    mul = G.mul
+    mul = G.table.data
     masks = [0] * G.order
     for g in range(G.order):
         if masks[g]:
@@ -636,7 +639,7 @@ def _cyclic_masks(G: Group) -> tuple:
         while x:
             powers.append(x)
             mask |= 1 << x
-            x = mul[x][g]
+            x = mul[x, g]
         m = len(powers)
         for k in range(m):
             if math.gcd(k, m) == 1:
@@ -660,8 +663,7 @@ def _commutator_subgroup(G: Group, members) -> ElementSet:
     table for a block of whole rows a at a time, at most COMMUTATOR_CELLS
     of them (at least one row), so no |H| x |H| array is built, and each
     one not yet inside joins the running subgroup by one coset search."""
-    T = G.table
-    inv = np.asarray(G.inv)
+    T, inv = G.table, G.inv
     inverses = inv[members]
     seen = np.zeros(G.order, dtype=bool)
     step = max(1, COMMUTATOR_CELLS // len(members))
@@ -672,7 +674,7 @@ def _commutator_subgroup(G: Group, members) -> ElementSet:
     for c in np.flatnonzero(seen).tolist():
         if not (mask >> c) & 1:
             gens += (c,)
-            mask = _coset_join(G.mul, np.flatnonzero(_bits(mask, G.order)).tolist(), mask, gens)
+            mask = _coset_join(T.data, np.flatnonzero(_bits(mask, G.order)).tolist(), mask, gens)
     return ElementSet(mask, is_subgroup=True)
 
 

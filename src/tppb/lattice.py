@@ -86,7 +86,7 @@ def _gather_extension(mul, members, mask, powers) -> int:
     search for their representatives."""
     for x in powers:
         for h in members:
-            mask |= 1 << mul[h][x]
+            mask |= 1 << mul[h, x]
     return mask
 
 
@@ -193,8 +193,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     limit = DEFAULT_LATTICE_LIMIT
     if lattice_limit is not None:
         limit = check_positive_int(lattice_limit, "lattice limit")
-    n, mul, T = G.order, G.mul, G.table
-    inv = np.asarray(G.inv)
+    n, T, inv = G.order, G.table, G.inv
+    mul = T.data
     partition = conjugacy_classes(G)
     element_class = [partition.classes[c].mask for c in partition.class_of]
     orders = [cyclic.bit_count() for cyclic in cyclic_subgroups(G)]
@@ -210,7 +210,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         x, pw = g, []
         for _ in range(prime_of[orders[g]][0] - 1):
             pw.append(x)
-            x = mul[x][g]
+            x = mul[x, g]
         powers.append(pw)
         roots.append(x)
     gen_idx, root_idx = np.asarray(seed_gens, dtype=np.int64), np.asarray(roots, dtype=np.int64)

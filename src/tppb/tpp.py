@@ -35,15 +35,13 @@ def right_quotient(G: Group, X: ElementSet) -> ElementSet:
         raise errors.EmptySet("right quotient of the empty set")
     if X.is_subgroup:
         return ElementSet(X.mask, is_subgroup=True)
-    mul = G.mul
-    inv = G.inv
+    mul = G.table.data
     idxs = list(X.indices())
-    inv_idxs = [inv[y] for y in idxs]
+    inv_idxs = G.inv[idxs].tolist()
     mask = 0
     for x in idxs:
-        row = mul[x]
         for iy in inv_idxs:
-            mask |= 1 << row[iy]
+            mask |= 1 << mul[x, iy]
     return ElementSet(mask)
 
 
@@ -52,13 +50,11 @@ def satisfies_tpp(G: Group, S: ElementSet, T: ElementSet, U: ElementSet) -> TppV
     qs = right_quotient(G, S)
     qt = right_quotient(G, T)
     qu = right_quotient(G, U).mask
-    mul = G.mul
-    inv = G.inv
+    mul, inv = G.table.data, G.inv.tolist()
     t_list = list(qt.indices())
     for s in qs.indices():
-        row = mul[s]
         for t in t_list:
-            u = inv[row[t]]
+            u = inv[mul[s, t]]
             if (qu >> u) & 1 and (s or t):
                 return TppVerdict(False, (s, t, u))
     return TppVerdict(True)

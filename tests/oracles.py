@@ -89,8 +89,8 @@ def delta_index_based(orders, i: int, group_order: int):
 def conjugate_intersection_core(G, S) -> int:
     """Mask of the normal core of subgroup S as the intersection of the
     conjugates g*S*g^-1 over every g outside S."""
-    mul = G.mul
-    inv = G.inv
+    mul = G.table.tolist()
+    inv = G.inv.tolist()
     members = list(S.indices())
     core = S.mask
     for g in range(1, G.order):
@@ -108,10 +108,11 @@ def conjugate_intersection_core(G, S) -> int:
 
 
 def element_order(G, g: int) -> int:
+    times_g = G.table[:, g].tolist()
     k = 1
     x = g
     while x != 0:
-        x = G.mul[x][g]
+        x = times_g[x]
         k += 1
     return k
 
@@ -120,7 +121,7 @@ def orbit_loop_partition(G):
     """Class masks and element -> class map of the conjugacy partition, by
     the orbit {g*x*g^-1 : g in G} of each element x not yet placed, found
     one product at a time; classes are numbered by their least elements."""
-    mul, inv = G.mul, G.inv
+    mul, inv = G.table.tolist(), G.inv.tolist()
     class_of = [-1] * G.order
     classes = []
     for x in range(G.order):
@@ -141,7 +142,8 @@ def random_generators(G, seed):
     gens = []
     while len(closure(G, gens)) < G.order:
         gens.append(rng.randrange(1, G.order))
-    return [[G.mul[g][x] + 1 for x in range(G.order)] for g in gens]
+    mul = G.table.tolist()
+    return [[mul[g][x] + 1 for x in range(G.order)] for g in gens]
 
 
 def renumbered(G, seed):
@@ -218,8 +220,8 @@ def permutation_table(perms):
 
 def quotient_set(G, idxs) -> frozenset:
     """Direct evaluation of {x * y^-1 : x, y in X}."""
-    inv = G.inv
-    mul = G.mul
+    inv = G.inv.tolist()
+    mul = G.table.tolist()
     return frozenset(mul[x][inv[y]] for x in idxs for y in idxs)
 
 
@@ -229,7 +231,7 @@ def definitional_tpp(G, s_idxs, t_idxs, u_idxs) -> bool:
     qs = quotient_set(G, s_idxs)
     qt = quotient_set(G, t_idxs)
     qu = quotient_set(G, u_idxs)
-    mul = G.mul
+    mul = G.table.tolist()
     for s in qs:
         for t in qt:
             st = mul[s][t]
@@ -243,7 +245,7 @@ def brute_force_subgroup_masks(G) -> set:
     """Closed-subset scan: a subset is a subgroup iff it contains 0 and is
     closed under mul and inv. Scans every subset of divisor cardinality."""
     n = G.order
-    mul = G.mul
+    mul = G.table.tolist()
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     found = set()
     rest = range(1, n)
@@ -296,7 +298,7 @@ def cyclic_join_lattice(G) -> list:
     decomposes into a chain of single-generator extensions, so this
     fixpoint is the whole lattice; no conjugacy classes are used, and
     every join is a `plain_closure`."""
-    mul = G.mul
+    mul = G.table.tolist()
     seeds = {}
     for g in range(1, G.order):
         seeds.setdefault(plain_closure(mul, (g,)), g)
@@ -434,7 +436,7 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
 
 
 def _commutator_closure(G, members) -> int:
-    mul, inv = G.mul, G.inv
+    mul, inv = G.table.tolist(), G.inv.tolist()
     return plain_closure(mul, {mul[mul[mul[inv[g]][inv[h]]][g]][h] for g in members for h in members})
 
 
@@ -522,12 +524,13 @@ def class_matrices_double_loop(G):
     class_of = part.class_of
     sizes = [len(c) for c in part.classes]
     reps = [next(c.indices()) for c in part.classes]
-    inv_class = [class_of[G.inv[r]] for r in reps]
+    mul, inv = G.table.tolist(), G.inv.tolist()
+    inv_class = [class_of[inv[r]] for r in reps]
     A = np.zeros((k, k, k), dtype=np.int64)
     for t in range(k):
         zt = reps[t]
         for x in range(G.order):
-            A[class_of[x], class_of[G.mul[G.inv[x]][zt]], t] += 1
+            A[class_of[x], class_of[mul[inv[x]][zt]], t] += 1
     return A, sizes, inv_class
 
 

@@ -365,7 +365,7 @@ class TestSearchBeta:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "sym:3"])
-    @pytest.mark.parametrize("budget", [0, -1, -500])
+    @pytest.mark.parametrize("budget", [0, -1, -500, 2.5, True, "10"])
     def test_budget_below_one_is_rejected(self, spec, budget):
         G = make(spec)
         with pytest.raises(errors.BadParameter, match="budget"):

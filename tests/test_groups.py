@@ -26,6 +26,8 @@ from tppb.groups import (
     group_stats,
     prime_power,
 )
+from tppb.lattice import enumerate_subgroups
+from tppb.tpp import satisfies_tpp
 from oracles import (
     brute_force_subgroup_masks,
     commutator_set_derived_subgroup,
@@ -61,18 +63,18 @@ class TestFromCayleyTable:
     def test_trivial(self):
         G = from_cayley_table(1, [[0]])
         assert G.order == 1
-        assert G.inv == [0]
+        assert G.inv.tolist() == [0]
 
     def test_c2(self):
         G = from_cayley_table(2, [[0, 1], [1, 0]])
         assert G.order == 2
-        assert G.inv == [0, 1]
-        assert G.mul[1][1] == 0
+        assert G.inv.tolist() == [0, 1]
+        assert G.table[1, 1] == 0
 
     def test_c5_accepted(self):
         G = from_cayley_table(5, cyclic_table(5))
         assert G.order == 5
-        assert G.inv == [0, 4, 3, 2, 1]
+        assert G.inv.tolist() == [0, 4, 3, 2, 1]
 
     def test_row_not_latin(self):
         with pytest.raises(errors.NotLatinSquare):
@@ -118,6 +120,22 @@ class TestFromCayleyTable:
         with pytest.raises(errors.OrderLimitExceeded):
             from_cayley_table(3, cyclic_table(3), order_limit=2)
 
+    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:8"])
+    def test_strided_table_gives_opposite_group(self, spec):
+        # G.table.T is a strided view, the table of the opposite group
+        # a*b := b*a.  Inversion maps G onto it, and both have the same
+        # subgroups as sets, so the scalar loops must agree on them.
+        G = realize_group_spec(parse_group_spec(spec))
+        H = from_cayley_table(G.order, G.table.T)
+        assert H.table.flags.c_contiguous
+        # Elements 1 and 2 generate either group.
+        assert closure(H, (1, 2)) == closure(G, (1, 2)) == ElementSet((1 << G.order) - 1)
+        assert enumerate_subgroups(H).count == enumerate_subgroups(G).count
+        for sets in ([[0, 1, 2], [0, 3], [0, 5]], [[0, 2], [0, 3], [0, 5]]):
+            verdict = satisfies_tpp(G, *map(ElementSet.from_indices, sets))
+            flipped = [ElementSet.from_indices(G.inv[x].tolist()) for x in sets]
+            assert satisfies_tpp(H, *flipped).holds == verdict.holds
+
 
 class TestFromPermutationGenerators:
     def test_three_cycle(self):
@@ -138,7 +156,7 @@ class TestFromPermutationGenerators:
         G = from_permutation_generators(3, [[2, 1, 3], [1, 3, 2]])
         a = G.index_of_label("2 1 3")
         b = G.index_of_label("1 3 2")
-        assert G.mul[a][b] == G.index_of_label("2 3 1")
+        assert G.table[a, b] == G.index_of_label("2 3 1")
 
     def test_identity_is_index_zero(self):
         G = from_permutation_generators(3, [[2, 1, 3]])
@@ -147,7 +165,7 @@ class TestFromPermutationGenerators:
     @pytest.mark.parametrize("degree", [1, 3, 12])
     def test_no_generators_is_trivial_group(self, degree):
         G = from_permutation_generators(degree, [])
-        assert G.order == 1 and G.table.tolist() == [[0]] and G.inv == [0]
+        assert G.order == 1 and G.table.tolist() == [[0]] and G.inv.tolist() == [0]
         assert G.label_of(0) == " ".join(str(i) for i in range(1, degree + 1))
 
     def test_not_a_permutation(self):
@@ -334,7 +352,7 @@ class TestDirectProduct:
     def test_product_with_trivial_is_identical(self):
         A = builtin("sym", 3)
         G = direct_product(A, builtin("cyclic", 1))
-        assert G.mul == A.mul
+        assert np.array_equal(G.table, A.table)
 
     def test_order_multiplicative(self):
         for a, b in [(3, 4), (2, 6), (5, 2)]:
@@ -345,7 +363,7 @@ class TestDirectProduct:
         A, B = builtin("cyclic", 3), builtin("cyclic", 2)
         G = direct_product(A, B)
         # (1, 1) * (2, 1) = (0, 0): index a*|B| + b.
-        assert G.mul[1 * 2 + 1][2 * 2 + 1] == 0
+        assert G.table[1 * 2 + 1, 2 * 2 + 1] == 0
 
 
 class TestTableConstruction:
@@ -358,12 +376,12 @@ class TestTableConstruction:
             if G.images is None:
                 continue
             mul, inv = permutation_table(label_perms(G))
-            assert G.mul == mul, name
-            assert G.inv == inv, name
+            assert G.table.tolist() == mul, name
+            assert G.inv.tolist() == inv, name
             checked += 1
         for path in sorted(CATALOG_DIR.glob("*.pgens")):
             G = group_from_pgens_file(path)
-            assert (G.mul, G.inv) == permutation_table(label_perms(G)), path.name
+            assert (G.table.tolist(), G.inv.tolist()) == permutation_table(label_perms(G)), path.name
             checked += 1
         assert checked > 50
 
@@ -373,19 +391,24 @@ class TestTableConstruction:
         for name, G in products:
             A, B = (realize_group_spec(f) for f in parse_group_spec(name).factors)
             nb = B.order
+            mul, amul, bmul = G.table.tolist(), A.table.tolist(), B.table.tolist()
+            inv, ainv, binv = G.inv.tolist(), A.inv.tolist(), B.inv.tolist()
             for a in range(A.order):
                 for b in range(nb):
-                    row = G.mul[a * nb + b]
-                    assert G.inv[a * nb + b] == A.inv[a] * nb + B.inv[b], name
+                    row = mul[a * nb + b]
+                    assert inv[a * nb + b] == ainv[a] * nb + binv[b], name
                     for a2 in range(A.order):
                         for b2 in range(nb):
-                            want = A.mul[a][a2] * nb + B.mul[b][b2]
+                            want = amul[a][a2] * nb + bmul[b][b2]
                             assert row[a2 * nb + b2] == want, name
 
-    def test_tables_hold_plain_ints(self, catalog):
+    def test_group_holds_one_int64_table(self, catalog):
+        # Scalar loops index the table's memoryview, which needs one
+        # contiguous int64 buffer; no list copy of the table is kept.
         for name, G in catalog:
-            assert all(type(x) is int for x in G.inv), name
-            assert all(type(x) is int for row in G.mul for x in row), name
+            assert G.table.dtype == np.int64 and G.table.flags.c_contiguous, name
+            assert G.inv.dtype == np.int64, name
+            assert not hasattr(G, "mul"), name
 
 
 class TestGroupStats:
@@ -425,6 +448,7 @@ class TestConjugacyClasses:
         family, p = spec.split(":")
         G = builtin(family, int(p))
         part = conjugacy_classes(G)
+        mul, inv = G.table.tolist(), G.inv.tolist()
         seen = set()
         for c in part.classes:
             idxs = list(c.indices())
@@ -436,7 +460,7 @@ class TestConjugacyClasses:
             assert len(orders) == 1
             for g in range(G.order):
                 for x in idxs:
-                    assert G.mul[G.mul[g][x]][G.inv[g]] in c
+                    assert mul[mul[g][x]][inv[g]] in c
         assert seen == set(range(G.order))
         assert [part.class_of[min(c.indices())] for c in part.classes] == list(
             range(len(part.classes))
@@ -485,7 +509,7 @@ class TestClosure:
         b = G.index_of_label("1 2 4 5 3")
         got = closure(G, (a, b))
         assert len(got) == 60
-        assert got.mask == plain_closure(G.mul, (a, b))
+        assert got.mask == plain_closure(G.table.tolist(), (a, b))
         assert list(closure(G, (0,)).indices()) == [0]
 
     @pytest.mark.parametrize("spec", ["cyclic:7", "sym:5", "alt:5", "product(alt:5,cyclic:2)"])
@@ -493,11 +517,11 @@ class TestClosure:
         G = realize_group_spec(parse_group_spec(spec))
         whole = (1 << G.order) - 1
         gens = [g for g in range(G.order) if g]
-        assert closure(G, gens[:1] + gens[-1:]).mask == plain_closure(G.mul, gens[:1] + gens[-1:])
+        assert closure(G, gens[:1] + gens[-1:]).mask == plain_closure(G.table.tolist(), gens[:1] + gens[-1:])
         assert closure(G, gens).mask == whole
         H = closure(G, gens[:1])
         members = list(H.indices())
-        assert groups._coset_join(G.mul, members, H.mask, (gens[0], *gens)) == whole
+        assert groups._coset_join(G.table.data, members, H.mask, (gens[0], *gens)) == whole
 
     def test_result_flagged_subgroup(self):
         G = builtin("dihedral", 8)
@@ -528,7 +552,8 @@ class TestClosure:
         for name, G in catalog:
             got = [groups.element_order(G, g) for g in range(G.order)]
             assert got == [element_order(G, g) for g in range(G.order)], name
-            want = tuple(plain_closure(G.mul, (g,)) for g in range(G.order))
+            mul = G.table.tolist()
+            want = tuple(plain_closure(mul, (g,)) for g in range(G.order))
             assert cyclic_subgroups(G) == want, name
 
 
@@ -624,17 +649,18 @@ class TestGroupInvariants:
         # and associativity validation; it must pass.
         family, p = spec.split(":")
         G = builtin(family, int(p))
-        H = from_cayley_table(G.order, G.mul, order_limit=G.order)
-        assert H.mul == G.mul
-        assert H.inv == G.inv
+        H = from_cayley_table(G.order, G.table.tolist(), order_limit=G.order)
+        assert np.array_equal(H.table, G.table)
+        assert np.array_equal(H.inv, G.inv)
 
     @pytest.mark.parametrize("spec", ["sym:3", "dicyclic:8"])
     def test_inverse_table(self, spec):
         family, p = spec.split(":")
         G = builtin(family, int(p))
+        mul, inv = G.table.tolist(), G.inv.tolist()
         for a in range(G.order):
-            assert G.mul[a][G.inv[a]] == 0
-            assert G.mul[G.inv[a]][a] == 0
+            assert mul[a][inv[a]] == 0
+            assert mul[inv[a]][a] == 0
 
 
 class TestElementSet:
@@ -774,7 +800,7 @@ class TestClosureOracle:
     def assert_matches(G, degree, gens):
         table, inv, labels = tuple_closure(degree, gens, G.order)
         assert G.table.tolist() == table
-        assert G.inv == inv
+        assert G.inv.tolist() == inv
         assert [G.label_of(i) for i in range(G.order)] == labels
 
     @pytest.mark.parametrize(

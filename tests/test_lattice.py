@@ -195,7 +195,7 @@ class TestEnumerate:
         for name, G in groups:
             calls.clear()
             count = enumerate_subgroups(G).count
-            T, inv = G.table, np.asarray(G.inv)
+            T, inv = G.table, G.inv
             assert sum(len(conjugates) for _, (conjugates, _) in calls) == count, name
             for (_, _, _, mask, gens), (conjugates, normalizer) in calls:
                 assert (normalizer is None) == class_union_is_normal(G, mask), (name, gens)
@@ -292,12 +292,13 @@ class TestEnumerate:
     def test_subgroup_invariants(self, make):
         G = make()
         lat = enumerate_subgroups(G)
+        mul, inv = G.table.tolist(), G.inv.tolist()
         for s in lat.items:
             assert 0 in s
             assert G.order % len(s) == 0
             members = list(s.indices())
-            assert all(G.mul[a][b] in s for a in members for b in members)
-            assert all(G.inv[a] in s for a in members)
+            assert all(mul[a][b] in s for a in members for b in members)
+            assert all(inv[a] in s for a in members)
 
     def test_meet_closed(self):
         lat = enumerate_subgroups(builtin("dihedral", 12))
@@ -339,8 +340,9 @@ class TestIsNormal:
 
     def test_center_is_normal(self):
         G = builtin("dihedral", 16)
+        mul = G.table.tolist()
         center = ElementSet.from_indices(
-            [z for z in range(G.order) if all(G.mul[z][g] == G.mul[g][z] for g in range(G.order))],
+            [z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in range(G.order))],
             is_subgroup=True,
         )
         assert normal_core(G, center) == center

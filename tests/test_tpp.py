@@ -89,7 +89,8 @@ class TestSatisfiesTpp:
         assert not v.holds
         s, tt, uu = v.witness
         # Witness is a genuine violation drawn from the three quotients.
-        assert G.mul[G.mul[s][tt]][uu] == 0
+        mul = G.table.tolist()
+        assert mul[mul[s][tt]][uu] == 0
         assert (s, tt, uu) != (0, 0, 0)
         assert s in right_quotient(G, a3)
         assert tt in right_quotient(G, t)
@@ -103,10 +104,11 @@ class TestSatisfiesTpp:
         qs = sorted(right_quotient(G, a3).indices())
         qt = sorted(right_quotient(G, t).indices())
         qu = right_quotient(G, u)
+        mul, inv = G.table.tolist(), G.inv.tolist()
         expected = None
         for s in qs:
             for tt in qt:
-                uu = G.inv[G.mul[s][tt]]
+                uu = inv[mul[s][tt]]
                 if uu in qu and (s, tt) != (0, 0):
                     expected = (s, tt, uu)
                     break
@@ -126,11 +128,12 @@ class TestSatisfiesTpp:
         # leaves the verdict unchanged.
         G = builtin("dihedral", 8)
         rng = random.Random(3)
+        mul = G.table.tolist()
         for _ in range(40):
             sets = [rng.sample(range(G.order), rng.randint(1, 4)) for _ in range(3)]
             base = satisfies_tpp(G, *map(eset, sets)).holds
             g = rng.randrange(G.order)
-            shifted = [[G.mul[x][g] for x in sets[0]]] + sets[1:]
+            shifted = [[mul[x][g] for x in sets[0]]] + sets[1:]
             assert satisfies_tpp(G, *map(eset, shifted)).holds == base
 
 
