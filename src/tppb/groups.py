@@ -49,8 +49,6 @@ MAX_PRIME_BITS = 64
 # Image cells of products per gather of the permutation closure: 4 MiB
 # of uint8 images up to degree 256, 8 MiB of uint16 ones up to 65,536.
 GATHER_CELLS = 1 << 22
-# Commutators per gather of `derived_subgroup`: 256 KiB of int64 indices.
-COMMUTATOR_CELLS = 1 << 15
 
 
 def check_positive_int(value, source: str) -> int:
@@ -585,18 +583,12 @@ def _conjugacy_partition(G: Group) -> ConjugacyPartition:
 
 def _coset_join(mul, members, mask, multipliers) -> int:
     """Mask of <H, multipliers> by right-coset search, reading the table
-    through its memoryview `mul`.
-
-    H is given by its member list and mask; multipliers must include a
-    generating set of H. New coset representatives are found by right-
-    multiplying known representatives, and each coset H*r is filled by
-    multiplying every member of H into r.
-
-    The search fills whole cosets, so after k of them the join holds
-    k*|H| elements.  Its order divides n = len(mul), so once k*|H|
-    passes n/2 the join is the whole group and its mask is returned
-    without filling the rest.
-    """
+    through its memoryview `mul`.  H is given by its member list and mask;
+    multipliers must include a generating set of H.  New coset
+    representatives are right multiples of known ones, and each coset H*r
+    is filled by multiplying every member of H into r.  So after k cosets
+    the join holds k*|H| elements; its order divides n = len(mul), so once
+    k*|H| passes n/2 the whole group's mask is returned."""
     n = len(mul)
     kmask = mask
     reps = [0]
@@ -647,35 +639,49 @@ def _cyclic_masks(G: Group) -> tuple:
     return tuple(masks)
 
 
+def _walk(G: Group, queue: list, conjugators=()):
+    """(mask, generators) of <queue>.  The queue is read as it grows: each
+    element outside the mask so far joins as a generator by `_coset_join`
+    and queues its conjugates g*x*g^-1 by every g of `conjugators`."""
+    mul, n = G.table.data, G.order
+    mask, gens = 1, ()
+    for x in queue:
+        if not (mask >> x) & 1:
+            gens += (x,)
+            mask = _coset_join(mul, np.flatnonzero(_bits(mask, n)).tolist(), mask, gens)
+            queue.extend(mul[mul[g, x], G.inv[g]] for g in conjugators)
+    return mask, gens
+
+
+def _subgroup_generators(G: Group, S: ElementSet) -> tuple:
+    """Generators of S by `_walk` over its members in ascending order; the
+    walk ends at <S>, so NotASubgroup when S is not closed."""
+    mask, gens = _walk(G, np.flatnonzero(_bits(S.mask, G.order)).tolist())
+    if mask != S.mask:
+        raise errors.NotASubgroup(f"set of {len(S)} elements generates a subgroup of order {mask.bit_count()}")
+    return gens
+
+
 def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
-    """Subgroup generated by the commutators a^-1 * b^-1 * a * b of H (of
-    G when H is None or G itself, in which case G' is stored on G and
-    computed only on the first call)."""
+    """Commutator subgroup H' of H, or G' (stored on G at the first call)
+    when H is None or G itself; NotASubgroup when H is not closed."""
     if H is not None and H.size < G.order:
-        return _commutator_subgroup(G, np.flatnonzero(_bits(H.mask, G.order)))
+        return _commutator_subgroup(G, H)
     if G._derived is None:
-        G._derived = _commutator_subgroup(G, np.arange(G.order))
+        G._derived = _commutator_subgroup(G, ElementSet((1 << G.order) - 1))
     return G._derived
 
 
-def _commutator_subgroup(G: Group, members) -> ElementSet:
-    """The commutators a^-1 b^-1 a b of the members are gathered from the
-    table for a block of whole rows a at a time, at most COMMUTATOR_CELLS
-    of them (at least one row), so no |H| x |H| array is built, and each
-    one not yet inside joins the running subgroup by one coset search."""
-    T, inv = G.table, G.inv
-    inverses = inv[members]
-    seen = np.zeros(G.order, dtype=bool)
-    step = max(1, COMMUTATOR_CELLS // len(members))
-    for lo in range(0, len(members), step):
-        a = members[lo : lo + step, None]
-        seen[T[T[T[inv[a], inverses], a], members]] = True
-    mask, gens = 1, ()
-    for c in np.flatnonzero(seen).tolist():
-        if not (mask >> c) & 1:
-            gens += (c,)
-            mask = _coset_join(T.data, np.flatnonzero(_bits(mask, G.order)).tolist(), mask, gens)
-    return ElementSet(mask, is_subgroup=True)
+def _commutator_subgroup(G: Group, H: ElementSet) -> ElementSet:
+    """H' as the normal closure K in H of the commutators a^-1 b^-1 a b of
+    H's generators, `_walk` conjugating each new generator of K by H's.
+    K lies in H', which is normal in H and holds the commutators.  K is
+    normal in H, as g*K*g^-1 lies in K for each generator g and conjugation
+    by g^-1 is a power of it; H's generators commute modulo K, so K ⊇ H'."""
+    gens = _subgroup_generators(G, H)
+    mul, inv = G.table.data, G.inv
+    commutators = [mul[mul[mul[inv[a], inv[b]], a], b] for a in gens for b in gens]
+    return ElementSet(_walk(G, commutators, gens)[0], is_subgroup=True)
 
 
 def element_order(G: Group, g: int) -> int:

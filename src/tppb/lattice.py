@@ -13,8 +13,8 @@ from .groups import (
     _coset_join,
     _mask,
     _packed,
+    _subgroup_generators,
     check_positive_int,
-    closure,
     conjugacy_classes,
     cyclic_subgroups,
     derived_subgroup,
@@ -278,12 +278,6 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     return SubgroupLattice([ElementSet(mask, is_subgroup=True) for mask in masks])
 
 
-def _require_subgroup(G: Group, S: ElementSet):
-    H = closure(G, S.indices())
-    if H != S:
-        raise errors.NotASubgroup(f"set of {len(S)} elements generates a subgroup of order {len(H)}")
-
-
 def _cores(G: Group, subgroups) -> list:
     """Normal core of each subgroup.  An element lies in every conjugate
     g*S*g^-1 exactly when its whole conjugacy class lies in S, so the core
@@ -310,7 +304,7 @@ def _cores(G: Group, subgroups) -> list:
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
     """Largest normal subgroup of G contained in S; NotASubgroup when S is
     not closed, whatever its `is_subgroup` flag says."""
-    _require_subgroup(G, S)
+    _subgroup_generators(G, S)
     return _cores(G, [S])[0]
 
 

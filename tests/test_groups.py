@@ -26,7 +26,7 @@ from tppb.groups import (
     group_stats,
     prime_power,
 )
-from tppb.lattice import enumerate_subgroups
+from tppb.lattice import enumerate_subgroups, perfect_residual
 from tppb.tpp import satisfies_tpp
 from oracles import (
     brute_force_subgroup_masks,
@@ -617,13 +617,12 @@ class TestDerivedSubgroup:
         for name, G in catalog:
             assert derived_subgroup(G) == commutator_set_derived_subgroup(G), name
 
-    def test_blocks_match_commutator_set(self):
-        # alt:6 has 360 rows of commutators, four blocks of at most 2^15
-        # cells; inside sym:6 it is a proper subgroup, as is the point
-        # stabilizer sym:5, whose own G' is alt:5.
+    def test_proper_subgroups_match_commutator_set(self):
+        # alt:6 is a proper subgroup of sym:6, as is the point stabilizer
+        # sym:5, whose own G' is alt:5.
         G = builtin("sym", 6)
         A6 = derived_subgroup(G)
-        assert len(A6) == 360 and groups.COMMUTATOR_CELLS // 360 < 360
+        assert len(A6) == 360
         S5 = ElementSet.from_indices(i for i in range(G.order) if G.images[i, 0] == 0)
         for H in (A6, S5):
             assert derived_subgroup(G, H) == commutator_set_derived_subgroup(G, H)
@@ -631,6 +630,44 @@ class TestDerivedSubgroup:
         alt6 = builtin("alt", 6)
         assert derived_subgroup(alt6) == commutator_set_derived_subgroup(alt6)
         assert len(derived_subgroup(alt6)) == 360
+
+    def test_not_a_subgroup(self):
+        # The commutators of {0, 1, 2} generate a subgroup of order 3, but
+        # the set itself is not closed.
+        G = builtin("sym", 4)
+        with pytest.raises(errors.NotASubgroup, match="set of 3 elements generates a subgroup of order"):
+            derived_subgroup(G, ElementSet.from_indices([0, 1, 2]))
+
+    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:16", "dicyclic:24", "product(sym:3,cyclic:4)"])
+    def test_every_lattice_member_matches_commutator_set(self, spec):
+        # Most of these members are not normal in G, so their commutators
+        # are conjugated only by H's own generators.
+        G = realize_group_spec(parse_group_spec(spec))
+        for H in enumerate_subgroups(G).items:
+            assert derived_subgroup(G, H) == commutator_set_derived_subgroup(G, H), (spec, len(H))
+
+    @pytest.mark.parametrize(
+        "spec,derived,residual",
+        [
+            ("dihedral:1000", 250, 1),
+            ("dicyclic:2000", 500, 1),
+            ("product(sym:5,dihedral:16)", 240, 60),
+            ("product(alt:6,cyclic:4)", 360, 360),
+            ("product(alt:5,alt:4)", 240, 60),
+            ("sym:6", 360, 360),
+            ("elem_abelian:2^7", 1, 1),
+        ],
+    )
+    def test_closed_forms_at_large_order(self, spec, derived, residual):
+        """|G'| and |G^(∞)| from closed forms that share no code with the
+        program: `dihedral:2m` has |G'| = m / gcd(m, 2) and `dicyclic:4m`
+        has |G'| = m, both solvable; `sym:n` and `alt:n` (n >= 5) have
+        |G'| = n!/2, with alt:n perfect, and `alt:4` has |G'| = 4, solvable;
+        abelian groups have |G'| = 1; (A x B)' = A' x B', and the perfect
+        residual of a product is the product of the residuals."""
+        G = realize_group_spec(parse_group_spec(spec))
+        assert len(derived_subgroup(G)) == derived
+        assert len(perfect_residual(G)) == residual
 
     def test_whole_group_reads_the_stored_value(self):
         G = builtin("sym", 4)

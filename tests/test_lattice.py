@@ -384,15 +384,15 @@ class TestNormalCore:
             normal_core(G, ElementSet.from_indices([0, 1], is_subgroup=True))
 
     def test_normal_cores_trust_lattice_members(self, monkeypatch):
-        # Lattice members were built as subgroups; re-closing each one would
-        # cost |S|^2 products per member.
+        # Lattice members were built as subgroups; re-checking each one
+        # would walk every member of every subgroup.
         G = builtin("sym", 4)
         lat = enumerate_subgroups(G)
 
-        def no_closure(*args):
-            raise AssertionError("normal_cores called closure")
+        def no_check(*args):
+            raise AssertionError("normal_cores re-checked a lattice member")
 
-        monkeypatch.setattr(lattice, "closure", no_closure)
+        monkeypatch.setattr(lattice, "_subgroup_generators", no_check)
         got = [c.mask for c in normal_cores(G, lat)]
         assert got == [conjugate_intersection_core(G, s) for s in lat.items]
 
