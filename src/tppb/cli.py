@@ -19,6 +19,7 @@ from . import errors
 from .bounds import ReportRow, bounds_report
 from .chars import character_degrees, d_sum_int
 from .groups import (
+    BUILTIN_FAMILIES,
     MAX_PRIME_BITS,
     ElementSet,
     Group,
@@ -53,7 +54,6 @@ _COLUMNS = (
 )
 CSV_COLUMNS = [header for header, _ in _COLUMNS]
 
-BUILTIN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "sym", "alt", "elem_abelian")
 # Parsing, rendering and building recurse once per product level.
 MAX_PRODUCT_DEPTH = 100
 # Largest elem_abelian:p^k order, in bits, that parsing evaluates.  No group
@@ -92,11 +92,19 @@ def render_group_spec(spec: GroupSpec) -> str:
     return f"product({render_group_spec(left)},{render_group_spec(right)})"
 
 
+def _is_digits(token: str) -> bool:
+    """ASCII digits only: int() also takes a sign, `_`, spaces and other scripts' digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_int(text: str, pos: int, token: str) -> int:
     try:
-        return int(token)
+        if _is_digits(token):
+            return int(token)
     except ValueError:
-        raise errors.ParseError(text, pos, f"expected an integer, got {errors.quoted(token)}") from None
+        # Past int's 4,300-digit limit.
+        pass
+    raise errors.ParseError(text, pos, f"expected an integer, got {errors.quoted(token)}")
 
 
 def _parse_spec_at(text: str, pos: int, depth: int = 0):
@@ -215,8 +223,8 @@ def load_manifest(path) -> CatalogManifest:
                 continue
             if declared is None and not entries and line.startswith("order=") and "\t" not in line:
                 try:
-                    declared = int(line[len("order="):])
-                except ValueError:
+                    declared = _parse_int(line, 0, line[len("order="):])
+                except errors.ParseError:
                     raise errors.ManifestError(f"line {lineno}: bad order header {line!r}") from None
                 continue
             if "\t" not in line:
@@ -267,26 +275,26 @@ def write_report_csv(path, rows) -> None:
 
 
 def _batch_worker(payload):
-    index, name, spec, base_dir, exact_beta, order_limit, declared = payload
+    name, spec, base_dir, exact_beta, order_limit, declared = payload
     try:
         row = evaluate_spec(name, spec, base_dir, exact_beta=exact_beta, order_limit=order_limit)
         if declared is not None and row.order != declared:
-            return index, ReportRow(
+            return ReportRow(
                 name=name,
                 error=f"order {row.order} does not match declared order {declared}",
             )
-        return index, row
+        return row
     except Exception as exc:
         # Any failure stays in this entry's row; the batch carries on.
-        return index, ReportRow(name=name, error=f"{type(exc).__name__}: {exc}")
+        return ReportRow(name=name, error=f"{type(exc).__name__}: {exc}")
 
 
 def _cmd_batch(args) -> int:
     manifest = load_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     payloads = [
-        (index, name, spec, base_dir, args.exact_beta, args.order_limit, manifest.declared_order)
-        for index, (name, spec) in enumerate(manifest.entries)
+        (name, spec, base_dir, args.exact_beta, args.order_limit, manifest.declared_order)
+        for name, spec in manifest.entries
     ]
     if args.jobs > 1 and len(payloads) > 1:
         # Imported here, as its import alone costs a serial run ~10 ms.
@@ -294,10 +302,10 @@ def _cmd_batch(args) -> int:
 
         # Every worker is started at once, so no more than there are entries.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-            results = list(pool.map(_batch_worker, payloads))
+            # map yields the rows in manifest order.
+            rows = list(pool.map(_batch_worker, payloads))
     else:
-        results = [_batch_worker(p) for p in payloads]
-    rows = [row for _, row in sorted(results, key=lambda r: r[0])]
+        rows = [_batch_worker(p) for p in payloads]
     write_report_csv(args.out, rows)
 
     orders = {row.order for row in rows if row.order is not None}
@@ -353,7 +361,7 @@ def _parse_elements(G: Group, text: str) -> ElementSet:
         token = token.strip()
         if not token:
             continue
-        if token.isdecimal():
+        if _is_digits(token):
             try:
                 index = int(token)
             except ValueError:

@@ -17,6 +17,7 @@ import numpy as np
 from . import errors
 
 __all__ = [
+    "BUILTIN_FAMILIES",
     "DEFAULT_ORDER_LIMIT",
     "MAX_PRIME_BITS",
     "check_order_limit",
@@ -421,72 +422,64 @@ def direct_product(A: Group, B: Group, order_limit: int | None = None) -> Group:
     return Group(table.reshape(n, n))
 
 
+def _cycle(k: int) -> list:
+    """The cycle 1 -> 2 -> ... -> k -> 1 in one-line form."""
+    return list(range(2, k + 1)) + [1]
+
+
 def _dicyclic_perms(m: int):
     """Left-regular images of the two standard dicyclic generators.
 
-    Elements a^i b^j are indexed i + (m//2)*j with a of order m/2 and
-    b^2 = a^(m/4); multiplication follows the defining relations.
+    Element a^i b^j (0 <= i < h, j in {0, 1}) has index i + h*j, where
+    h = m/2 is the order of a and b^2 = a^q with q = m/4.  From the
+    relations b a b^-1 = a^-1 and b^2 = a^q: a * a^k b^l = a^(k+1) b^l,
+    b * a^k = a^(-k) b, and b * a^k b = a^(-k) b^2 = a^(q-k).
     """
-    half = m // 2
-    quarter = m // 4
+    h, q = m // 2, m // 4
+    a = [(k + 1) % h + h * l + 1 for l in (0, 1) for k in range(h)]
+    b = [-k % h + h + 1 for k in range(h)] + [(q - k) % h + 1 for k in range(h)]
+    return [a, b]
 
-    def mul_rule(i, j, k, l):
-        if j == 0:
-            return (i + k) % half, l
-        if l == 0:
-            return (i - k) % half, 1
-        return (i - k + quarter) % half, 0
 
-    def left_mult(i, j):
-        images = [0] * m
-        for k in range(half):
-            for l in (0, 1):
-                ri, rj = mul_rule(i, j, k, l)
-                images[k + half * l] = ri + half * rj + 1
-        return images
-
-    return [left_mult(1, 0), left_mult(0, 1)]
+# The parameter rule and refusal message of each family that has one
+# constructor argument; elem_abelian's prime-power rule is its own branch.
+_FAMILY_RULES = {
+    "cyclic": (lambda p: p >= 1, "cyclic parameter must be >= 1"),
+    "dihedral": (lambda p: p >= 4 and p % 2 == 0, "dihedral parameter is the group order, even and >= 4"),
+    "dicyclic": (
+        lambda p: p >= 8 and p % 4 == 0,
+        "dicyclic parameter is the group order, divisible by 4 and >= 8",
+    ),
+    "sym": (lambda p: p >= 1, "sym parameter must be >= 1"),
+    "alt": (lambda p: p >= 3, "alt parameter must be >= 3"),
+}
+BUILTIN_FAMILIES = (*_FAMILY_RULES, "elem_abelian")
 
 
 def validate_family_parameter(family: str, parameter: int) -> None:
     """Check a builtin family parameter without constructing the group."""
-    p = parameter
-    if family == "cyclic":
-        if p < 1:
-            raise errors.BadParameter("cyclic parameter must be >= 1")
-    elif family == "dihedral":
-        if p < 4 or p % 2:
-            raise errors.BadParameter("dihedral parameter is the group order, even and >= 4")
-    elif family == "dicyclic":
-        if p < 8 or p % 4:
-            raise errors.BadParameter("dicyclic parameter is the group order, divisible by 4 and >= 8")
-    elif family == "sym":
-        if p < 1:
-            raise errors.BadParameter("sym parameter must be >= 1")
-    elif family == "alt":
-        if p < 3:
-            raise errors.BadParameter("alt parameter must be >= 3")
+    if family in _FAMILY_RULES:
+        test, message = _FAMILY_RULES[family]
+        if not test(parameter):
+            raise errors.BadParameter(message)
     elif family == "elem_abelian":
-        base = _power_base(p)
+        base = _power_base(parameter)
         if base is not None and base[0].bit_length() >= MAX_PRIME_BITS:
             raise errors.BadParameter(
                 f"elem_abelian base {errors.quoted(base[0])} has {MAX_PRIME_BITS} bits or more"
             )
         if base is None or not _is_prime(base[0]):
             raise errors.BadParameter(
-                f"elem_abelian parameter must be a prime power, got {errors.quoted(p)}"
+                f"elem_abelian parameter must be a prime power, got {errors.quoted(parameter)}"
             )
     else:
-        raise errors.UnknownFamily(f"unknown builtin family {family!r}")
+        raise errors.UnknownFamily(f"unknown builtin family {errors.quoted(family)}")
 
 
 def builtin(family: str, parameter: int, order_limit: int | None = None) -> Group:
     """Construct a builtin family member via an explicit permutation
-    representation.
-
-    Families: cyclic:n, dihedral:m (order m, even, >= 4), dicyclic:m
-    (order m, 4 | m, >= 8), sym:k, alt:k (k >= 3), elem_abelian:q for a
-    prime power q.
+    representation.  The families are BUILTIN_FAMILIES, with the parameter
+    rules of `validate_family_parameter`.
     """
     validate_family_parameter(family, parameter)
     order_limit = _resolve_limit(order_limit)
@@ -506,35 +499,22 @@ def builtin(family: str, parameter: int, order_limit: int | None = None) -> Grou
         raise errors.OrderLimitExceeded(f"{family}:{what} exceeds order limit {order_limit}")
     p = parameter
     if family == "cyclic":
-        if p == 1:
-            return from_permutation_generators(1, [[1]], order_limit)
-        cycle = list(range(2, p + 1)) + [1]
-        return from_permutation_generators(p, [cycle], order_limit)
+        return from_permutation_generators(p, [_cycle(p)], order_limit)
     if family == "dihedral":
         if p == 4:
             return from_permutation_generators(4, [[2, 1, 3, 4], [1, 2, 4, 3]], order_limit)
         k = p // 2
-        rot = list(range(2, k + 1)) + [1]
-        ref = list(range(k, 0, -1))
-        return from_permutation_generators(k, [rot, ref], order_limit)
+        return from_permutation_generators(k, [_cycle(k), list(range(k, 0, -1))], order_limit)
     if family == "dicyclic":
         return from_permutation_generators(p, _dicyclic_perms(p), order_limit)
+    # sym:1, sym:2 and alt:3 are generated by their long cycle alone.
     if family == "sym":
-        if p == 1:
-            return from_permutation_generators(1, [[1]], order_limit)
-        gens = [[2, 1] + list(range(3, p + 1))]
-        if p > 2:
-            gens.append(list(range(2, p + 1)) + [1])
-        return from_permutation_generators(p, gens, order_limit)
+        gens = [_cycle(2) + list(range(3, p + 1))] if p > 2 else []
+        return from_permutation_generators(p, gens + [_cycle(p)], order_limit)
     if family == "alt":
-        three = [2, 3, 1] + list(range(4, p + 1))
-        if p == 3:
-            gens = [three]
-        elif p % 2:
-            gens = [three, list(range(2, p + 1)) + [1]]
-        else:
-            gens = [three, [1] + list(range(3, p + 1)) + [2]]
-        return from_permutation_generators(p, gens, order_limit)
+        gens = [_cycle(3) + list(range(4, p + 1))] if p > 3 else []
+        second = _cycle(p) if p % 2 else [1] + list(range(3, p + 1)) + [2]
+        return from_permutation_generators(p, gens + [second], order_limit)
     prime, k = prime_power(p)
     degree = prime * k
     gens = []

@@ -35,6 +35,7 @@ __all__ = [
     "random_generators",
     "renumbered",
     "tuple_closure",
+    "dicyclic_by_relations",
     "permutation_table",
     "quotient_set",
     "definitional_tpp",
@@ -192,6 +193,31 @@ def tuple_closure(degree: int, gens, order_limit: int):
         inv.append(index[tuple(q)])
     labels = [" ".join(str(i + 1) for i in p) for p in elems]
     return table, inv, labels
+
+
+def dicyclic_by_relations(m: int):
+    """The left-regular images of the dicyclic generators a and b, one
+    product at a time from the relations: element a^i b^j has index
+    i + (m/2)*j, a has order m/2 and b^2 = a^(m/4)."""
+    half = m // 2
+    quarter = m // 4
+
+    def mul_rule(i, j, k, l):
+        if j == 0:
+            return (i + k) % half, l
+        if l == 0:
+            return (i - k) % half, 1
+        return (i - k + quarter) % half, 0
+
+    def left_mult(i, j):
+        images = [0] * m
+        for k in range(half):
+            for l in (0, 1):
+                ri, rj = mul_rule(i, j, k, l)
+                images[k + half * l] = ri + half * rj + 1
+        return images
+
+    return [left_mult(1, 0), left_mult(0, 1)]
 
 
 def label_perms(G):

@@ -86,6 +86,23 @@ class TestSpecGrammar:
         with pytest.raises(errors.ParseError):
             parse_group_spec(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "cyclic:1_2",
+            "cyclic: 12",
+            "cyclic:+12",
+            "cyclic:-3",
+            "cyclic:١٢",
+            "elem_abelian:2^1_0",
+            "elem_abelian:٢^3",
+        ],
+    )
+    def test_integer_is_ascii_digits_only(self, text):
+        # int() takes all of these.
+        with pytest.raises(errors.ParseError, match="expected an integer"):
+            parse_group_spec(text)
+
     def test_parse_error_carries_position(self):
         try:
             parse_group_spec("product(sym:3")
@@ -195,6 +212,13 @@ class TestManifest:
         assert man.declared_order == 6
         assert [name for name, _ in man.entries] == ["s3", "c6"]
         assert man.entries[0][1] == GroupSpec(kind="builtin", family="sym", parameter=3)
+
+    @pytest.mark.parametrize("header", ["order=2_4", "order=+24", "order= 24"])
+    def test_order_header_is_ascii_digits_only(self, tmp_path, header):
+        path = tmp_path / "cat.manifest"
+        path.write_text(f"{header}\ns3\tsym:3\n")
+        with pytest.raises(errors.ManifestError, match="line 1: bad order header"):
+            load_manifest(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "dup.manifest"
@@ -666,9 +690,10 @@ class TestVerifyTpp:
         assert code == 2
         assert stderr == "error: index '" + "9" * 30 + "'... outside 0..5\n"
 
-    @pytest.mark.parametrize("token", ["²", "①", "0,³"])
+    @pytest.mark.parametrize("token", ["²", "①", "0,³", "١"])
     def test_non_decimal_digit_is_unknown_label(self, capsys, token):
-        # str.isdigit accepts these, but int() does not parse them.
+        # str.isdigit accepts these; int() does not parse the first three
+        # and reads the Arabic-Indic one as 1, but an index is ASCII digits.
         code, _, stderr = run(
             ["verify-tpp", "sym:3", "--s", token, "--t", "1", "--u", "2"], capsys
         )
@@ -684,6 +709,13 @@ class TestVerifyTpp:
 
 
 class TestDegrees:
+    @pytest.mark.parametrize("token", ["1_2", "-3"])
+    def test_integer_not_ascii_digits_exits_2(self, capsys, token):
+        code, stdout, stderr = run(["degrees", f"cyclic:{token}"], capsys)
+        assert (code, stdout) == (2, "")
+        detail = f"expected an integer, got '{token}'"
+        assert stderr == f"error: cannot parse 'cyclic:{token}' at position 0: {detail}\n"
+
     def test_sym4(self, capsys):
         code, stdout, _ = run(["degrees", "sym:4"], capsys)
         assert code == 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tppb.cli
 from tppb import errors, groups
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import (
@@ -31,6 +32,7 @@ from tppb.tpp import satisfies_tpp
 from oracles import (
     brute_force_subgroup_masks,
     commutator_set_derived_subgroup,
+    dicyclic_by_relations,
     element_order,
     label_perms,
     orbit_loop_partition,
@@ -296,6 +298,22 @@ class TestBuiltin:
     def test_unknown_family(self):
         with pytest.raises(errors.UnknownFamily):
             builtin("frieze", 8)
+
+    def test_long_unknown_family_gives_short_message(self):
+        with pytest.raises(errors.UnknownFamily) as exc:
+            builtin("x" * 5000, 1)
+        assert len(str(exc.value)) <= 200
+
+    @pytest.mark.parametrize("m", [8, 12, 24, 212, 292, 1000, 2000])
+    def test_dicyclic_closed_form_matches_relations(self, m):
+        assert groups._dicyclic_perms(m) == dicyclic_by_relations(m)
+
+    def test_one_family_list(self):
+        assert groups.BUILTIN_FAMILIES == ("cyclic", "dihedral", "dicyclic", "sym", "alt", "elem_abelian")
+        assert tppb.cli.BUILTIN_FAMILIES is groups.BUILTIN_FAMILIES
+        for family in groups.BUILTIN_FAMILIES:
+            with pytest.raises(errors.BadParameter):
+                groups.validate_family_parameter(family, 0)
 
     @pytest.mark.parametrize(
         "q", [1009**1420 * 1013, (2**89 - 1) ** 2], ids=["4269-digit-composite", "mersenne89^2"]
