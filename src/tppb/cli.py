@@ -26,10 +26,12 @@ from .groups import (
     builtin,
     check_order_limit,
     configured_order_limit,
+    data_lines,
     direct_product,
     group_from_ctab_file,
     group_from_pgens_file,
     prime_power,
+    read_int,
     validate_family_parameter,
 )
 from .tpp import satisfies_tpp
@@ -92,19 +94,11 @@ def render_group_spec(spec: GroupSpec) -> str:
     return f"product({render_group_spec(left)},{render_group_spec(right)})"
 
 
-def _is_digits(token: str) -> bool:
-    """ASCII digits only: int() also takes a sign, `_`, spaces and other scripts' digits."""
-    return token.isascii() and token.isdigit()
-
-
 def _parse_int(text: str, pos: int, token: str) -> int:
-    try:
-        if _is_digits(token):
-            return int(token)
-    except ValueError:
-        # Past int's 4,300-digit limit.
-        pass
-    raise errors.ParseError(text, pos, f"expected an integer, got {errors.quoted(token)}")
+    value = read_int(token)
+    if value is None:
+        raise errors.ParseError(text, pos, f"expected an integer, got {errors.quoted(token)}")
+    return value
 
 
 def _parse_spec_at(text: str, pos: int, depth: int = 0):
@@ -209,37 +203,29 @@ def load_manifest(path) -> CatalogManifest:
     entries = []
     declared = None
     names = set()
-    with open(path, "r", encoding="ascii") as fh:
+    try:
+        lines = list(data_lines(path))
+    except errors.ParseError as exc:
+        raise errors.ManifestError(exc.detail) from None
+    for lineno, line in lines:
+        if declared is None and not entries and line.startswith("order=") and "\t" not in line:
+            declared = read_int(line[len("order="):])
+            if declared is None:
+                raise errors.ManifestError(f"line {lineno}: bad order header {errors.quoted(line)}")
+            continue
+        if "\t" not in line:
+            raise errors.ManifestError(f"line {lineno}: expected name<TAB>spec")
+        name, spec_text = (part.strip() for part in line.split("\t", 1))
+        if not name:
+            raise errors.ManifestError(f"line {lineno}: empty name")
+        if name in names:
+            raise errors.ManifestError(f"line {lineno}: duplicate name {errors.quoted(name)}")
+        names.add(name)
         try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
-            raise errors.ManifestError(
-                f"line {lineno}: non-ASCII byte 0x{exc.object[exc.start]:02x}"
-            ) from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if declared is None and not entries and line.startswith("order=") and "\t" not in line:
-                try:
-                    declared = _parse_int(line, 0, line[len("order="):])
-                except errors.ParseError:
-                    raise errors.ManifestError(f"line {lineno}: bad order header {line!r}") from None
-                continue
-            if "\t" not in line:
-                raise errors.ManifestError(f"line {lineno}: expected name<TAB>spec")
-            name, spec_text = (part.strip() for part in line.split("\t", 1))
-            if not name:
-                raise errors.ManifestError(f"line {lineno}: empty name")
-            if name in names:
-                raise errors.ManifestError(f"line {lineno}: duplicate name {name!r}")
-            names.add(name)
-            try:
-                spec = parse_group_spec(spec_text)
-            except errors.TppbError as exc:
-                raise errors.ManifestError(f"line {lineno}: {exc}") from None
-            entries.append((name, spec))
+            spec = parse_group_spec(spec_text)
+        except errors.TppbError as exc:
+            raise errors.ManifestError(f"line {lineno}: {exc}") from None
+        entries.append((name, spec))
     return CatalogManifest(tuple(entries), declared)
 
 
@@ -361,18 +347,12 @@ def _parse_elements(G: Group, text: str) -> ElementSet:
         token = token.strip()
         if not token:
             continue
-        if _is_digits(token):
-            try:
-                index = int(token)
-            except ValueError:
-                # Past int's 4,300-digit limit, so past any order.
-                index = G.order
-            if index >= G.order:
-                raise errors.UnknownElement(
-                    f"index {errors.shown(token)} outside 0..{G.order - 1}"
-                )
-        else:
+        # Digits past int's 4,300-digit limit are past any order.
+        index = read_int(token, huge=G.order)
+        if index is None:
             index = G.index_of_label(token)
+        elif index >= G.order:
+            raise errors.UnknownElement(f"index {errors.shown(token)} outside 0..{G.order - 1}")
         indices.append(index)
     if not indices:
         raise errors.EmptySet("element list is empty")

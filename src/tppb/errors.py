@@ -149,6 +149,7 @@ class ParseError(TppbError):
 
     def __init__(self, text: str, pos: int, detail: str):
         self.pos = pos
+        self.detail = detail
         # Quote at most 60 characters around pos, so a long spec gives a short message.
         lo = max(0, min(pos - 30, len(text) - 60))
         shown = repr(text[lo : lo + 60])

@@ -22,6 +22,7 @@ __all__ = [
     "MAX_PRIME_BITS",
     "check_order_limit",
     "check_positive_int",
+    "read_int",
     "configured_order_limit",
     "ElementSet",
     "Group",
@@ -38,6 +39,7 @@ __all__ = [
     "group_stats",
     "element_order",
     "prime_power",
+    "data_lines",
     "group_from_pgens_file",
     "group_from_ctab_file",
 ]
@@ -52,22 +54,34 @@ MAX_PRIME_BITS = 64
 GATHER_CELLS = 1 << 22
 
 
+def read_int(token: str, huge: int | None = None) -> int | None:
+    """The integer that `token` writes in ASCII digits, else None: the one
+    rule for integers in outside text (int() also takes a sign, `_`,
+    spaces and other scripts' digits).  Digits past int()'s 4,300-digit
+    limit read as `huge`: None, unless the caller only compares the
+    number against a bound and passes that bound."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            return huge
+    return None
+
+
 def check_positive_int(value, source: str) -> int:
     """`value` as a count or limit: an integer >= 1 (a bool, a float or a
     string is not one), else BadParameter."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise errors.BadParameter(f"{source} must be an integer >= 1, got {value!r}")
+        got = errors.quoted(value) if isinstance(value, str) else repr(value)
+        raise errors.BadParameter(f"{source} must be an integer >= 1, got {got}")
     return int(value)
 
 
 def check_order_limit(value, source: str = "order limit") -> int:
-    """`value`, an integer or the decimal text of one (from the command
-    line or the environment), as an order limit: >= 1, else BadParameter."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
+    """`value`, an integer or its text by `read_int` (from the command line
+    or the environment), as an order limit: >= 1, else BadParameter."""
+    if isinstance(value, str) and (number := read_int(value)) is not None:
+        value = number
     return check_positive_int(value, source)
 
 
@@ -185,23 +199,19 @@ class Group:
         A one-line label is parsed and its row found by one comparison
         against `images`; the found row is rendered back and must match
         the text exactly, so spacing and leading zeros count."""
-        i = self.order
-        try:
-            if self.images is None:
-                if text[:1] == "g" and text[1:].isdecimal():
-                    i = int(text[1:])
-            else:
-                row = [int(t) - 1 for t in text.split()]
-                if sorted(row) == list(range(self.images.shape[1])):
-                    # With no row equal, argmax gives 0, the identity,
-                    # whose label matches only the identity's text.
-                    i = int((self.images == row).all(axis=1).argmax())
-        except ValueError:
-            # A token that is no integer, or one past int's digit limit.
-            pass
-        if i < self.order and self.label_of(i) == text:
+        i = None
+        if self.images is None:
+            if text[:1] == "g":
+                i = read_int(text[1:])
+        else:
+            row = [read_int(token) for token in text.split()]
+            if None not in row and sorted(row) == list(range(1, self.images.shape[1] + 1)):
+                # With no row equal, argmax gives 0, the identity,
+                # whose label matches only the identity's text.
+                i = int((self.images == np.subtract(row, 1)).all(axis=1).argmax())
+        if i is not None and i < self.order and self.label_of(i) == text:
             return i
-        raise errors.UnknownElement(f"no element labeled {text!r}")
+        raise errors.UnknownElement(f"no element labeled {errors.quoted(text)}")
 
     def __repr__(self) -> str:
         return f"Group(order={self.order})"
@@ -343,7 +353,8 @@ def from_cayley_table(n: int, table, order_limit: int | None = None) -> Group:
 def _as_zero_based_perm(seq, degree: int):
     images = list(seq)
     if len(images) != degree or sorted(images) != list(range(1, degree + 1)):
-        raise errors.NotAPermutation(f"{images!r} is not a permutation of 1..{degree}")
+        shown = errors.shown(repr(images))
+        raise errors.NotAPermutation(f"{shown} is not a permutation of 1..{errors.shown(degree)}")
     return tuple(i - 1 for i in images)
 
 
@@ -676,7 +687,10 @@ def group_stats(G: Group) -> GroupStats:
     return GroupStats(G.order, center_size == G.order, exponent, center_size)
 
 
-def _data_lines(path):
+def data_lines(path):
+    """Yield (number, text) for each line of an ASCII file that is neither
+    blank nor a `#` comment, stripped; a non-ASCII byte is a ParseError
+    naming its line."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = fh.read().split("\n")
@@ -688,48 +702,49 @@ def _data_lines(path):
             raise errors.ParseError(
                 head[-1], len(head[-1]), f"line {len(head)}: non-ASCII byte 0x{raw[exc.start]:02x}"
             ) from None
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            yield line
+            yield number, line
+
+
+def _int_rows(lines, what: str) -> list:
+    """Each numbered line of `lines` as its integers by `read_int`, else a
+    ParseError saying that `what` must be integers."""
+    rows = []
+    for number, line in lines:
+        row = [read_int(token) for token in line.split()]
+        if None in row:
+            raise errors.ParseError(line, 0, f"line {number}: {what} must be integers")
+        rows.append(row)
+    return rows
 
 
 def group_from_pgens_file(path, order_limit: int | None = None) -> Group:
     """Load a .pgens file: `degree <d>` then one generator per line in
     one-line notation (1-based images)."""
-    lines = list(_data_lines(path))
-    if not lines or not lines[0].startswith("degree "):
-        raise errors.ParseError(lines[0] if lines else "", 0, "expected leading 'degree <d>' line")
-    try:
-        degree = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise errors.ParseError(lines[0], 0, "expected leading 'degree <d>' line") from None
-    gens = []
-    for line in lines[1:]:
-        try:
-            gens.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise errors.ParseError(line, 0, "generator lines must be integers") from None
+    lines = list(data_lines(path))
+    head = lines[0][1] if lines else ""
+    # A stripped line that starts with `degree ` has a second token.
+    degree = read_int(head.split()[1]) if head.startswith("degree ") else None
+    if degree is None:
+        raise errors.ParseError(head, 0, "expected leading 'degree <d>' line")
+    gens = _int_rows(lines[1:], "generator lines")
     if not gens:
-        raise errors.ParseError(lines[0], 0, "no generators in file")
+        raise errors.ParseError(head, 0, "no generators in file")
     return from_permutation_generators(degree, gens, order_limit)
 
 
 def group_from_ctab_file(path, order_limit: int | None = None) -> Group:
     """Load a .ctab file: `<n>` then n rows of n 0-based indices."""
-    lines = list(_data_lines(path))
+    lines = list(data_lines(path))
     if not lines:
         raise errors.ParseError("", 0, "empty table file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise errors.ParseError(lines[0], 0, "expected leading order line") from None
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise errors.ParseError(line, 0, "table rows must be integers") from None
+    head = lines[0][1]
+    n = read_int(head)
+    if n is None:
+        raise errors.ParseError(head, 0, "expected leading order line")
+    rows = _int_rows(lines[1:], "table rows")
     if len(rows) != n:
-        raise errors.ParseError(lines[0], 0, f"expected {n} rows, got {len(rows)}")
+        raise errors.ParseError(head, 0, f"expected {errors.shown(n)} rows, got {len(rows)}")
     return from_cayley_table(n, rows, order_limit)

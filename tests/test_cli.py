@@ -401,7 +401,7 @@ class TestBatch:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("raw", ["0", "-2", "abc"])
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1_0", "+5", " 5", "١٠"])
     def test_bad_jobs_option(self, tmp_path, capsys, raw):
         man = self.write_manifest(tmp_path, "s3\tsym:3\n")
         out = tmp_path / "rows.csv"
@@ -569,7 +569,7 @@ class TestAnalyze:
         assert code == 2
         assert "nesting" in err
 
-    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1_0", "+5", " 5", "١٠"])
     def test_bad_order_limit_option(self, capsys, raw):
         code, _, err = run(["analyze", "sym:3", "--order-limit", raw], capsys)
         assert code == 2
@@ -726,3 +726,109 @@ class TestDegrees:
         code, stdout, _ = run(["degrees", "cyclic:6"], capsys)
         assert code == 0
         assert "degrees: 1 1 1 1 1 1" in stdout
+
+
+class TestOutsideText:
+    """Text from files, flags and the environment, read by one rule."""
+
+    @pytest.mark.parametrize(
+        "files, args, env, before, token, after",
+        [
+            (
+                {"cat.manifest": "order=" + "1_" * 3000 + "\ns3\tsym:3\n"},
+                ["batch", "cat.manifest", "--out", "rows.csv"],
+                None,
+                "line 1: bad order header ",
+                "order=" + "1_" * 3000,
+                "",
+            ),
+            (
+                {},
+                ["verify-tpp", "sym:3", "--s", "x" * 5000, "--t", "0", "--u", "0"],
+                None,
+                "no element labeled ",
+                "x" * 5000,
+                "",
+            ),
+            (
+                {"long.pgens": "degree 3\n" + " ".join(["1"] * 3000) + "\n"},
+                ["analyze", "perm:long.pgens"],
+                None,
+                "",
+                repr([1] * 3000),
+                " is not a permutation of 1..3",
+            ),
+            (
+                {},
+                ["analyze", "sym:3", "--order-limit", "x" * 5000],
+                None,
+                "order limit must be an integer >= 1, got ",
+                "x" * 5000,
+                "",
+            ),
+            (
+                {},
+                ["analyze", "sym:3"],
+                "x" * 5000,
+                "TPPB_ORDER_LIMIT must be an integer >= 1, got ",
+                "x" * 5000,
+                "",
+            ),
+            (
+                {"cat.manifest": "a\tsym:3\n" + ("n" * 5000 + "\tsym:3\n") * 2},
+                ["batch", "cat.manifest", "--out", "rows.csv"],
+                None,
+                "line 3: duplicate name ",
+                "n" * 5000,
+                "",
+            ),
+        ],
+        ids=["order-header", "label", "pgens-line", "order-limit", "environment", "duplicate-name"],
+    )
+    def test_long_token_is_cut(self, tmp_path, capsys, monkeypatch, files, args, env, before, token, after):
+        monkeypatch.chdir(tmp_path)
+        for name, body in files.items():
+            (tmp_path / name).write_text(body)
+        if env is not None:
+            monkeypatch.setenv("TPPB_ORDER_LIMIT", env)
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert err == f"error: {before}{errors.quoted(token)}{after}\n"
+        assert len(err.encode()) <= 256
+
+    @pytest.mark.parametrize(
+        "name, body, load, error, args",
+        [
+            (
+                "cat.manifest",
+                b"a\tsym:3\n# caf\xe9\n",
+                load_manifest,
+                errors.ManifestError,
+                ["batch", "{}", "--out", "rows.csv"],
+            ),
+            (
+                "g.pgens",
+                b"degree 3\n# caf\xe9\n2 1 3\n",
+                groups.group_from_pgens_file,
+                errors.ParseError,
+                ["analyze", "perm:{}"],
+            ),
+            (
+                "g.ctab",
+                b"1\n# caf\xe9\n0\n",
+                groups.group_from_ctab_file,
+                errors.ParseError,
+                ["analyze", "table:{}"],
+            ),
+        ],
+        ids=["manifest", "pgens", "ctab"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys, monkeypatch, name, body, load, error, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(error, match="line 2: non-ASCII byte 0xe9"):
+            load(name)
+        code, _, err = run([arg.format(name) for arg in args], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "line 2: non-ASCII byte 0xe9" in err
+        assert not (tmp_path / "rows.csv").exists()

@@ -578,7 +578,7 @@ class TestClosure:
 class TestOrderLimit:
     """One validated order limit, applied before any group is built."""
 
-    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5", "1_0", "+5", " 5", "١٠"])
     def test_bad_environment_value(self, monkeypatch, raw):
         monkeypatch.setenv("TPPB_ORDER_LIMIT", raw)
         with pytest.raises(errors.BadParameter, match="TPPB_ORDER_LIMIT"):
@@ -747,15 +747,22 @@ class TestFileFormats:
 
     def test_pgens_bad_degree_line(self, tmp_path):
         path = tmp_path / "bad.pgens"
-        path.write_text("3\n2 1 3\n")
-        with pytest.raises(errors.TppbError):
-            group_from_pgens_file(path)
+        # int() reads the last two as 3.
+        for head in ("3", "degree +3", "degree 0_3"):
+            path.write_text(f"{head}\n2 1 3\n")
+            with pytest.raises(errors.ParseError, match="expected leading 'degree <d>' line"):
+                group_from_pgens_file(path)
 
     def test_pgens_bad_image(self, tmp_path):
         path = tmp_path / "bad.pgens"
         path.write_text("degree 3\n2 1 4\n")
         with pytest.raises(errors.NotAPermutation):
             group_from_pgens_file(path)
+        # int() reads both lines as 2 1 3.
+        for line in ("+2 1 3", "2 1 0_3"):
+            path.write_text(f"degree 3\n{line}\n")
+            with pytest.raises(errors.ParseError, match="line 2: generator lines must be integers"):
+                group_from_pgens_file(path)
 
     def test_ctab_round_trip(self, tmp_path):
         path = tmp_path / "c3.ctab"
@@ -769,6 +776,16 @@ class TestFileFormats:
         path.write_text("2\n1 0\n0 1\n")
         with pytest.raises(errors.NoIdentityAtZero):
             group_from_ctab_file(path)
+        # int() reads each of these as the table of C2.
+        for body, message in (
+            ("+2\n0 1\n1 0\n", "expected leading order line"),
+            ("0_2\n0 1\n1 0\n", "expected leading order line"),
+            ("2\n0 1\n+1 0\n", "line 3: table rows must be integers"),
+            ("2\n# C2\n0 1\n1 0_0\n", "line 4: table rows must be integers"),
+        ):
+            path.write_text(body)
+            with pytest.raises(errors.ParseError, match=message):
+                group_from_ctab_file(path)
 
 
 class TestLabels:
