@@ -33,15 +33,15 @@ def admissible_profiles(counts, n: int):
     """Yield sorted order profiles (a, b, c), a >= b >= c, over the keys of
     `counts` (subgroup order -> number of subgroups of that order) that pass
     the size test for a group of order n.  Each order above 1 must have as
-    many members as the profile uses; the trivial order may repeat."""
+    many members as the profile uses; the trivial order may repeat.  In a
+    sorted profile only b can repeat, used 1 + (a == b) + (b == c) times."""
     sizes = sorted(counts, reverse=True)
     for ai, a in enumerate(sizes):
         for bi in range(ai, len(sizes)):
             b = sizes[bi]
             for c in sizes[bi:]:
-                if not neumann_admissible(n, a, b, c):
-                    continue
-                if all(v == 1 or counts[v] >= m for v, m in Counter((a, b, c)).items()):
+                # The size test of neumann_admissible, on sorted sizes.
+                if a * (b + c - 1) <= n and (b == 1 or counts[b] > (a == b) + (b == c)):
                     yield a, b, c
 
 
@@ -176,6 +176,33 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     rest of the profile cannot change the witness; its checks are counted
     all the same.  The returned witness is verified again with
     `satisfies_tpp`.
+
+    A profile that the budget covers whole is first given a reduced
+    existence test, which only decides whether the profile has a valid
+    triple at all.  Its order-c member is the least-index kept member of
+    its class of subgroups (`lattice.classes`); its order-b and order-a
+    members range over every kept member of their orders, in no index
+    order.  With no hit the profile is a miss: its checks are counted
+    from the prefix sums as above and no ordered scan runs.  With a hit,
+    the ordered scan runs and finds the lexicographically smallest
+    witness.  The test is exact:
+
+    - conjugating all three members by one x keeps the TPP, the orders
+      and the core sizes, so the core-prune mask is a union of whole
+      classes, and every valid triple of the profile has a conjugate
+      whose order-c member is a class's least-index member;
+    - for subgroups the TPP is symmetric in S, T and U: a cyclic shift of
+      s*t*u = 1 is again a product equal to 1, and inverting it reverses
+      the order.  So a valid triple found in any index order, sorted by
+      index, is a valid triple of the ordered scan;
+    - a repeated nontrivial member fails S∩T = {1} or ST∩U = {1} by
+      itself, since ST contains S and T, so the ranges need no
+      exclusions, also where orders are equal.
+
+    The profile in which the budget runs out is scanned in index order
+    only, and so is every profile whose reduced test would test at least
+    as many pairs as its ordered scan (one whose order-c members are all
+    normal, say).
     """
     if budget is not None:
         budget = check_positive_int(budget, "budget")
@@ -186,6 +213,8 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         cores = normal_cores(G, lattice)
     core_size = np.array([len(s) for s in cores])
     orders = np.array([len(s) for s in items])
+    least = np.zeros(count, dtype=bool)  # the least-index member of each class
+    least[np.unique(lattice.classes, return_index=True)[1]] = True
     by_size = {}
     for x, size in enumerate(orders.tolist()):
         lo, _ = by_size.get(size, (x, x))
@@ -283,6 +312,14 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             checks = budget
         else:
             checks += total
+            # The reduced test: each order-c class once, every (T, U) pair.
+            reps = ic[least[ic]]
+            pairs = len(reps) * len(jb)
+            if pairs < len(J):
+                Ir, Jr = np.repeat(reps, len(jb)), np.tile(jb, len(reps))
+                everywhere = np.broadcast_to(0, pairs), np.broadcast_to(u1 - u0, pairs)
+                if first_hit(c, b, kept[u0:u1], Ir, Jr, *everywhere) is None:
+                    continue
         found = first_hit(c, b, kept[u0:u1], I, J, lo, hi)
         if found is not None:
             if product > best:

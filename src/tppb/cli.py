@@ -180,10 +180,10 @@ def realize_group_spec(spec: GroupSpec, base_dir=".", order_limit: int | None = 
         try:
             return loader(path, order_limit=order_limit)
         except OSError as exc:
-            # Name the file as the spec wrote it, so output does not depend
-            # on where the catalog lives.
-            exc.filename = spec.path
-            raise
+            # Name the file as the spec wrote it, cut short, so output
+            # depends neither on where the catalog lives nor on how long
+            # the path is.
+            raise type(exc)(exc.errno, f"{exc.strerror}: {errors.quoted(spec.path)}") from None
     left, right = spec.factors
     return direct_product(
         realize_group_spec(left, base_dir, order_limit),

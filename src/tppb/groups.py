@@ -72,7 +72,11 @@ def check_positive_int(value, source: str) -> int:
     """`value` as a count or limit: an integer >= 1 (a bool, a float or a
     string is not one), else BadParameter."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        got = errors.quoted(value) if isinstance(value, str) else repr(value)
+        if isinstance(value, str):
+            got = errors.quoted(value)
+        else:
+            # A huge int is cut, since repr refuses more than 4,300 digits.
+            got = errors.shown(value) if type(value) is int else repr(value)
         raise errors.BadParameter(f"{source} must be an integer >= 1, got {got}")
     return int(value)
 

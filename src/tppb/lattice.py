@@ -42,12 +42,19 @@ class SubgroupLattice:
 
     Indexing is 1-based: lattice[1] is the trivial subgroup and
     lattice[count] is the whole group.
+
+    `classes`, aligned with `items`, holds the number of each member's
+    conjugacy class of subgroups.  Classes are numbered 0, 1, ... in the
+    order of their least-index members, so the trivial subgroup is in
+    class 0 and a member is the least of its class exactly when its
+    number is new.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "classes")
 
-    def __init__(self, items):
+    def __init__(self, items, classes):
         self.items = items
+        self.classes = classes
 
     @property
     def count(self) -> int:
@@ -183,7 +190,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     the bits (`_lattice_key`, a byte table) makes that bit the highest
     one in which they differ, so the mask holding it has the larger
     reversed value: the key (size, -reversed mask) gives the same order
-    without listing any indices.
+    without listing any indices.  Each mask keeps the class it was added
+    with, so the sorted lattice records every member's class
+    (`SubgroupLattice.classes`) with no conjugation after the walk.
 
     `lattice_limit` caps the number of subgroups; it must be an integer
     >= 1, else BadParameter.  It is checked as each class is added, so
@@ -220,14 +229,14 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     gen_in_residual = _bits(residual, n)[gen_idx]
     step = max(1, LATTICE_CELLS // max(n, len(seeds)))
 
-    known, whole = set(), np.ones(n, dtype=bool)
+    known, whole = {}, np.ones(n, dtype=bool)  # known: mask -> its class's place in reps
     reps = []  # (mask, normalizer row or None, generators) per class
 
     def add_class(mask, gens):
         conjugates, normalizer = _subgroup_class(T, inv, element_class, mask, gens)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
-        known.update(conjugates)
+        known.update(dict.fromkeys(conjugates, len(reps)))
         reps.append((mask, normalizer, gens))
 
     add_class(1, ())
@@ -275,7 +284,11 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     width = -(-n // 8)
     masks = sorted(known, key=lambda mask: _lattice_key(mask, width))
-    return SubgroupLattice([ElementSet(mask, is_subgroup=True) for mask in masks])
+    # The classes are numbered again by their least members in this order,
+    # so the numbers do not depend on the order in which they were found.
+    number = {}
+    classes = tuple(number.setdefault(known[mask], len(number)) for mask in masks)
+    return SubgroupLattice([ElementSet(mask, is_subgroup=True) for mask in masks], classes)
 
 
 def _cores(G: Group, subgroups) -> list:

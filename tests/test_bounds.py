@@ -342,11 +342,41 @@ class TestSearchBeta:
                 got = search_beta_g(G, lat, budget, cores)
                 assert got == per_triple_search_beta_g(G, lat, budget, cores), (name, budget)
 
-    def test_frozen_budget_scale_group(self):
-        # Exact with no budget; a budget of 20,000,000 checks stops short.
-        G = realize_group_spec(parse_group_spec("product(sym:4,dihedral:8)"))
+    # Values of the search that tested every ordered triple of every
+    # profile; the reduced miss test must give the same results, check
+    # counts included.
+    FROZEN_BETA = {
+        "product(sym:4,dihedral:8)": (384, (67, 618, 723), True, 23_001_662),
+        "alt:6": (972, (363, 364, 424), True, 760_766),
+        "product(alt:5,sym:3)": (864, (198, 239, 578), True, 2_886_143),
+    }
+
+    @pytest.mark.parametrize("spec", FROZEN_BETA)
+    def test_frozen_budget_scale_group(self, spec):
+        G = realize_group_spec(parse_group_spec(spec))
         res = search_beta_g(G, lat_of(G))
-        assert (res.value, res.witness, res.exact, res.checks) == (384, (67, 618, 723), True, 23_001_662)
+        assert (res.value, res.witness, res.exact, res.checks) == self.FROZEN_BETA[spec]
+
+    def test_matches_per_triple_search_past_the_first_class(self):
+        # Its witness profile has no valid triple through the first kept
+        # class of its order-c members, so a reduced test that saw fewer
+        # classes than all would call the profile a miss and move the
+        # witness.
+        G = realize_group_spec(parse_group_spec("product(sym:3,dihedral:8)"))
+        lat = lat_of(G)
+        res = search_beta_g(G, lat)
+        assert res == per_triple_search_beta_g(G, lat)
+        assert (res.value, res.witness) == (64, (7, 13, 112))
+
+    def test_budget_stopping_after_reduced_misses(self):
+        # alt:6 has 29 searched profiles, each with fewer class-by-member
+        # pairs than ordered pairs, and only the last, (18, 18, 3), has a
+        # valid triple.  This budget stops inside it, 1,266 checks short of
+        # the end, after 28 profiles that the reduced test decided.  Frozen
+        # from the search that tested every ordered triple.
+        G = builtin("alt", 6)
+        res = search_beta_g(G, lat_of(G), budget=759_500)
+        assert (res.value, res.witness, res.exact, res.checks) == (972, (363, 364, 424), False, 759_500)
 
     def test_pair_chunks_bound_memory(self):
         # Its one searched profile (8, 4, 4) has 6,441 pairs of 120 third
@@ -365,7 +395,7 @@ class TestSearchBeta:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "sym:3"])
-    @pytest.mark.parametrize("budget", [0, -1, -500, 2.5, True, "10"])
+    @pytest.mark.parametrize("budget", [0, -1, -500, 2.5, True, "10", pytest.param(-(10**5000), id="-10**5000")])
     def test_budget_below_one_is_rejected(self, spec, budget):
         G = make(spec)
         with pytest.raises(errors.BadParameter, match="budget"):

@@ -1,6 +1,7 @@
 """CLI surface: spec grammar, manifests, batch CSV, analyze, verify-tpp."""
 
 import concurrent.futures
+import csv
 import os
 import subprocess
 import sys
@@ -795,6 +796,22 @@ class TestOutsideText:
         assert code == 2
         assert err == f"error: {before}{errors.quoted(token)}{after}\n"
         assert len(err.encode()) <= 256
+
+    def test_long_file_path_is_cut(self, tmp_path, capsys, monkeypatch):
+        # A path too long to open is named cut short, on stderr and in the
+        # batch row's error cell alike.
+        monkeypatch.chdir(tmp_path)
+        path = "p" * 5000
+        code, _, err = run(["analyze", f"perm:{path}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.endswith(f": {errors.quoted(path)}\n")
+        assert len(err.encode()) <= 256
+        (tmp_path / "cat.manifest").write_text(f"s3\tsym:3\nlong\tperm:{path}\n")
+        code, _, _ = run(["batch", "cat.manifest", "--out", "rows.csv"], capsys)
+        assert code == 1
+        header, _, row = list(csv.reader((tmp_path / "rows.csv").read_text().splitlines()[1:]))
+        cell = row[header.index("error")]
+        assert cell.endswith(err[len("error: ") : -1]) and len(cell.encode()) <= 256
 
     @pytest.mark.parametrize(
         "name, body, load, error, args",

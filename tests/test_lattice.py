@@ -180,7 +180,11 @@ class TestEnumerate:
     # generator inside K) must agree with the union of the classes of all
     # members, and for a non-normal class the normalizer read from the
     # generators and the conjugates gathered at one element per coset must
-    # equal those from conjugating every member by every element.
+    # equal those from conjugating every member by every element.  Two
+    # lattice members share a number in `classes` exactly when some
+    # element conjugates one onto the other: the members of each number
+    # are the conjugates of its least member, by every element.  The
+    # numbers are 0, 1, ... in the order of their least members.
     def test_classes_match_conjugation_by_every_element(self, monkeypatch, catalog):
         calls = []
         real = lattice._subgroup_class
@@ -194,8 +198,18 @@ class TestEnumerate:
         non_normal = 0
         for name, G in groups:
             calls.clear()
-            count = enumerate_subgroups(G).count
+            lat = enumerate_subgroups(G)
+            count = lat.count
             T, inv = G.table, G.inv
+            assert len(lat.classes) == count, name
+            members_of = {}
+            for x, number in enumerate(lat.classes):
+                assert number <= len(members_of), (name, x)
+                members_of.setdefault(number, []).append(lat.items[x].mask)
+            for number, masks in members_of.items():
+                inside = _bits(masks[0], G.order)
+                conjugates, _ = _conjugate_masks(T, inv, np.flatnonzero(inside), inside)
+                assert sorted(conjugates) == sorted(masks), (name, number)
             assert sum(len(conjugates) for _, (conjugates, _) in calls) == count, name
             for (_, _, _, mask, gens), (conjugates, normalizer) in calls:
                 assert (normalizer is None) == class_union_is_normal(G, mask), (name, gens)
