@@ -166,10 +166,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     (i, j, k) of orders (c, b, a) whose members pass the core prune, in
     lexicographic order; a check is one triple of the scan, and `checks`
     counts the triples of the scan up to the budget, the seed included.
-    Each profile is one step: its pairs (i, j) become index arrays, each
-    pair's number of k comes from a prefix sum of the prune mask, and a
-    cumulative sum of those numbers finds the exact triple where the budget
-    runs out.  The pairs are then tested in scan order, a chunk at a time:
+    Each profile is one step.  Its number of triples comes from its member
+    counts and a prefix sum of the prune mask alone.  Only a profile that
+    is scanned has its pairs (i, j) made index arrays, each pair's number
+    of k read from the prefix sum, and a cumulative sum of those numbers
+    finds the exact triple where the budget runs out.  The pairs are then
+    tested in scan order, a chunk at a time:
     S∩T and ST∩U as ANDs of packed bit rows (the identity left out), the
     product set ST as one gather over the table.  A profile stops at its
     first hit, which is its lexicographically smallest valid triple, so the
@@ -286,21 +288,39 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         csum = np.concatenate(([0], np.cumsum(keep)))
         ic = kept[csum[by_size[c][0]] : csum[by_size[c][1]]]
         jb = kept[csum[by_size[b][0]] : csum[by_size[b][1]]]
-        if b == c > 1:
-            # Equal nontrivial orders draw distinct members; the trivial
-            # subgroup is the only one allowed to repeat.
-            I, J = (jb[v] for v in np.triu_indices(len(jb), 1))
-        else:
-            I, J = np.repeat(ic, len(jb)), np.tile(jb, len(ic))
         # The kept members of order a are kept[u0:u1]; those of a pair are
         # kept[u0 + lo:u0 + hi], after its second member when a == b > 1.
+        # Equal nontrivial orders b == c draw distinct members, in pairs
+        # (jb[x], jb[y]) with x < y; the trivial subgroup is the only one
+        # allowed to repeat.  The pair count and the sum of lo come from
+        # the member counts, so a miss builds no pair arrays.
         u0, u1 = int(csum[by_size[a][0]]), int(csum[by_size[a][1]])
-        lo = csum[J + 1] - u0 if a == b > 1 else np.broadcast_to(0, J.shape)
-        hi = np.broadcast_to(u1 - u0, J.shape)
-        total = len(J) * (u1 - u0) - int(lo.sum())
+        pairs = len(jb) * (len(jb) - 1) // 2 if b == c > 1 else len(ic) * len(jb)
+        lo_sum = 0
+        if a == b > 1:
+            # jb[y] is the second member of y pairs when b == c, else of
+            # len(ic) pairs.
+            w = csum[jb + 1] - u0
+            lo_sum = int(np.arange(len(jb)) @ w) if b == c else len(ic) * int(w.sum())
+        total = pairs * (u1 - u0) - lo_sum
         if not total:
             continue
         exhausted = budget is not None and total > budget - checks
+        if not exhausted:
+            checks += total
+            # The reduced test: each order-c class once, every (T, U) pair.
+            reps = ic[least[ic]]
+            if len(reps) * len(jb) < pairs:
+                Ir, Jr = np.repeat(reps, len(jb)), np.tile(jb, len(reps))
+                everywhere = np.broadcast_to(0, len(Ir)), np.broadcast_to(u1 - u0, len(Ir))
+                if first_hit(c, b, kept[u0:u1], Ir, Jr, *everywhere) is None:
+                    continue
+        if b == c > 1:
+            I, J = (jb[v] for v in np.triu_indices(len(jb), 1))
+        else:
+            I, J = np.repeat(ic, len(jb)), np.tile(jb, len(ic))
+        lo = csum[J + 1] - u0 if a == b > 1 else np.broadcast_to(0, J.shape)
+        hi = np.broadcast_to(u1 - u0, J.shape)
         if exhausted:
             # The budget runs out inside pair `cut`; with no room left, that
             # is the first pair, and its range comes out empty.
@@ -310,16 +330,6 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             I, J, lo, hi = I[: cut + 1], J[: cut + 1], lo[: cut + 1], hi[: cut + 1].copy()
             hi[cut] -= cum[cut] - room
             checks = budget
-        else:
-            checks += total
-            # The reduced test: each order-c class once, every (T, U) pair.
-            reps = ic[least[ic]]
-            pairs = len(reps) * len(jb)
-            if pairs < len(J):
-                Ir, Jr = np.repeat(reps, len(jb)), np.tile(jb, len(reps))
-                everywhere = np.broadcast_to(0, pairs), np.broadcast_to(u1 - u0, pairs)
-                if first_hit(c, b, kept[u0:u1], Ir, Jr, *everywhere) is None:
-                    continue
         found = first_hit(c, b, kept[u0:u1], I, J, lo, hi)
         if found is not None:
             if product > best:

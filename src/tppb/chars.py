@@ -2,17 +2,24 @@
 finite-field common-eigenvector method on conjugacy class matrices.
 
 The class sums K_r multiply as K_r K_s = sum_t a_rst K_t. Over a prime
-field with p = 1 (mod exponent) and p^2 > 4|G|, the matrices
-(M_r)[s][t] = a_rst commute and share exactly one common eigenvector per
-irreducible character chi: w_chi with w_chi[t] = |C_t| chi(z_t) / chi(1),
-the central character values. Each degree is recovered from the
-orthogonality relation d^2 = |G| / sum_j w_j w_j* / |C_j| evaluated mod p
-and lifted to the unique integer in (0, sqrt(|G|)].
+field with p = 1 (mod exponent) and p^2 > k^2 |G|, for the number k of
+conjugacy classes, the matrices (M_r)[s][t] = a_rst commute and share
+exactly one common eigenvector per irreducible character chi: w_chi with
+w_chi[t] = |C_t| chi(z_t) / chi(1), the central character values. Each
+degree is recovered from the orthogonality relation
+d^2 = |G| / sum_j w_j w_j* / |C_j| evaluated mod p and lifted to the
+unique integer in (0, sqrt(|G|)].
 
 One such prime suffices.  F_p holds the e-th roots of unity for the
 exponent e, so it is a splitting field of G (Brauer), and p does not
 divide |G|; the class algebra over F_p is then F_p^k and the split
-succeeds (Dixon 1967, Numer. Math. 10).  A failure is a hard error.
+succeeds (Dixon 1967, Numer. Math. 10).  Dixon needs only p > 2 sqrt|G|,
+which the rule meets as k >= 2 for a nontrivial G; the larger p is for
+speed.  The k roots of the generic combination A below collide in about
+k^2 / 2p pairs, and each collision costs a span over n*k cells and one
+more eigenvector search, while the scan for the roots costs k*p cells.
+The two balance near p = k sqrt(|G| / 2), and p^2 > k^2 |G| is within
+sqrt(2) of that with no tuning constant.  A failure is a hard error.
 
 The split follows Dixon as revisited by Schneider (J. Symbolic Comput. 9,
 1990): first by one generic combination A = sum_j 3^j M_j, then class
@@ -46,10 +53,13 @@ steps, checked up front for s = 1.  The two k x k x r products of
 the eigenvectors run in float64, which holds their sums of at most k
 products below p^2 exactly while k*p^2 < 2^53, and the weighted
 bincounts sum in float64 at most n*k weights below p, exact while
-n*k*p < 2^53.  Both bounds hold far into reach (k <= n = 2000 and the
-largest Dixon prime for such an order, 87,869, give 1.5e13 and 3.5e11),
-but the order limit can be raised, so each is checked before its
-products and a breach is an InvariantViolation.
+n*k*p < 2^53.  All three bounds hold within the default order limit:
+a nonabelian group of order n <= 2000 has k <= 5n/8 <= 1,250 classes,
+and over every exponent up to 1,000 the smallest prime = 1 (mod e)
+above 1,250 sqrt(2000) is at most 104,831, which gives k*p^2 = 1.4e13,
+n*k*p = 2.6e11 and a Hessenberg step bound of 1.4e18.  But the order
+limit can be raised, so each is checked before its products and a
+breach is an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -88,21 +98,25 @@ class CharacterDegrees:
     group_order: int
 
 
-def _admissible_primes(e: int, order: int):
-    """Yield primes p = 1 (mod e) with p^2 > 4*order, ascending."""
-    floor = 4 * order
-    k = 1
-    while k <= PRIME_SEARCH_CAP:
-        p = k * e + 1
+def _admissible_primes(e: int, order: int, k: int):
+    """Yield primes p = 1 (mod e) with p^2 > k^2 * order, ascending, for
+    a group of that order and exponent with k conjugacy classes (see the
+    module docstring for why k enters)."""
+    floor = k * k * order
+    m = 1
+    while m <= PRIME_SEARCH_CAP:
+        p = m * e + 1
         if p * p > floor and prime_power(p) == (p, 1):
             yield p
-        k += 1
+        m += 1
     raise errors.PrimeSearchExhausted(f"no admissible prime below {PRIME_SEARCH_CAP * e}")
 
 
 def dixon_prime(G: Group) -> int:
-    """Smallest admissible prime for the finite-field method."""
-    return next(_admissible_primes(group_stats(G).exponent, G.order))
+    """Smallest admissible prime for the finite-field method: the least
+    p = 1 (mod exponent) with p^2 > k^2 |G| for the k conjugacy classes."""
+    k = len(conjugacy_classes(G).classes)
+    return next(_admissible_primes(group_stats(G).exponent, G.order, k))
 
 
 def _rref_mod(A: np.ndarray, p: int):
@@ -217,12 +231,12 @@ def _charpoly_mod(R: np.ndarray, p: int) -> np.ndarray:
     the column product, d such entries times u < p plus column m itself,
     is below (d(p-1)+1)(p + s(p-1)^2), which must stay below 2^63.  A full
     H %= p runs only when the next step would pass that bound: every 17
-    steps for d = 30 at a prime near 2^18, every 27 for d = 503 at 87,869,
-    the largest Dixon prime for an order <= 2000, and never for d = 503 at
-    p = 3001.  If one step alone passes it, InvariantViolation.  The
-    recurrence then updates all of P_m at once, with the running products
-    of the subdiagonal as one array; its sums of d products below p^2 are
-    inside the same bound.
+    steps for d = 30 at a prime near 2^18, every 6 for d = 1,250 at
+    104,831, the bound on the Dixon prime of a nonabelian group of order
+    <= 2000, and never for d = 503 at p = 3001.  If one step alone passes
+    it, InvariantViolation.  The recurrence then updates all of P_m at
+    once, with the running products of the subdiagonal as one array; its
+    sums of d products below p^2 are inside the same bound.
     """
     H = np.array(R % p, dtype=np.int64)
     d = H.shape[0]
@@ -439,17 +453,18 @@ def character_degrees(G: Group) -> CharacterDegrees:
     """Exact degree multiset of the irreducible characters of G.
 
     Abelian groups short-circuit to all ones.  Otherwise the class algebra
-    is split once, at the smallest admissible prime: F_p is a splitting
-    field of G, so an EigenspaceSplitFailure there is a hard error, not a
-    reason to try another prime.  The result must pass `validate_degrees`
-    and have [G:G'] degrees equal to 1, else InvariantViolation.
+    is split once, at the smallest admissible prime for the k classes of
+    its partition (`dixon_prime`): F_p is a splitting field of G, so an
+    EigenspaceSplitFailure there is a hard error, not a reason to try
+    another prime.  The result must pass `validate_degrees` and have
+    [G:G'] degrees equal to 1, else InvariantViolation.
     """
     st = group_stats(G)
     n = st.order
     if st.is_abelian:
         return CharacterDegrees((1,) * n, n)
-    p = next(_admissible_primes(st.exponent, n))
     algebra = _ClassAlgebra(G)
+    p = next(_admissible_primes(st.exponent, n, len(algebra.sizes)))
     lines = _split_to_lines(algebra, p)
     degrees = _degrees_from_lines(lines, algebra.sizes, algebra.inv_class, n, p)
     result = validate_degrees(degrees, n)

@@ -79,7 +79,14 @@ def _subgroup_class(T, inv, element_class, mask, gens):
     n = len(T)
     inside = _bits(mask, n)
     normalizer = inside[_conjugates(T, inv, list(gens))].all(axis=1)
-    reps = np.flatnonzero(T[:, normalizer].min(axis=1) == np.arange(n))
+    in_normalizer = np.flatnonzero(normalizer)
+    reps = np.empty(n // len(in_normalizer), dtype=np.int64)
+    unmarked = np.ones(n, dtype=bool)
+    x = 0
+    for i in range(len(reps)):
+        x += int(unmarked[x:].argmax())
+        reps[i] = x
+        unmarked[T[x, in_normalizer]] = False
     conj = T[T[reps[:, None], np.flatnonzero(inside)], inv[reps][:, None]]
     hit = np.zeros((len(reps), n), dtype=bool)
     hit[np.arange(len(reps))[:, None], conj] = True
@@ -171,9 +178,10 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     That is one n x |gens| gather, not n x |K|.  x and x*m for m in N(K)
     give the same conjugate, so the conjugates are gathered from the
     table (x*y*x^-1 = T[T[x, y], inv[x]]) only at the least element of
-    each left coset x*N(K).  A class record keeps only the
-    representative's mask, its normalizer row (None when normal) and its
-    generators.
+    each left coset x*N(K): the least x not yet marked, whose coset, one
+    row T[x, N(K)], is then marked, |G:N(K)| times in all.  A class
+    record keeps only the representative's mask, its normalizer row
+    (None when normal) and its generators.
 
     The queue is read in blocks of representatives of at most
     LATTICE_CELLS cells (block x max(n, seeds)), so the membership rows,

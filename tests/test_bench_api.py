@@ -61,7 +61,7 @@ def test_layer_calls_match_batch(tmp_path):
     assert (t, hb.b, hb.h, len(hb.candidates), d3) == (8, 8, 8, 1, 10)
     assert (res.value, res.exact) == (probe.value, probe.exact) == (8, True)
     assert (flags.t_le_d3, flags.h_le_d3) == (True, True)
-    assert chars.dixon_prime(G) == 7 and stats.is_abelian is False
+    assert chars.dixon_prime(G) == 13 and stats.is_abelian is False
 
     row = cli.ReportRow(
         name=name,

@@ -52,25 +52,63 @@ class TestDixonPrime:
         ],
     )
     def test_frozen(self, make, want):
-        assert dixon_prime(make()) == want
+        # The least p = 1 mod the exponent with p^2 > 4|G|, the floor of
+        # Dixon's method: `_admissible_primes` at k = 2.
+        G = make()
+        assert next(chars._admissible_primes(group_stats(G).exponent, G.order, 2)) == want
+
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            ("sym:3", 13),
+            ("cyclic:2", 3),
+            ("dicyclic:8", 17),
+            ("sym:4", 37),
+            # k = 1, so p^2 > 1; no abelian group is split.
+            ("cyclic:1", 2),
+            ("cyclic:12", 61),
+            ("alt:5", 61),
+            ("dicyclic:116", 349),
+        ],
+    )
+    def test_frozen_dixon_prime(self, spec, want):
+        family, parameter = spec.split(":")
+        assert dixon_prime(builtin(family, int(parameter))) == want
 
     @pytest.mark.parametrize("spec", ["sym:4", "dihedral:20", "dicyclic:12"])
     def test_conditions(self, spec):
         family, p = spec.split(":")
         G = builtin(family, int(p))
         st = group_stats(G)
+        k = len(conjugacy_classes(G).classes)
         prime = dixon_prime(G)
         assert prime % st.exponent == 1
-        assert prime * prime > 4 * st.order
+        assert prime * prime > k * k * st.order
         assert st.order % prime != 0
+        smaller = range(st.exponent + 1, prime, st.exponent)
+        assert not any(
+            q * q > k * k * st.order and all(q % r for r in range(2, math.isqrt(q) + 1)) for q in smaller
+        )
+
+    def test_worst_case_is_exact(self):
+        # A nonabelian group of order n has at most 5n/8 classes, and this
+        # one has the most at order 2000.  Its prime meets the three bounds
+        # that the split checks before its products.
+        G = realize_group_spec(parse_group_spec("product(dihedral:8,cyclic:250)"))
+        k = len(conjugacy_classes(G).classes)
+        p = dixon_prime(G)
+        assert (k, group_stats(G).exponent, p) == (1250, 500, 56501)
+        assert k * (p - 1) ** 2 < 1 << 53
+        assert G.order * k * (p - 1) < 1 << 53
+        assert (k * (p - 1) + 1) * (p + (p - 1) ** 2) < 1 << 63
 
     def test_admissible_primes_increasing(self):
         G = builtin("sym", 3)
         seq = []
-        gen = chars._admissible_primes(group_stats(G).exponent, G.order)
+        gen = chars._admissible_primes(group_stats(G).exponent, G.order, 3)
         for _ in range(3):
             seq.append(next(gen))
-        assert seq[0] == 7
+        assert seq[0] == 13
         assert seq == sorted(seq)
         assert all(p % 6 == 1 for p in seq)
 
@@ -137,8 +175,8 @@ class TestCharacterDegrees:
         # The split at the second admissible prime gives the same degrees
         # as the one character_degrees makes at the first.
         G = make()
-        gen = chars._admissible_primes(group_stats(G).exponent, G.order)
         algebra = chars._ClassAlgebra(G)
+        gen = chars._admissible_primes(group_stats(G).exponent, G.order, len(algebra.sizes))
         got = [
             chars._degrees_from_lines(
                 chars._split_to_lines(algebra, p), algebra.sizes, algebra.inv_class, G.order, p
@@ -158,7 +196,7 @@ class TestCharacterDegrees:
 
         monkeypatch.setattr(chars, "_split_to_lines", failing)
         G = builtin("sym", 4)
-        with pytest.raises(errors.EigenspaceSplitFailure, match="forced at 13"):
+        with pytest.raises(errors.EigenspaceSplitFailure, match="forced at 37"):
             character_degrees(G)
         assert calls == [dixon_prime(G)]
 
@@ -203,7 +241,7 @@ class TestSplit:
     characteristic polynomial; the class matrices split only what it
     leaves."""
 
-    # dicyclic:116 has Dixon prime 233.
+    # dicyclic:116 has Dixon prime 349.
     @pytest.mark.parametrize("spec", CATALOG_SPECS + ["dicyclic:116"])
     def test_lines_match_eigenvalue_scan(self, spec):
         # The set of common eigenlines is unique; their order follows the
@@ -232,8 +270,8 @@ class TestSplit:
 
     @pytest.mark.parametrize("spec", ["dicyclic:292", "product(sym:4,dihedral:8)"])
     def test_repeated_generic_roots_split_by_class_matrices(self, spec):
-        # The generic combination has repeated eigenvalues here (p = 293
-        # and p = 37), so the class-by-class refinement of their spaces runs.
+        # The generic combination has repeated eigenvalues here (p = 1753
+        # and p = 349), so the class-by-class refinement of their spaces runs.
         G = realize_group_spec(parse_group_spec(spec))
         p = dixon_prime(G)
         algebra = chars._ClassAlgebra(G)
@@ -246,13 +284,22 @@ class TestSplit:
         assert _sorted_lines(chars._split_to_lines(algebra, p)) == _sorted_lines(want)
         assert character_degrees(G).degrees == chars._degrees_from_lines(want, sizes, inv_class, G.order, p)
 
-    @pytest.mark.parametrize("spec", ["product(sym:4,dihedral:8)", "product(dicyclic:8,elem_abelian:2^3)"])
-    def test_spanned_space_matches_whole_span(self, spec, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec,p",
+        [
+            pytest.param(spec, p, id=spec)
+            for spec, p in [("product(sym:4,dihedral:8)", 37), ("product(dicyclic:8,elem_abelian:2^3)", 17)]
+        ],
+    )
+    def test_spanned_space_matches_whole_span(self, spec, p, monkeypatch):
         # The span of a repeated root's vector, taken on the pivot columns
         # of its space and mapped back, is the echelon form of the whole
         # k x k span, so the lines equal those that the whole span gives.
+        # F_p splits G at any prime p = 1 mod the exponent (12 and 4 here)
+        # with p^2 > 4|G|; these small ones leave repeated roots inside a
+        # space already split, so the nested path runs, which it does not
+        # at the Dixon primes.
         G = realize_group_spec(parse_group_spec(spec))
-        p = dixon_prime(G)
         algebra = chars._ClassAlgebra(G)
         real, inside = chars._spanned_space, []
 
@@ -271,7 +318,7 @@ class TestSplit:
 
     @pytest.mark.parametrize(
         "groups,calls",
-        [(_shipped_groups, 72), (lambda: [builtin("dicyclic", 292)], 10)],
+        [(_shipped_groups, 27), (lambda: [builtin("dicyclic", 292)], 3)],
         ids=["shipped", "dicyclic:292"],
     )
     def test_eigenvector_calls_are_frozen(self, groups, calls, monkeypatch):
@@ -419,8 +466,9 @@ class TestSplit:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_quotients_match_direct_products(self, data):
-        # 87,869 is the largest Dixon prime for an exponent of at most 2000.
-        p = data.draw(st.sampled_from([3, 13, 293, 3001, 87869]))
+        # 104,831 bounds the Dixon prime of every nonabelian group of order
+        # at most 2000 (see the `chars` module docstring).
+        p = data.draw(st.sampled_from([3, 13, 293, 3001, 104831]))
         roots = sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 12))))
         Q = chars._quotients(np.array(roots, dtype=np.int64), p)
         assert Q.shape == (len(roots), len(roots))

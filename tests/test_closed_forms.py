@@ -59,6 +59,34 @@ def hook_length_degree(shape):
     return prod(range(1, n + 1)) // hooks
 
 
+def conjugate(shape):
+    """The partition whose Young diagram is that of `shape` transposed."""
+    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0]))
+
+
+def alternating_degrees(n):
+    """Degrees of alt:n by restriction from sym:n (Clifford theory for a
+    subgroup of index 2): the characters of shapes lam and conjugate(lam)
+    restrict to one irreducible character when lam != conjugate(lam), and
+    a self-conjugate lam splits into two of half its degree."""
+    out = []
+    for shape in partitions(n):
+        twin = conjugate(shape)
+        if twin == shape:
+            out += [hook_length_degree(shape) // 2] * 2
+        elif shape > twin:
+            out.append(hook_length_degree(shape))
+    return sorted(out)
+
+
+def dihedral_degrees(order):
+    """dihedral:2m has 2 linear characters and (m - 1)/2 of degree 2 for
+    odd m, and 4 linear and (m - 2)/2 of degree 2 for even m."""
+    m = order // 2
+    ones, twos = (2, (m - 1) // 2) if m % 2 else (4, (m - 2) // 2)
+    return [1] * ones + [2] * twos
+
+
 def count(G):
     return enumerate_subgroups(G).count
 
@@ -109,11 +137,8 @@ class TestSubgroupCounts:
 class TestDegrees:
     @pytest.mark.parametrize("order", [50, 998, 1000])
     def test_dihedral(self, order):
-        """dihedral:2m has 2 linear characters and (m - 1)/2 of degree 2
-        for odd m, and 4 linear and (m - 2)/2 of degree 2 for even m."""
-        m = order // 2
-        ones, twos = (2, (m - 1) // 2) if m % 2 else (4, (m - 2) // 2)
-        assert degrees(builtin("dihedral", order)) == [1] * ones + [2] * twos
+        """See `dihedral_degrees`."""
+        assert degrees(builtin("dihedral", order)) == dihedral_degrees(order)
 
     @pytest.mark.parametrize("order", [292, 1000])
     def test_dicyclic(self, order):
@@ -137,3 +162,22 @@ class TestDegrees:
         degrees 1, 3, 3, 4, 5 and cyclic:7 has seven of degree 1."""
         G = direct_product(builtin("alt", 5), builtin("cyclic", 7))
         assert degrees(G) == sorted(a * b for a in (1, 3, 3, 4, 5) for b in [1] * 7)
+
+    @pytest.mark.parametrize("n,want", [(5, [1, 3, 3, 4, 5]), (6, [1, 5, 5, 8, 8, 9, 10])])
+    def test_alt(self, n, want):
+        """alt:n by restriction from the hook-length degrees of sym:n (see
+        `alternating_degrees`)."""
+        assert degrees(builtin("alt", n)) == alternating_degrees(n) == want
+
+    def test_product_not_coprime(self):
+        """The degrees of A x B are the pairwise products also when |A| and
+        |B| share a prime: sym:4 (hook lengths) times dihedral:8."""
+        G = direct_product(builtin("sym", 4), builtin("dihedral", 8))
+        sym4 = [hook_length_degree(shape) for shape in partitions(4)]
+        assert degrees(G) == sorted(a * b for a in sym4 for b in dihedral_degrees(8))
+
+    def test_product_with_elementary_abelian(self):
+        """dicyclic:8 (4 linear characters and one of degree 2) times the
+        64 linear characters of elem_abelian:2^6: 256 ones and 64 twos."""
+        G = direct_product(builtin("dicyclic", 8), builtin("elem_abelian", 64))
+        assert degrees(G) == [1] * 256 + [2] * 64
