@@ -452,19 +452,19 @@ def _degrees_from_lines(lines, sizes, inv_class, n: int, p: int):
 def character_degrees(G: Group) -> CharacterDegrees:
     """Exact degree multiset of the irreducible characters of G.
 
-    Abelian groups short-circuit to all ones.  Otherwise the class algebra
-    is split once, at the smallest admissible prime for the k classes of
-    its partition (`dixon_prime`): F_p is a splitting field of G, so an
-    EigenspaceSplitFailure there is a hard error, not a reason to try
-    another prime.  The result must pass `validate_degrees` and have
-    [G:G'] degrees equal to 1, else InvariantViolation.
+    Abelian groups, those with |G| conjugacy classes, short-circuit to
+    all ones.  Otherwise the class algebra is split once, at the smallest
+    admissible prime for the k classes of its partition (`dixon_prime`):
+    F_p is a splitting field of G, so an EigenspaceSplitFailure there is a
+    hard error, not a reason to try another prime.  The result must pass
+    `validate_degrees` and have [G:G'] degrees equal to 1, else
+    InvariantViolation.
     """
-    st = group_stats(G)
-    n = st.order
-    if st.is_abelian:
+    n = G.order
+    if len(conjugacy_classes(G).classes) == n:
         return CharacterDegrees((1,) * n, n)
     algebra = _ClassAlgebra(G)
-    p = next(_admissible_primes(st.exponent, n, len(algebra.sizes)))
+    p = dixon_prime(G)
     lines = _split_to_lines(algebra, p)
     degrees = _degrees_from_lines(lines, algebra.sizes, algebra.inv_class, n, p)
     result = validate_degrees(degrees, n)

@@ -650,7 +650,10 @@ def _walk(G: Group, queue: list, conjugators=()):
 
 def _subgroup_generators(G: Group, S: ElementSet) -> tuple:
     """Generators of S by `_walk` over its members in ascending order; the
-    walk ends at <S>, so NotASubgroup when S is not closed."""
+    walk ends at <S>, so NotASubgroup when S is not closed or holds an
+    index outside G."""
+    if S.mask >> G.order:
+        raise errors.NotASubgroup(f"set holds an index outside 0..{G.order - 1}")
     mask, gens = _walk(G, np.flatnonzero(_bits(S.mask, G.order)).tolist())
     if mask != S.mask:
         raise errors.NotASubgroup(f"set of {len(S)} elements generates a subgroup of order {mask.bit_count()}")
@@ -660,10 +663,11 @@ def _subgroup_generators(G: Group, S: ElementSet) -> tuple:
 def derived_subgroup(G: Group, H: ElementSet | None = None) -> ElementSet:
     """Commutator subgroup H' of H, or G' (stored on G at the first call)
     when H is None or G itself; NotASubgroup when H is not closed."""
-    if H is not None and H.size < G.order:
+    whole = (1 << G.order) - 1
+    if H is not None and H.mask != whole:
         return _commutator_subgroup(G, H)
     if G._derived is None:
-        G._derived = _commutator_subgroup(G, ElementSet((1 << G.order) - 1))
+        G._derived = _commutator_subgroup(G, ElementSet(whole))
     return G._derived
 
 

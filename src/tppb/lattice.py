@@ -1,6 +1,10 @@
-"""Complete subgroup lattices and normal cores."""
+"""Complete subgroup lattices, with each member's normal core kept from
+the conjugates that the lattice walk gathers."""
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
@@ -48,13 +52,17 @@ class SubgroupLattice:
     order of their least-index members, so the trivial subgroup is in
     class 0 and a member is the least of its class exactly when its
     number is new.
+
+    `cores`, aligned with `items` in the same way, holds each member's
+    normal core; the members of one class share their core.
     """
 
-    __slots__ = ("items", "classes")
+    __slots__ = ("items", "classes", "cores")
 
-    def __init__(self, items, classes):
+    def __init__(self, items, classes, cores):
         self.items = items
         self.classes = classes
+        self.cores = cores
 
     @property
     def count(self) -> int:
@@ -69,12 +77,12 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _subgroup_class(T, inv, element_class, mask, gens):
+def _subgroup_class(T, inv, partition, mask, gens):
     """The masks of the conjugates of K = <gens> (mask `mask`) and the
     membership row of its normalizer, or None when K is normal;
-    element_class[x] is the mask of the conjugacy class of x.  See
+    `partition` is the group's conjugacy partition.  See
     `enumerate_subgroups` for why the generators suffice."""
-    if all(element_class[g] & ~mask == 0 for g in gens):
+    if all(partition.classes[partition.class_of[g]].mask & ~mask == 0 for g in gens):
         return (mask,), None
     n = len(T)
     inside = _bits(mask, n)
@@ -181,7 +189,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     each left coset x*N(K): the least x not yet marked, whose coset, one
     row T[x, N(K)], is then marked, |G:N(K)| times in all.  A class
     record keeps only the representative's mask, its normalizer row
-    (None when normal) and its generators.
+    (None when normal) and its generators.  Each class also keeps its
+    normal core, the AND of the conjugate masks, which is the mask
+    itself for a normal class.
 
     The queue is read in blocks of representatives of at most
     LATTICE_CELLS cells (block x max(n, seeds)), so the membership rows,
@@ -199,8 +209,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     one in which they differ, so the mask holding it has the larger
     reversed value: the key (size, -reversed mask) gives the same order
     without listing any indices.  Each mask keeps the class it was added
-    with, so the sorted lattice records every member's class
-    (`SubgroupLattice.classes`) with no conjugation after the walk.
+    with, so the sorted lattice records every member's class and core
+    (`SubgroupLattice.classes`, `SubgroupLattice.cores`) with no
+    conjugation after the walk.
 
     `lattice_limit` caps the number of subgroups; it must be an integer
     >= 1, else BadParameter.  It is checked as each class is added, so
@@ -213,7 +224,6 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     n, T, inv = G.order, G.table, G.inv
     mul = T.data
     partition = conjugacy_classes(G)
-    element_class = [partition.classes[c].mask for c in partition.class_of]
     orders = [cyclic.bit_count() for cyclic in cyclic_subgroups(G)]
     prime_of = {order: prime_power(order) for order in set(orders)}
     seeds = {}
@@ -239,13 +249,15 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     known, whole = {}, np.ones(n, dtype=bool)  # known: mask -> its class's place in reps
     reps = []  # (mask, normalizer row or None, generators) per class
+    cores = []  # normal core mask per class, aligned with reps
 
     def add_class(mask, gens):
-        conjugates, normalizer = _subgroup_class(T, inv, element_class, mask, gens)
+        conjugates, normalizer = _subgroup_class(T, inv, partition, mask, gens)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
         known.update(dict.fromkeys(conjugates, len(reps)))
         reps.append((mask, normalizer, gens))
+        cores.append(reduce(and_, conjugates))
 
     add_class(1, ())
     # add_class appends to reps as the blocks are walked, so each new class
@@ -296,39 +308,21 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     # so the numbers do not depend on the order in which they were found.
     number = {}
     classes = tuple(number.setdefault(known[mask], len(number)) for mask in masks)
-    return SubgroupLattice([ElementSet(mask, is_subgroup=True) for mask in masks], classes)
-
-
-def _cores(G: Group, subgroups) -> list:
-    """Normal core of each subgroup.  An element lies in every conjugate
-    g*S*g^-1 exactly when its whole conjugacy class lies in S, so the core
-    is the union of the classes inside S.  The central elements are the
-    one-element classes, so the core starts as S ∩ Z(G) and only the
-    other classes are tested.  The sets must be subgroups; only callers
-    passing outside sets check that."""
-    center, classes = 0, []
-    for c in conjugacy_classes(G).classes:
-        if c.size == 1:
-            center |= c.mask
-        else:
-            classes.append(c.mask)
-    cores = []
-    for S in subgroups:
-        core = S.mask & center
-        for c in classes:
-            if c & ~S.mask == 0:
-                core |= c
-        cores.append(ElementSet(core, is_subgroup=True))
-    return cores
+    items = [ElementSet(mask, is_subgroup=True) for mask in masks]
+    core_sets = [ElementSet(core, is_subgroup=True) for core in cores]
+    return SubgroupLattice(items, classes, tuple(core_sets[known[mask]] for mask in masks))
 
 
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
-    """Largest normal subgroup of G contained in S; NotASubgroup when S is
-    not closed, whatever its `is_subgroup` flag says."""
-    _subgroup_generators(G, S)
-    return _cores(G, [S])[0]
+    """Largest normal subgroup of G contained in S: the AND of the
+    conjugates that `_subgroup_class` gathers from S's generators.
+    NotASubgroup when S is not closed, whatever its `is_subgroup` flag says."""
+    gens = _subgroup_generators(G, S)
+    conjugates, _ = _subgroup_class(G.table, G.inv, conjugacy_classes(G), S.mask, gens)
+    return ElementSet(reduce(and_, conjugates), is_subgroup=True)
 
 
 def normal_cores(G: Group, lattice: SubgroupLattice) -> list:
-    """Normal core of every lattice member, aligned with lattice.items."""
-    return _cores(G, lattice.items)
+    """Normal core of every lattice member, aligned with lattice.items:
+    the cores the lattice walk kept (`SubgroupLattice.cores`)."""
+    return list(lattice.cores)

@@ -28,6 +28,7 @@ from tppb.tpp import satisfies_tpp
 
 __all__ = [
     "TppTriple",
+    "class_union_core",
     "conjugate_intersection_core",
     "delta_index_based",
     "element_order",
@@ -349,6 +350,17 @@ def cyclic_join_lattice(G) -> list:
     return sorted(known, key=lambda m: (m.bit_count(), tuple(ElementSet(m).indices())))
 
 
+def class_union_core(G, S) -> int:
+    """Mask of the normal core of subgroup S as the union of the conjugacy
+    classes that lie inside S: x lies in every conjugate g*S*g^-1 exactly
+    when g^-1*x*g lies in S for every g, that is when x's class does."""
+    core = 0
+    for c in conjugacy_classes(G).classes:
+        if c.mask & ~S.mask == 0:
+            core |= c.mask
+    return core
+
+
 def class_union_is_normal(G, mask) -> bool:
     """Whether the subgroup with this mask is normal, by the union of the
     conjugacy classes of all its members: K is normal exactly when that
@@ -629,11 +641,23 @@ def _nullspace_mod(A: np.ndarray, p: int):
     return basis, free
 
 
+def _roots_by_horner(coeffs: np.ndarray, p: int) -> list:
+    """Roots in F_p, ascending, of the polynomial with these coefficients
+    (constant term first): Horner's rule at every lam = 0, 1, ..., p-1 at
+    once, each step below p^2."""
+    lam = np.arange(p, dtype=np.int64)
+    value = np.zeros(p, dtype=np.int64)
+    for c in coeffs[::-1]:
+        value = (value * lam + int(c)) % p
+    return np.flatnonzero(value == 0).tolist()
+
+
 def scan_split_lines(A, sizes, p: int):
     """`chars._split_to_lines` by splitting the whole space class matrix
-    by class matrix, trying every eigenvalue candidate lam = 0, 1, ...,
-    p-1 with a null space computation, stopping once the eigenspaces fill
-    the space being split."""
+    by class matrix, trying each root lam of the characteristic
+    polynomial (`charpoly_scalar_loop`) in ascending order with a null
+    space computation, stopping once the eigenspaces fill the space
+    being split.  Every eigenvalue in F_p is such a root."""
     k = A.shape[0]
     spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     for j in sorted(range(1, k), key=lambda j: (sizes[j], j)):
@@ -648,7 +672,7 @@ def scan_split_lines(A, sizes, p: int):
                 continue
             Rm = ((M @ B.T) % p)[piv, :]
             found = 0
-            for lam in range(p):
+            for lam in _roots_by_horner(charpoly_scalar_loop(Rm, p), p):
                 nb, _ = _nullspace_mod((Rm - lam * np.eye(d, dtype=np.int64)) % p, p)
                 if nb.shape[0]:
                     next_spaces.append(_rref_mod((nb @ B) % p, p))

@@ -14,6 +14,7 @@ from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect
 from oracles import (
     _conjugate_masks,
     brute_force_subgroup_masks,
+    class_union_core,
     class_union_is_normal,
     conjugate_intersection_core,
     cyclic_join_lattice,
@@ -391,6 +392,12 @@ class TestNormalCore:
         with pytest.raises(errors.NotASubgroup):
             normal_core(G, ElementSet.from_indices([0, 1]))
 
+    @pytest.mark.parametrize("indices", [[0, 5], [0, 100]])
+    def test_index_outside_group_is_not_a_subgroup(self, indices):
+        # Index 5 fits the one byte of cyclic:4's membership row; 100 does not.
+        with pytest.raises(errors.NotASubgroup):
+            normal_core(builtin("cyclic", 4), ElementSet.from_indices(indices))
+
     def test_wrongly_flagged_set_still_checked(self):
         # The check closes the set; a wrong is_subgroup flag does not skip it.
         G = builtin("cyclic", 4)
@@ -442,3 +449,18 @@ class TestNormalCore:
             lat = catalog_lattices[name]
             got = [c.mask for c in normal_cores(G, lat)]
             assert got == [conjugate_intersection_core(G, s) for s in lat.items], name
+
+    # The walk keeps each class's core as the AND of its conjugates; the
+    # oracle takes the union of the element classes inside each member.
+    # normal_core reaches the same conjugates from the generators of its
+    # own walk over the member, not from the lattice's chain generators.
+    def test_cores_match_class_union(self, catalog, catalog_lattices):
+        groups = [(name, G, catalog_lattices[name], True) for name, G in catalog]
+        for spec in ("sym:5", "product(sym:4,dihedral:8)", "dicyclic:292", "dihedral:1000"):
+            G = spec_group(spec)
+            groups.append((spec, G, enumerate_subgroups(G), spec == "sym:5"))
+        for name, G, lat, each in groups:
+            got = [c.mask for c in normal_cores(G, lat)]
+            assert got == [class_union_core(G, s) for s in lat.items], name
+            if each:
+                assert got == [normal_core(G, s).mask for s in lat.items], name
