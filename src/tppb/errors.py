@@ -117,7 +117,8 @@ class UnsortedSizes(TppbError):
 
 
 class IndexOutOfRange(TppbError):
-    """A 1-based lattice index is outside 1..count."""
+    """A 1-based lattice index is outside 1..count, or an element set
+    holds an index outside 0..order-1."""
 
 
 class NoRootInRange(TppbError):

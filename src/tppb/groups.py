@@ -153,6 +153,14 @@ def _mask(row) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
+def _masks(rows) -> list:
+    """Masks of the rows of a 2-D boolean membership array, packed by one
+    `np.packbits` call: entry i is `_mask(rows[i])`."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 def _packed(masks, n: int):
     """Masks packed little-endian into rows of uint64 words, and the
     boolean membership rows unpacked from those words: row i of the

@@ -15,7 +15,7 @@ from .groups import (
     _bits,
     _conjugates,
     _coset_join,
-    _mask,
+    _masks,
     _packed,
     _subgroup_generators,
     check_positive_int,
@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_LIMIT = 100000
-# Cells of the membership and seed rows built per block of queued class
-# representatives (block x max(order, seeds)): 32 KiB of booleans.
+# Cells of the boolean arrays built per block of queued class
+# representatives: its membership, normalizer and gather-mark rows hold
+# block x order cells, 32 KiB each, and its seed tests no more, since
+# distinct seeds have distinct generators.
 LATTICE_CELLS = 1 << 15
 
 
@@ -98,17 +100,18 @@ def _subgroup_class(T, inv, partition, mask, gens):
     conj = T[T[reps[:, None], np.flatnonzero(inside)], inv[reps][:, None]]
     hit = np.zeros((len(reps), n), dtype=bool)
     hit[np.arange(len(reps))[:, None], conj] = True
-    return [_mask(row) for row in hit], normalizer
+    return _masks(hit), normalizer
 
 
-def _gather_extension(mul, members, mask, powers) -> int:
-    """Mask of R<g> = R ∪ Rg ∪ ... ∪ Rg^(p-1), given R's member list and
-    mask and the powers g^1..g^(p-1) of a g that normalizes R with g^p
-    in R: the cosets are filled as `_coset_join` fills them, with no
-    search for their representatives."""
-    for x in powers:
+def _gather_extension(rows, members, mask, bit) -> int:
+    """Mask of R<g> = R ∪ g*R ∪ ... ∪ g^(p-1)*R, given R's member list
+    and mask and the table rows of the powers g^1..g^(p-1) of a g that
+    normalizes R with g^p in R (so g^j*R = R*g^j), each row a slice of the
+    flat row-major table; `bit[i]` is 1 << i.  The cosets are read off
+    the rows, with no search for their representatives."""
+    for row in rows:
         for h in members:
-            mask |= 1 << mul[h, x]
+            mask |= bit[row[h]]
     return mask
 
 
@@ -147,8 +150,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     - gather: when g normalizes R and g^p lies in R, K = <R, g> is
       R ∪ Rg ∪ ... ∪ Rg^(p-1), of prime index p over R, read off the
-      table.  Any g' in K outside R gives <R, g'> = K, so the seeds whose
-      generator an earlier gather from R already covers are skipped;
+      table.  Any g' in K outside R gives <R, g'> = K, so K is gathered
+      once, and the gather seeds whose generators it holds are dropped;
     - coset search: otherwise, and only when R and g both lie in the
       perfect residual P = G^(∞), K = <R, g> by `_coset_join`, once per
       N(R)-orbit of such seeds, at the orbit's least seed.
@@ -158,7 +161,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     R = x*K'*x^-1 represents the class of K', then
     x*K*x^-1 = <R, x*g*x^-1>, where x*g*x^-1 generates a seed and meets
     the same condition as g.  So a class is reached once some chain of
-    steps from 1 ends in it; a covered seed that is skipped only repeats
+    steps from 1 ends in it; a gather seed that is dropped only repeats
     a known extension.  So does a search seed g that is not the least of
     its orbit: for x in N(R), <R, x*g*x^-1> = x*<R, g>*x^-1 is in the
     class of <R, g>, and x*g*x^-1 again lies outside R, inside P and
@@ -194,13 +197,24 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     itself for a normal class.
 
     The queue is read in blocks of representatives of at most
-    LATTICE_CELLS cells (block x max(n, seeds)), so the membership rows,
+    LATTICE_CELLS cells (block x n), so the membership rows,
     the member lists and the gather and search tests are built once per
-    block, and the block's pair lists stay small.  Its pairs are then
-    walked as one representative at a time would walk them:
-    representatives in queue order, seeds ascending, with the same
-    covered skip, so every class is found with the same representative
-    and generators.
+    block.  The generators of each representative's gather seeds are
+    marked in a block x n array, whose rows are packed to one int per
+    representative (`_masks`).  The walk takes the lowest marked
+    generator g, gathers K = R<g> and clears K from the marks, so it
+    visits only the extensions it runs.  The search seeds, the least of
+    their orbits, follow with no such test: a seed in a gathered
+    K = R<g'> normalizes R, and its p-th power lies in R since K/R has
+    order p, so it is a gather seed and never a search seed.
+
+    This order may find a class first at another of its members, with
+    other generators, than a walk by ascending seeds would.  The results
+    do not depend on it: the lattice, `classes` and `cores` are sorted
+    and renumbered after the walk.  Nor does the work: the joins and
+    gathers add up, over the classes, the N(R)-orbits of R's search
+    seeds and the distinct prime-index extensions R<g> of R, and
+    conjugation by x carries both to those of x*R*x^-1.
 
     The lattice is sorted by size, ties broken by the ascending index
     tuples.  Two masks A and B of one size agree below the lowest bit of
@@ -222,7 +236,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     if lattice_limit is not None:
         limit = check_positive_int(lattice_limit, "lattice limit")
     n, T, inv = G.order, G.table, G.inv
-    mul = T.data
+    mul, flat, bit = T.data, T.reshape(-1).data, [1 << i for i in range(n)]
     partition = conjugacy_classes(G)
     orders = [cyclic.bit_count() for cyclic in cyclic_subgroups(G)]
     prime_of = {order: prime_power(order) for order in set(orders)}
@@ -231,21 +245,23 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         if g and prime_of[orders[g]] is not None:
             seeds.setdefault(cyclic, g)
     seeds = sorted(seeds.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-    seed_gens = [g for _, g in seeds]
-    powers, roots = [], []  # g^1..g^(p-1) and g^p, p the prime of the seed <g>
+    # power_rows[g]: the table rows of g^1..g^(p-1) for each seed generator
+    # g, p the prime of the seed <g>; roots: g^p per seed.
+    power_rows, roots = {}, []
     for _, g in seeds:
-        x, pw = g, []
+        x, rows = g, []
         for _ in range(prime_of[orders[g]][0] - 1):
-            pw.append(x)
+            rows.append(flat[x * n : (x + 1) * n])
             x = mul[x, g]
-        powers.append(pw)
+        power_rows[g] = rows
         roots.append(x)
-    gen_idx, root_idx = np.asarray(seed_gens, dtype=np.int64), np.asarray(roots, dtype=np.int64)
+    gen_idx = np.asarray([g for _, g in seeds], dtype=np.int64)
+    root_idx = np.asarray(roots, dtype=np.int64)
     index = {smask: s for s, (smask, _) in enumerate(seeds)}
     seed_of = np.asarray([index.get(cyclic, -1) for cyclic in cyclic_subgroups(G)])
     residual = perfect_residual(G).mask
     gen_in_residual = _bits(residual, n)[gen_idx]
-    step = max(1, LATTICE_CELLS // max(n, len(seeds)))
+    step = max(1, LATTICE_CELLS // n)
 
     known, whole = {}, np.ones(n, dtype=bool)  # known: mask -> its class's place in reps
     reps = []  # (mask, normalizer row or None, generators) per class
@@ -270,35 +286,35 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         normalizers = np.array([whole if row is None else row for _, row, _ in block])
         outside = ~rows[:, gen_idx]
         gather = outside & rows[:, root_idx] & normalizers[:, gen_idx]
-        todo = gather
-        if residual != 1:  # else G is solvable and no coset search runs
-            search = outside & gen_in_residual & ~gather
-            search[np.array([mask & ~residual != 0 for mask, _, _ in block])] = False
-            for i in np.flatnonzero(search.any(axis=1)).tolist():
-                # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the
-                # least seed of each N(R)-orbit is searched.
-                ids, xs = np.flatnonzero(search[i]), np.flatnonzero(normalizers[i])
-                orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
-                search[i, ids[orbits.min(axis=0) < ids]] = False
-            todo = gather | search
-        at, seed_at = np.nonzero(todo)
+        marked = np.zeros_like(rows)
+        marked[:, gen_idx] = gather
+        gathers = _masks(marked)  # per representative, its gather seeds' generators
+        search = outside & gen_in_residual & ~gather
+        search[np.array([mask & ~residual != 0 for mask, _, _ in block])] = False
+        for i in np.flatnonzero(search.any(axis=1)).tolist():
+            # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the least
+            # seed of each N(R)-orbit is searched.
+            ids, xs = np.flatnonzero(search[i]), np.flatnonzero(normalizers[i])
+            orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
+            search[i, ids[orbits.min(axis=0) < ids]] = False
+        at, seed_at = np.nonzero(search)
         starts = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
-        pair_seeds, pair_gens = seed_at.tolist(), gen_idx[seed_at].tolist()
-        by_gather = gather[at, seed_at].tolist()
+        search_gens = gen_idx[seed_at].tolist()
         members, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(axis=1)).tolist()
         for i, (hmask, _, gens) in enumerate(block):
-            lo, hi = starts[i], starts[i + 1]
-            if lo == hi:
+            rem, lo, hi = gathers[i], starts[i], starts[i + 1]
+            if not rem and lo == hi:
                 continue
-            rmembers, covered = members[ends[i] - hmask.bit_count() : ends[i]], 0
-            for s, g, by in zip(pair_seeds[lo:hi], pair_gens[lo:hi], by_gather[lo:hi]):
-                if (covered >> g) & 1:
-                    continue
-                if by:
-                    kmask = _gather_extension(mul, rmembers, hmask, powers[s])
-                    covered |= kmask
-                else:
-                    kmask = _coset_join(mul, rmembers, hmask, gens + (g,))
+            rmembers = members[ends[i] - hmask.bit_count() : ends[i]]
+            while rem:
+                g = (rem & -rem).bit_length() - 1
+                kmask = _gather_extension(power_rows[g], rmembers, hmask, bit)
+                # Every other gather seed generator in K \ R gives this K.
+                rem &= ~kmask
+                if kmask not in known:
+                    add_class(kmask, gens + (g,))
+            for g in search_gens[lo:hi]:
+                kmask = _coset_join(mul, rmembers, hmask, gens + (g,))
                 if kmask not in known:
                     add_class(kmask, gens + (g,))
 

@@ -30,9 +30,14 @@ class TppVerdict:
 
 
 def right_quotient(G: Group, X: ElementSet) -> ElementSet:
-    """Q(X) = {x * y^-1 : x, y in X}; equals X when X is a subgroup."""
+    """Q(X) = {x * y^-1 : x, y in X}; equals X when X is a subgroup.
+    IndexOutOfRange when X holds an index outside G, whatever its
+    `is_subgroup` flag says."""
     if len(X) == 0:
         raise errors.EmptySet("right quotient of the empty set")
+    if X.mask >> G.order:
+        top = errors.shown(X.mask.bit_length() - 1)
+        raise errors.IndexOutOfRange(f"index {top} outside 0..{G.order - 1}")
     if X.is_subgroup:
         return ElementSet(X.mask, is_subgroup=True)
     mul = G.table.data

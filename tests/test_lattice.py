@@ -123,24 +123,25 @@ class TestEnumerate:
             enumerate_subgroups(G, lattice_limit=count - 1)
 
     # Frozen work counts: coset-search joins (only inside the perfect
-    # residual, one per N(R)-orbit of seeds) and prime-index gathers (each
-    # over the normalizing seeds of a class representative, once per
-    # extension it reaches), so a lost cut shows here even when timings
-    # hide it.  sym:4 and cyclic:30 are solvable: their derived series
-    # ends in the trivial group, so no coset search runs.
-    @pytest.mark.parametrize(
-        "spec,coset_joins,gathers",
-        [
-            ("sym:4", 0, 25),
-            ("cyclic:30", 0, 12),
-            ("sym:5", 29, 64),
-            ("alt:6", 373, 146),
-            ("sym:6", 281, 286),
-            ("product(alt:5,cyclic:2)", 40, 103),
-            ("product(sym:4,dihedral:8)", 0, 1177),
-            ("elem_abelian:2^6", 0, 23562),
-        ],
-    )
+    # residual, one per N(R)-orbit of seeds) and prime-index gathers (one
+    # per distinct extension R<g> of a class representative R, however
+    # many of its seeds reach it), so a lost cut shows here even when
+    # timings hide it.  sym:4 and cyclic:30 are solvable: their derived
+    # series ends in the trivial group, so no coset search runs.  In
+    # dihedral:6 x elem_abelian:2^5 most of the walk is abelian gathers.
+    FROZEN_EXTENSION_COUNTS = [
+        ("sym:4", 0, 25),
+        ("cyclic:30", 0, 12),
+        ("sym:5", 29, 64),
+        ("alt:6", 373, 146),
+        ("sym:6", 281, 286),
+        ("product(alt:5,cyclic:2)", 40, 103),
+        ("product(sym:4,dihedral:8)", 0, 1177),
+        ("elem_abelian:2^6", 0, 23562),
+        ("product(dihedral:6,elem_abelian:2^5)", 0, 52400),
+    ]
+
+    @pytest.mark.parametrize("spec,coset_joins,gathers", FROZEN_EXTENSION_COUNTS)
     def test_frozen_extension_counts(self, monkeypatch, spec, coset_joins, gathers):
         calls = {"_coset_join": 0, "_gather_extension": 0}
         for name in calls:
@@ -152,6 +153,31 @@ class TestEnumerate:
 
             monkeypatch.setattr(lattice, name, counting)
         enumerate_subgroups(spec_group(spec))
+        assert (calls["_coset_join"], calls["_gather_extension"]) == (coset_joins, gathers)
+
+    # The counts add up, over the classes, invariants of each class (the
+    # N(R)-orbits of search seeds and the distinct prime-index extensions
+    # of R), so they do not depend on the element numbering, which sets
+    # the representatives and the order of the walk.
+    @pytest.mark.parametrize(
+        "spec,coset_joins,gathers",
+        [
+            row
+            for row in FROZEN_EXTENSION_COUNTS
+            if row[0] in ("sym:5", "product(alt:5,cyclic:2)", "product(sym:4,dihedral:8)", "alt:6")
+        ],
+    )
+    def test_extension_counts_survive_renumbering(self, monkeypatch, spec, coset_joins, gathers):
+        calls = {"_coset_join": 0, "_gather_extension": 0}
+        for name in calls:
+            real = getattr(lattice, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lattice, name, counting)
+        enumerate_subgroups(renumbered(spec_group(spec), seed=spec))
         assert (calls["_coset_join"], calls["_gather_extension"]) == (coset_joins, gathers)
 
     @pytest.mark.parametrize(

@@ -51,6 +51,22 @@ class TestRightQuotient:
         with pytest.raises(errors.EmptySet):
             right_quotient(s3(), eset([]))
 
+    # A set reaching outside the group is refused before any table read,
+    # whether or not it is flagged as a subgroup, and the message names
+    # its highest index.
+    @pytest.mark.parametrize(
+        "X,message",
+        [
+            (ElementSet.from_indices([0, 100]), "index 100 outside 0..5"),
+            (ElementSet(1 | 1 << 100, is_subgroup=True), "index 100 outside 0..5"),
+            (ElementSet(1 | 1 << 3 | 1 << 10**5), "index 100000 outside 0..5"),
+        ],
+    )
+    def test_index_outside_group_rejected(self, X, message):
+        with pytest.raises(errors.IndexOutOfRange) as info:
+            right_quotient(s3(), X)
+        assert str(info.value) == message
+
     def test_quotient_fixed_point_iff_subgroup(self):
         G = builtin("dihedral", 12)
         rng = random.Random(11)
@@ -122,6 +138,14 @@ class TestSatisfiesTpp:
         G = s3()
         with pytest.raises(errors.EmptySet):
             satisfies_tpp(G, eset([]), eset([0]), eset([0]))
+
+    @pytest.mark.parametrize("outside", [eset([0, 100]), ElementSet(1 | 1 << 100, is_subgroup=True)])
+    @pytest.mark.parametrize("place", range(3))
+    def test_index_outside_group_rejected(self, outside, place):
+        sets = [eset([0])] * 3
+        sets[place] = outside
+        with pytest.raises(errors.IndexOutOfRange, match="index 100 outside 0..5"):
+            satisfies_tpp(s3(), *sets)
 
     def test_translation_invariance(self):
         # The predicate runs on quotients, so translating any input set
