@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
     return best
 
 
-@dataclass(frozen=True)
-class HCandidate:
+class HCandidate(NamedTuple):
     """One evaluated lattice index in the core-refined bound."""
 
     index: int
@@ -113,9 +113,8 @@ def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
     delta_of = _delta_by_order(G, lattice)
     rows = []
     b = None
-    for i in range(4, n_cap + 1):
-        si = len(lattice[i])
-        core = len(cores[i - 1])
+    for i, S, core_set in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
+        si, core = S.size, core_set.size
         left = (n * si) // core
         delta = delta_of.get(si)
         right = si * delta if delta is not None else None

@@ -584,28 +584,39 @@ def _conjugacy_partition(G: Group) -> ConjugacyPartition:
     return ConjugacyPartition(tuple(classes), tuple(class_of.tolist()))
 
 
-def _coset_join(mul, members, mask, multipliers) -> int:
+def _coset_join(mul, members, mask, multipliers, ambient=None, index=2) -> int:
     """Mask of <H, multipliers> by right-coset search, reading the table
     through its memoryview `mul`.  H is given by its member list and mask;
+    its elements are marked from the list, which is cheaper than unpacking
+    the mask below a few hundred members, so `mask` is not read.
     multipliers must include a generating set of H.  New coset
     representatives are right multiples of known ones, and each coset H*r
-    is filled by multiplying every member of H into r.  So after k cosets
-    the join holds k*|H| elements; its order divides n = len(mul), so once
-    k*|H| passes n/2 the whole group's mask is returned."""
+    is filled by multiplying every member of H into r, marking a byte per
+    element; the marks are packed into a mask once, at the end.  So after
+    k cosets the join holds k*|H| elements.  The caller vouches that the
+    join lies in the subgroup `ambient` (by default the whole group, of
+    order n = len(mul)) and that `ambient` has no proper subgroup of index
+    below `index`; so once k*|H| passes |ambient|/index, `ambient` is
+    returned.  By Lagrange, `index` 2 holds for any ambient group."""
     n = len(mul)
-    kmask = mask
+    if ambient is None:
+        ambient = (1 << n) - 1
+    size = ambient.bit_count()
+    seen = bytearray(n)
+    for h in members:
+        seen[h] = 1
     reps = [0]
     # reps grows while it is read, so each new representative is used in turn.
     for r in reps:
         for m in multipliers:
             cand = mul[r, m]
-            if not (kmask >> cand) & 1:
+            if not seen[cand]:
                 reps.append(cand)
-                if 2 * len(reps) * len(members) > n:
-                    return (1 << n) - 1
+                if index * len(reps) * len(members) > size:
+                    return ambient
                 for h in members:
-                    kmask |= 1 << mul[h, cand]
-    return kmask
+                    seen[mul[h, cand]] = 1
+    return _mask(seen)
 
 
 def closure(G: Group, seed) -> ElementSet:

@@ -56,7 +56,8 @@ class SubgroupLattice:
     number is new.
 
     `cores`, aligned with `items` in the same way, holds each member's
-    normal core; the members of one class share their core.
+    normal core, itself a member (a normal subgroup); the members of one
+    class share their core.
     """
 
     __slots__ = ("items", "classes", "cores")
@@ -152,9 +153,13 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
       R ∪ Rg ∪ ... ∪ Rg^(p-1), of prime index p over R, read off the
       table.  Any g' in K outside R gives <R, g'> = K, so K is gathered
       once, and the gather seeds whose generators it holds are dropped;
-    - coset search: otherwise, and only when R and g both lie in the
-      perfect residual P = G^(∞), K = <R, g> by `_coset_join`, once per
-      N(R)-orbit of such seeds, at the orbit's least seed.
+    - coset search: otherwise, and only when R is nonabelian and R and g
+      both lie in the perfect residual P = G^(∞), K = <R, g> by
+      `_coset_join`, once per N(R)-orbit of such seeds, at the orbit's
+      least seed.  The join lies in P, and a perfect group has no proper
+      subgroup of index m <= 4, since P would map onto a nontrivial
+      subgroup of the solvable S_m; so once the join holds more than
+      |P|/5 elements, it is P and the search stops.
 
     Every other pair is skipped, and still every subgroup is reached.
     Both steps commute with conjugation: if K = <K', g> and
@@ -166,17 +171,31 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     its orbit: for x in N(R), <R, x*g*x^-1> = x*<R, g>*x^-1 is in the
     class of <R, g>, and x*g*x^-1 again lies outside R, inside P and
     fails the gather test, so the orbit's least seed, searched first,
-    reaches that class.  Every subgroup of P ends such a chain, because
-    for R and g in P one of the two steps always runs.  Any K lies above
-    its own perfect residual K^(∞), a subgroup of P, and K/K^(∞) is
-    solvable, so a composition series of it lifts to a chain
-    K^(∞) = K_0 ⊲ K_1 ⊲ ... ⊲ K_m = K in which each index is a prime p.
-    Take y in K_(i+1) outside K_i.  Its image generates K_(i+1)/K_i, of
-    order p, and so does the image of its p-part g, since the rest of y
-    has order prime to p.  Then g normalizes K_i, g^p lies in K_i, and
-    K_(i+1) = <K_i, g> is a gather.  The same holds for the seed's own
-    generator, a power of g that generates <g>.  When G is solvable,
-    P = 1 and no coset search runs.
+    reaches that class.
+
+    Any K lies above its own perfect residual K^(∞), a subgroup of P,
+    and K/K^(∞) is solvable, so a composition series of it lifts to a
+    chain K^(∞) = K_0 ⊲ K_1 ⊲ ... ⊲ K_m = K in which each index is a
+    prime p.  Take y in K_(i+1) outside K_i.  Its image generates
+    K_(i+1)/K_i, of order p, and so does the image of its p-part g, since
+    the rest of y has order prime to p.  Then g normalizes K_i, g^p lies
+    in K_i, and K_(i+1) = <K_i, g> is a gather.  The same holds for the
+    seed's own generator, a power of g that generates <g>.
+
+    So joins are needed only to reach the perfect subgroups.  A perfect
+    Q != 1 is <R, g> for any maximal subgroup R of Q and any seed
+    generator g in Q outside R.  Such a g exists: an element of Q
+    outside R is the product of its prime-power parts, which cannot all
+    lie in R, and the seed of a part outside R has its generator outside
+    R.  R is nonabelian, since a finite group with an abelian maximal
+    subgroup is solvable (Herstein, Proc. AMS 9, 1958).  g fails the
+    gather test, or else R would be normal of prime index in the perfect
+    Q.  By induction on the order, the class of R is reached, and the
+    conjugation argument above carries the join to its representative.
+    Abelian-ness is a class invariant, read off the representative's
+    recorded generators, which commute pairwise exactly when R is
+    abelian; the trivial class, with none, counts as abelian.  When G is
+    solvable, P = 1 and no coset search runs.
 
     A new subgroup K = <gens> (the seeds' generators along its chain)
     adds its whole conjugacy class at once and is queued as the class
@@ -290,7 +309,11 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         marked[:, gen_idx] = gather
         gathers = _masks(marked)  # per representative, its gather seeds' generators
         search = outside & gen_in_residual & ~gather
-        search[np.array([mask & ~residual != 0 for mask, _, _ in block])] = False
+        # Joins run only from nonabelian representatives inside P.
+        no_join = [
+            mask & ~residual != 0 or all(mul[a, b] == mul[b, a] for a in gens for b in gens) for mask, _, gens in block
+        ]
+        search[np.array(no_join)] = False
         for i in np.flatnonzero(search.any(axis=1)).tolist():
             # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the least
             # seed of each N(R)-orbit is searched.
@@ -314,7 +337,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
                 if kmask not in known:
                     add_class(kmask, gens + (g,))
             for g in search_gens[lo:hi]:
-                kmask = _coset_join(mul, rmembers, hmask, gens + (g,))
+                kmask = _coset_join(mul, rmembers, hmask, gens + (g,), residual, 5)
                 if kmask not in known:
                     add_class(kmask, gens + (g,))
 
@@ -325,8 +348,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     number = {}
     classes = tuple(number.setdefault(known[mask], len(number)) for mask in masks)
     items = [ElementSet(mask, is_subgroup=True) for mask in masks]
-    core_sets = [ElementSet(core, is_subgroup=True) for core in cores]
-    return SubgroupLattice(items, classes, tuple(core_sets[known[mask]] for mask in masks))
+    # A normal core is a normal subgroup, so it is itself a member.
+    item_of = dict(zip(masks, items))
+    return SubgroupLattice(items, classes, tuple(item_of[cores[known[mask]]] for mask in masks))
 
 
 def normal_core(G: Group, S: ElementSet) -> ElementSet:

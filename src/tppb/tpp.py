@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .groups import ElementSet, Group
+from .groups import ElementSet, Group, _subgroup_generators
 
 __all__ = [
     "TppVerdict",
@@ -32,13 +32,17 @@ class TppVerdict:
 def right_quotient(G: Group, X: ElementSet) -> ElementSet:
     """Q(X) = {x * y^-1 : x, y in X}; equals X when X is a subgroup.
     IndexOutOfRange when X holds an index outside G, whatever its
-    `is_subgroup` flag says."""
+    `is_subgroup` flag says; NotASubgroup when X is flagged as a subgroup
+    but is not closed, checked as `normal_core` checks it."""
     if len(X) == 0:
         raise errors.EmptySet("right quotient of the empty set")
     if X.mask >> G.order:
         top = errors.shown(X.mask.bit_length() - 1)
         raise errors.IndexOutOfRange(f"index {top} outside 0..{G.order - 1}")
     if X.is_subgroup:
+        # {1} and G are subgroups of any group; any other flagged set is walked.
+        if X.mask != 1 and X.size < G.order:
+            _subgroup_generators(G, X)
         return ElementSet(X.mask, is_subgroup=True)
     mul = G.table.data
     idxs = list(X.indices())

@@ -541,6 +541,42 @@ class TestClosure:
         members = list(H.indices())
         assert groups._coset_join(G.table.data, members, H.mask, (gens[0], *gens)) == whole
 
+    # A join that the caller vouches lies in `ambient`, a group with no
+    # proper subgroup of index below `index`, returns `ambient` once it
+    # passes |ambient|/index elements.  The joins below lie in alt:5 inside
+    # sym:5, whose proper subgroups have index 5 or more; alt:4, exactly
+    # |alt:5|/5 elements, is still filled.
+    @pytest.mark.parametrize(
+        "labels,order",
+        [
+            (("2 3 1 4 5", "2 1 4 3 5"), 12),
+            (("2 3 4 5 1", "5 4 3 2 1"), 10),
+            (("2 3 1 4 5", "1 2 4 5 3"), 60),
+            (("2 3 4 5 1", "2 3 1 4 5"), 60),
+        ],
+    )
+    def test_join_inside_ambient(self, labels, order):
+        G = builtin("sym", 5)
+        ambient = perfect_residual(G).mask
+        gens = tuple(G.index_of_label(label) for label in labels)
+        H = closure(G, gens[:1])
+        got = groups._coset_join(G.table.data, list(H.indices()), H.mask, gens, ambient, 5)
+        want = plain_closure(G.table.tolist(), gens)
+        assert want.bit_count() == order
+        assert got == want
+
+    # The stop trusts the caller: with |ambient|/index = 2 in alt:5, a join
+    # of two cosets of the trivial group is filled, and the third coset
+    # returns `ambient` without filling it.
+    def test_join_past_ambient_share_returns_ambient(self):
+        G = builtin("alt", 5)
+        whole = (1 << G.order) - 1
+        involution = next(g for g in range(G.order) if element_order(G, g) == 2)
+        three = next(g for g in range(G.order) if element_order(G, g) == 3)
+        mul = G.table.data
+        assert groups._coset_join(mul, [0], 1, (involution,), whole, 30) == 1 | 1 << involution
+        assert groups._coset_join(mul, [0], 1, (three,), whole, 30) == whole
+
     def test_result_flagged_subgroup(self):
         G = builtin("dihedral", 8)
         H = closure(G, (1,))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
-from tppb.groups import ElementSet, _bits, builtin, direct_product
+from tppb.groups import ElementSet, _bits, builtin, direct_product, from_permutation_generators
 from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect_residual
 from oracles import (
     _conjugate_masks,
@@ -30,6 +30,23 @@ def spec_group(text):
 
 def order_multiset(lat):
     return sorted(len(s) for s in lat.items)
+
+
+def sl_2_5():
+    """SL(2,5), order 120, acting on the 24 nonzero vectors of F_5^2."""
+    vectors = [(a, b) for a in range(5) for b in range(5) if a or b]
+    place = {v: i + 1 for i, v in enumerate(vectors)}
+
+    def perm(matrix):
+        (p, q), (r, s) = matrix
+        return [place[((p * a + q * b) % 5, (r * a + s * b) % 5)] for a, b in vectors]
+
+    return from_permutation_generators(24, [perm(((1, 1), (0, 1))), perm(((0, 4), (1, 0)))])
+
+
+def psl_2_7():
+    """PSL(2,7), order 168, from (1,2,3,4,5,6,7) and (1,2)(3,5)."""
+    return from_permutation_generators(7, [[2, 3, 4, 5, 6, 7, 1], [2, 1, 5, 4, 3, 6, 7]])
 
 
 class TestEnumerate:
@@ -122,20 +139,21 @@ class TestEnumerate:
         with pytest.raises(errors.LatticeLimitExceeded):
             enumerate_subgroups(G, lattice_limit=count - 1)
 
-    # Frozen work counts: coset-search joins (only inside the perfect
-    # residual, one per N(R)-orbit of seeds) and prime-index gathers (one
-    # per distinct extension R<g> of a class representative R, however
-    # many of its seeds reach it), so a lost cut shows here even when
-    # timings hide it.  sym:4 and cyclic:30 are solvable: their derived
-    # series ends in the trivial group, so no coset search runs.  In
-    # dihedral:6 x elem_abelian:2^5 most of the walk is abelian gathers.
+    # Frozen work counts: coset-search joins (only from nonabelian
+    # representatives R inside the perfect residual, once per N(R)-orbit
+    # of seeds) and prime-index gathers (one per distinct extension R<g>
+    # of a class representative R, however many of its seeds reach it),
+    # so a lost cut shows here even when timings hide it.  sym:4 and
+    # cyclic:30 are solvable: their derived series ends in the trivial
+    # group, so no coset search runs.  In dihedral:6 x elem_abelian:2^5
+    # most of the walk is abelian gathers.
     FROZEN_EXTENSION_COUNTS = [
         ("sym:4", 0, 25),
         ("cyclic:30", 0, 12),
-        ("sym:5", 29, 64),
-        ("alt:6", 373, 146),
-        ("sym:6", 281, 286),
-        ("product(alt:5,cyclic:2)", 40, 103),
+        ("sym:5", 11, 64),
+        ("alt:6", 215, 146),
+        ("sym:6", 163, 286),
+        ("product(alt:5,cyclic:2)", 15, 103),
         ("product(sym:4,dihedral:8)", 0, 1177),
         ("elem_abelian:2^6", 0, 23562),
         ("product(dihedral:6,elem_abelian:2^5)", 0, 52400),
@@ -310,6 +328,17 @@ class TestEnumerate:
         G = make()
         got = [s.mask for s in enumerate_subgroups(G).items]
         assert got == cyclic_join_lattice(G)
+
+    # Two perfect groups, P = G, where each join stops once it passes
+    # |G|/5: SL(2,5), whose centre has order 2, and PSL(2,7), whose
+    # largest proper subgroups (order 24, index 7) lie below that stop.
+    @pytest.mark.parametrize("make,count,classes", [(sl_2_5, 76, 12), (psl_2_7, 179, 15)], ids=["SL(2,5)", "PSL(2,7)"])
+    def test_perfect_group_matches_cyclic_join_oracle(self, make, count, classes):
+        G = make()
+        assert len(perfect_residual(G)) == G.order
+        lat = enumerate_subgroups(G)
+        assert (lat.count, len(set(lat.classes))) == (count, classes)
+        assert [s.mask for s in lat.items] == cyclic_join_lattice(G)
 
     # The coset search runs once per N(R)-orbit of seeds, at the orbit's
     # least seed, so which seed runs follows the numbering.  A renumbered

@@ -67,6 +67,17 @@ class TestRightQuotient:
             right_quotient(s3(), X)
         assert str(info.value) == message
 
+    # A set flagged as a subgroup is still checked for closure: on sym:3,
+    # {0, 1, 2} has Q(X) = {0, 1, 2, 3, 5}, so taking the flag on trust
+    # would give Q(X) = X.  Only {1} and G skip the walk, so a flagged
+    # single element other than 1, or all but one element, is walked too.
+    @pytest.mark.parametrize("idxs", [[0, 1, 2], [3], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4]])
+    def test_wrongly_flagged_set_rejected(self, idxs):
+        G = s3()
+        assert right_quotient(G, eset(idxs)).mask != eset(idxs).mask
+        with pytest.raises(errors.NotASubgroup):
+            right_quotient(G, ElementSet(eset(idxs).mask, is_subgroup=True))
+
     def test_quotient_fixed_point_iff_subgroup(self):
         G = builtin("dihedral", 12)
         rng = random.Random(11)
@@ -145,6 +156,13 @@ class TestSatisfiesTpp:
         sets = [eset([0])] * 3
         sets[place] = outside
         with pytest.raises(errors.IndexOutOfRange, match="index 100 outside 0..5"):
+            satisfies_tpp(s3(), *sets)
+
+    @pytest.mark.parametrize("place", range(3))
+    def test_wrongly_flagged_set_rejected(self, place):
+        sets = [eset([0])] * 3
+        sets[place] = ElementSet(eset([0, 1, 2]).mask, is_subgroup=True)
+        with pytest.raises(errors.NotASubgroup):
             satisfies_tpp(s3(), *sets)
 
     def test_translation_invariance(self):
