@@ -20,7 +20,7 @@ from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
 from .groups import Group, _packed, check_positive_int
 from .lattice import SubgroupLattice, enumerate_subgroups, normal_cores
-from .tpp import satisfies_tpp
+from .tpp import right_quotient, satisfies_tpp
 
 
 def neumann_admissible(group_order: int, a: int, b: int, c: int) -> bool:
@@ -175,8 +175,9 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     product set ST as one gather over the table.  A profile stops at its
     first hit, which is its lexicographically smallest valid triple, so the
     rest of the profile cannot change the witness; its checks are counted
-    all the same.  The returned witness is verified again with
-    `satisfies_tpp`.
+    all the same.  The returned witness and the seed are verified again:
+    each member X with `right_quotient` (Q(X) = X exactly when X is a
+    subgroup), the triple with `satisfies_tpp`.
 
     A profile that the budget covers whole is first given a reduced
     existence test, which only decides whether the profile has a valid
@@ -222,21 +223,21 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         by_size[size] = (lo, x + 1)
     cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
 
+    def verify(triple, invariant: str, shown) -> None:
+        # Each member must be a subgroup, Q(X) = X, and the triple valid.
+        members = [items[x - 1] for x in triple]
+        if any(right_quotient(G, X) != X for X in members) or not satisfies_tpp(G, *members).holds:
+            raise errors.InvariantViolation(invariant, f"triple {shown} failed verification")
+
     checks = 1
-    if not satisfies_tpp(G, items[0], items[0], items[-1]).holds:
-        raise errors.InvariantViolation(
-            "whole-group seed", "triple (G, 1, 1) failed verification"
-        )
     seed = (1, 1, count)
+    verify(seed, "whole-group seed", "(G, 1, 1)")
     best = n
     witnesses = {seed}
 
     def result(exact: bool) -> BetaResult:
         witness = min(witnesses)
-        if not satisfies_tpp(G, *(items[x - 1] for x in witness)).holds:
-            raise errors.InvariantViolation(
-                "beta witness", f"triple {witness} failed verification"
-            )
+        verify(witness, "beta witness", witness)
         return BetaResult(best, witness, exact, checks)
 
     profiles = [(a, b, c, a * b * c) for a, b, c in admissible_profiles(cnt, n) if a * b * c >= n]

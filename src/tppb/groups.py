@@ -102,19 +102,18 @@ def _resolve_limit(order_limit) -> int:
 class ElementSet:
     """Dense bit-vector set of element indices with cached size."""
 
-    __slots__ = ("mask", "size", "is_subgroup")
+    __slots__ = ("mask", "size")
 
-    def __init__(self, mask: int, is_subgroup: bool = False):
+    def __init__(self, mask: int):
         self.mask = mask
         self.size = mask.bit_count()
-        self.is_subgroup = is_subgroup
 
     @classmethod
-    def from_indices(cls, idxs, is_subgroup: bool = False) -> "ElementSet":
+    def from_indices(cls, idxs) -> "ElementSet":
         mask = 0
         for i in idxs:
             mask |= 1 << i
-        return cls(mask, is_subgroup=is_subgroup)
+        return cls(mask)
 
     def indices(self):
         """Yield member indices in increasing order."""
@@ -137,7 +136,7 @@ class ElementSet:
         return hash(self.mask)
 
     def __repr__(self) -> str:
-        return f"ElementSet({sorted(self.indices())}, subgroup={self.is_subgroup})"
+        return f"ElementSet({sorted(self.indices())})"
 
 
 # A mask holds element i in bit i; as bytes it is little-endian, so its
@@ -584,11 +583,9 @@ def _conjugacy_partition(G: Group) -> ConjugacyPartition:
     return ConjugacyPartition(tuple(classes), tuple(class_of.tolist()))
 
 
-def _coset_join(mul, members, mask, multipliers, ambient=None, index=2) -> int:
+def _coset_join(mul, members, multipliers, ambient=None, index=2) -> int:
     """Mask of <H, multipliers> by right-coset search, reading the table
-    through its memoryview `mul`.  H is given by its member list and mask;
-    its elements are marked from the list, which is cheaper than unpacking
-    the mask below a few hundred members, so `mask` is not read.
+    through its memoryview `mul`.  H is given by its member list;
     multipliers must include a generating set of H.  New coset
     representatives are right multiples of known ones, and each coset H*r
     is filled by multiplying every member of H into r, marking a byte per
@@ -622,7 +619,7 @@ def _coset_join(mul, members, mask, multipliers, ambient=None, index=2) -> int:
 def closure(G: Group, seed) -> ElementSet:
     """Smallest subgroup containing the seed elements: the coset search
     started from the trivial subgroup."""
-    return ElementSet(_coset_join(G.table.data, [0], 1, tuple(seed)), is_subgroup=True)
+    return ElementSet(_coset_join(G.table.data, [0], tuple(seed)))
 
 
 def cyclic_subgroups(G: Group) -> tuple:
@@ -662,7 +659,7 @@ def _walk(G: Group, queue: list, conjugators=()):
     for x in queue:
         if not (mask >> x) & 1:
             gens += (x,)
-            mask = _coset_join(mul, np.flatnonzero(_bits(mask, n)).tolist(), mask, gens)
+            mask = _coset_join(mul, np.flatnonzero(_bits(mask, n)).tolist(), gens)
             queue.extend(mul[mul[g, x], G.inv[g]] for g in conjugators)
     return mask, gens
 
@@ -699,7 +696,7 @@ def _commutator_subgroup(G: Group, H: ElementSet) -> ElementSet:
     gens = _subgroup_generators(G, H)
     mul, inv = G.table.data, G.inv
     commutators = [mul[mul[mul[inv[a], inv[b]], a], b] for a in gens for b in gens]
-    return ElementSet(_walk(G, commutators, gens)[0], is_subgroup=True)
+    return ElementSet(_walk(G, commutators, gens)[0])
 
 
 def element_order(G: Group, g: int) -> int:

@@ -337,7 +337,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
                 if kmask not in known:
                     add_class(kmask, gens + (g,))
             for g in search_gens[lo:hi]:
-                kmask = _coset_join(mul, rmembers, hmask, gens + (g,), residual, 5)
+                kmask = _coset_join(mul, rmembers, gens + (g,), residual, 5)
                 if kmask not in known:
                     add_class(kmask, gens + (g,))
 
@@ -347,7 +347,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     # so the numbers do not depend on the order in which they were found.
     number = {}
     classes = tuple(number.setdefault(known[mask], len(number)) for mask in masks)
-    items = [ElementSet(mask, is_subgroup=True) for mask in masks]
+    items = [ElementSet(mask) for mask in masks]
     # A normal core is a normal subgroup, so it is itself a member.
     item_of = dict(zip(masks, items))
     return SubgroupLattice(items, classes, tuple(item_of[cores[known[mask]]] for mask in masks))
@@ -356,10 +356,10 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
     """Largest normal subgroup of G contained in S: the AND of the
     conjugates that `_subgroup_class` gathers from S's generators.
-    NotASubgroup when S is not closed, whatever its `is_subgroup` flag says."""
+    NotASubgroup when S is not closed."""
     gens = _subgroup_generators(G, S)
     conjugates, _ = _subgroup_class(G.table, G.inv, conjugacy_classes(G), S.mask, gens)
-    return ElementSet(reduce(and_, conjugates), is_subgroup=True)
+    return ElementSet(reduce(and_, conjugates))
 
 
 def normal_cores(G: Group, lattice: SubgroupLattice) -> list:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import errors
-from .groups import ElementSet, Group, _subgroup_generators
+from .groups import ElementSet, Group, _bits, _mask
 
 __all__ = [
     "TppVerdict",
@@ -30,28 +32,21 @@ class TppVerdict:
 
 
 def right_quotient(G: Group, X: ElementSet) -> ElementSet:
-    """Q(X) = {x * y^-1 : x, y in X}; equals X when X is a subgroup.
-    IndexOutOfRange when X holds an index outside G, whatever its
-    `is_subgroup` flag says; NotASubgroup when X is flagged as a subgroup
-    but is not closed, checked as `normal_core` checks it."""
+    """Q(X) = {x * y^-1 : x, y in X}, one gather over the table; it equals
+    X exactly when X is a subgroup.  Q(X) has at least |X| elements, so
+    X = G is returned as it is.  IndexOutOfRange when X holds an index
+    outside G."""
     if len(X) == 0:
         raise errors.EmptySet("right quotient of the empty set")
     if X.mask >> G.order:
         top = errors.shown(X.mask.bit_length() - 1)
         raise errors.IndexOutOfRange(f"index {top} outside 0..{G.order - 1}")
-    if X.is_subgroup:
-        # {1} and G are subgroups of any group; any other flagged set is walked.
-        if X.mask != 1 and X.size < G.order:
-            _subgroup_generators(G, X)
-        return ElementSet(X.mask, is_subgroup=True)
-    mul = G.table.data
-    idxs = list(X.indices())
-    inv_idxs = G.inv[idxs].tolist()
-    mask = 0
-    for x in idxs:
-        for iy in inv_idxs:
-            mask |= 1 << mul[x, iy]
-    return ElementSet(mask)
+    if X.size == G.order:
+        return X
+    idx = np.flatnonzero(_bits(X.mask, G.order))
+    row = np.zeros(G.order, dtype=bool)
+    row[G.table[idx[:, None], G.inv[idx]]] = True
+    return ElementSet(_mask(row))
 
 
 def satisfies_tpp(G: Group, S: ElementSet, T: ElementSet, U: ElementSet) -> TppVerdict:

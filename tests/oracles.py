@@ -482,7 +482,7 @@ def commutator_set_derived_subgroup(G, H=None) -> ElementSet:
     """Closure of the set of all commutators g^-1 * h^-1 * g * h of g, h in
     H, or in G when H is None."""
     members = range(G.order) if H is None else list(H.indices())
-    return ElementSet(_commutator_closure(G, members), is_subgroup=True)
+    return ElementSet(_commutator_closure(G, members))
 
 
 def derived_series_residual(G) -> int:

@@ -21,10 +21,10 @@ from tppb.bounds import (
     solve_omega_bound,
 )
 from tppb.chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
-from tppb.groups import builtin, direct_product
-from tppb.lattice import enumerate_subgroups, normal_cores
+from tppb.groups import ElementSet, builtin, direct_product
+from tppb.lattice import SubgroupLattice, enumerate_subgroups, normal_cores
 from tppb.cli import parse_group_spec, realize_group_spec
-from tppb.tpp import TppVerdict, satisfies_tpp
+from tppb.tpp import TppVerdict, right_quotient, satisfies_tpp
 from oracles import delta_index_based, naive_beta_over_subgroups, per_triple_search_beta_g
 
 
@@ -412,6 +412,18 @@ class TestSearchBeta:
         monkeypatch.setattr(bounds, "satisfies_tpp", seed_only)
         with pytest.raises(errors.InvariantViolation, match="beta witness"):
             search_beta_g(G, lat)
+
+    def test_witness_member_not_a_subgroup_raises(self):
+        # {0, 16, 17} in sym:4 is not closed.  In place of lattice member 11
+        # the scan, which reads members as subgroups, still takes it into the
+        # witness (2, 11, 24) of beta 36, and its TPP check alone passes.
+        G = make("sym:4")
+        lat = lat_of(G)
+        items = list(lat.items)
+        items[10] = ElementSet.from_indices([0, 16, 17])
+        assert right_quotient(G, items[10]) != items[10]
+        with pytest.raises(errors.InvariantViolation, match=r"beta witness: triple \(2, 11, 24\)"):
+            search_beta_g(G, SubgroupLattice(items, lat.classes, lat.cores))
 
     def test_budget_exhaustion_flags_inexact(self):
         G = make("sym:4")

@@ -412,8 +412,7 @@ class TestIsNormal:
         G = builtin("dihedral", 16)
         mul = G.table.tolist()
         center = ElementSet.from_indices(
-            [z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in range(G.order))],
-            is_subgroup=True,
+            [z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in range(G.order))]
         )
         assert normal_core(G, center) == center
 
@@ -452,12 +451,6 @@ class TestNormalCore:
         # Index 5 fits the one byte of cyclic:4's membership row; 100 does not.
         with pytest.raises(errors.NotASubgroup):
             normal_core(builtin("cyclic", 4), ElementSet.from_indices(indices))
-
-    def test_wrongly_flagged_set_still_checked(self):
-        # The check closes the set; a wrong is_subgroup flag does not skip it.
-        G = builtin("cyclic", 4)
-        with pytest.raises(errors.NotASubgroup):
-            normal_core(G, ElementSet.from_indices([0, 1], is_subgroup=True))
 
     def test_normal_cores_trust_lattice_members(self, monkeypatch):
         # Lattice members were built as subgroups; re-checking each one

@@ -24,9 +24,26 @@ def s3():
 
 class TestRightQuotient:
     def test_subgroup_is_fixed_point(self):
+        # sym:5's masks take two 64-bit words.
+        for G in [s3(), builtin("sym", 4), builtin("dihedral", 16), builtin("sym", 5)]:
+            for s in enumerate_subgroups(G).items:
+                assert right_quotient(G, s) == s
+
+    # On sym:3, {0, 1, 2} has Q(X) = {0, 1, 2, 3, 5}; a single element
+    # other than 1, or all but one element, is not a subgroup either.
+    @pytest.mark.parametrize("idxs", [[0, 1, 2], [3], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4]])
+    def test_non_closed_set_is_not_fixed_point(self, idxs):
         G = s3()
-        for s in enumerate_subgroups(G).items:
-            assert right_quotient(G, s).mask == s.mask
+        got = right_quotient(G, eset(idxs))
+        assert got != eset(idxs)
+        assert set(got.indices()) == quotient_set(G, idxs)
+
+    def test_matches_pair_scan_past_one_word(self):
+        G = builtin("sym", 5)
+        rng = random.Random(29)
+        for _ in range(40):
+            x = rng.sample(range(G.order), rng.randint(1, 12)) + [rng.randrange(64, G.order)]
+            assert set(right_quotient(G, eset(x)).indices()) == quotient_set(G, x)
 
     def test_singleton_gives_identity(self):
         G = s3()
@@ -52,13 +69,13 @@ class TestRightQuotient:
             right_quotient(s3(), eset([]))
 
     # A set reaching outside the group is refused before any table read,
-    # whether or not it is flagged as a subgroup, and the message names
+    # also when none of its indices lies inside, and the message names
     # its highest index.
     @pytest.mark.parametrize(
         "X,message",
         [
             (ElementSet.from_indices([0, 100]), "index 100 outside 0..5"),
-            (ElementSet(1 | 1 << 100, is_subgroup=True), "index 100 outside 0..5"),
+            (ElementSet(1 << 100), "index 100 outside 0..5"),
             (ElementSet(1 | 1 << 3 | 1 << 10**5), "index 100000 outside 0..5"),
         ],
     )
@@ -66,17 +83,6 @@ class TestRightQuotient:
         with pytest.raises(errors.IndexOutOfRange) as info:
             right_quotient(s3(), X)
         assert str(info.value) == message
-
-    # A set flagged as a subgroup is still checked for closure: on sym:3,
-    # {0, 1, 2} has Q(X) = {0, 1, 2, 3, 5}, so taking the flag on trust
-    # would give Q(X) = X.  Only {1} and G skip the walk, so a flagged
-    # single element other than 1, or all but one element, is walked too.
-    @pytest.mark.parametrize("idxs", [[0, 1, 2], [3], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4]])
-    def test_wrongly_flagged_set_rejected(self, idxs):
-        G = s3()
-        assert right_quotient(G, eset(idxs)).mask != eset(idxs).mask
-        with pytest.raises(errors.NotASubgroup):
-            right_quotient(G, ElementSet(eset(idxs).mask, is_subgroup=True))
 
     def test_quotient_fixed_point_iff_subgroup(self):
         G = builtin("dihedral", 12)
@@ -150,19 +156,12 @@ class TestSatisfiesTpp:
         with pytest.raises(errors.EmptySet):
             satisfies_tpp(G, eset([]), eset([0]), eset([0]))
 
-    @pytest.mark.parametrize("outside", [eset([0, 100]), ElementSet(1 | 1 << 100, is_subgroup=True)])
+    @pytest.mark.parametrize("outside", [eset([0, 100]), ElementSet(1 << 100)])
     @pytest.mark.parametrize("place", range(3))
     def test_index_outside_group_rejected(self, outside, place):
         sets = [eset([0])] * 3
         sets[place] = outside
         with pytest.raises(errors.IndexOutOfRange, match="index 100 outside 0..5"):
-            satisfies_tpp(s3(), *sets)
-
-    @pytest.mark.parametrize("place", range(3))
-    def test_wrongly_flagged_set_rejected(self, place):
-        sets = [eset([0])] * 3
-        sets[place] = ElementSet(eset([0, 1, 2]).mask, is_subgroup=True)
-        with pytest.raises(errors.NotASubgroup):
             satisfies_tpp(s3(), *sets)
 
     def test_translation_invariance(self):
