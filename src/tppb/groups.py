@@ -584,24 +584,33 @@ def _conjugacy_partition(G: Group) -> ConjugacyPartition:
 
 
 def _coset_join(mul, members, multipliers, ambient=None, index=2) -> int:
-    """Mask of <H, multipliers> by right-coset search, reading the table
-    through its memoryview `mul`.  H is given by its member list;
-    multipliers must include a generating set of H.  New coset
-    representatives are right multiples of known ones, and each coset H*r
-    is filled by multiplying every member of H into r, marking a byte per
-    element; the marks are packed into a mask once, at the end.  So after
-    k cosets the join holds k*|H| elements.  The caller vouches that the
-    join lies in the subgroup `ambient` (by default the whole group, of
-    order n = len(mul)) and that `ambient` has no proper subgroup of index
-    below `index`; so once k*|H| passes |ambient|/index, `ambient` is
-    returned.  By Lagrange, `index` 2 holds for any ambient group."""
+    """Mask of <H, multipliers> by `_coset_search`, reading the table
+    through its memoryview `mul`; H is given by its member list.  The
+    caller vouches that the join lies in the subgroup `ambient` (by
+    default the whole group, of order n = len(mul)) and that `ambient`
+    has no proper subgroup of index below `index`; so once the join
+    passes |ambient|/index elements, `ambient` is returned.  By Lagrange,
+    `index` 2 holds for any ambient group."""
     n = len(mul)
     if ambient is None:
         ambient = (1 << n) - 1
-    size = ambient.bit_count()
     seen = bytearray(n)
     for h in members:
         seen[h] = 1
+    if _coset_search(mul, members, multipliers, seen, ambient.bit_count() // index) is None:
+        return ambient
+    return _mask(seen)
+
+
+def _coset_search(mul, members, multipliers, seen, bound):
+    """Right-coset representatives of H in <H, multipliers>, the first
+    being the identity, or None once the join passes `bound` elements.
+    H is given by its member list and its byte marks `seen`, a bytearray
+    over the group that is marked in place as the join grows;
+    multipliers must include a generating set of H.  New coset
+    representatives are right multiples of known ones, and each coset H*r
+    is filled by multiplying every member of H into r, so after k cosets
+    the join holds k*|H| elements."""
     reps = [0]
     # reps grows while it is read, so each new representative is used in turn.
     for r in reps:
@@ -609,11 +618,11 @@ def _coset_join(mul, members, multipliers, ambient=None, index=2) -> int:
             cand = mul[r, m]
             if not seen[cand]:
                 reps.append(cand)
-                if index * len(reps) * len(members) > size:
-                    return ambient
+                if len(reps) * len(members) > bound:
+                    return None
                 for h in members:
                     seen[mul[h, cand]] = 1
-    return _mask(seen)
+    return reps
 
 
 def closure(G: Group, seed) -> ElementSet:
@@ -652,16 +661,24 @@ def _cyclic_masks(G: Group) -> tuple:
 
 def _walk(G: Group, queue: list, conjugators=()):
     """(mask, generators) of <queue>.  The queue is read as it grows: each
-    element outside the mask so far joins as a generator by `_coset_join`
-    and queues its conjugates g*x*g^-1 by every g of `conjugators`."""
+    element outside the join so far joins as a generator by
+    `_coset_search`, and queues its conjugates g*x*g^-1 by every g of
+    `conjugators`.  The join's byte marks and its member list, read off
+    the coset representatives, carry on to the next join, so the mask is
+    packed only at the end.  A join past n/2 elements is the whole group,
+    and the walk ends there."""
     mul, n = G.table.data, G.order
-    mask, gens = 1, ()
+    seen, members, gens = bytearray(n), [0], ()
+    seen[0] = 1
     for x in queue:
-        if not (mask >> x) & 1:
+        if not seen[x]:
             gens += (x,)
-            mask = _coset_join(mul, np.flatnonzero(_bits(mask, n)).tolist(), gens)
+            reps = _coset_search(mul, members, gens, seen, n // 2)
+            if reps is None:
+                return (1 << n) - 1, gens
+            members = [mul[h, r] for r in reps for h in members]
             queue.extend(mul[mul[g, x], G.inv[g]] for g in conjugators)
-    return mask, gens
+    return _mask(seen), gens
 
 
 def _subgroup_generators(G: Group, S: ElementSet) -> tuple:

@@ -197,6 +197,43 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     abelian; the trivial class, with none, counts as abelian.  When G is
     solvable, P = 1 and no coset search runs.
 
+    A representative R inside the centre Z = Z(G) gathers only by seeds
+    above its level, so each subgroup of Z is gathered once.  The chain
+    1 = Z_0 < Z_1 < ... < Z_r = Z is built once, without a counted
+    gather: Z_(i+1) = Z_i<z> for each central seed generator z outside
+    Z_i, in seed order.  The seed of z^p has smaller order and sorts
+    earlier, so z^p lies in Z_i and Z_i<z> has index p over Z_i; every
+    central seed generator ends in Z_r, and Z is generated by its
+    elements of prime-power order, so Z_r = Z.  An element's level is
+    the least i with the element in Z_i, and r + 1 outside Z.  The level
+    of R, the least i with R inside Z_i, is the largest level of its
+    recorded generators (0 for the trivial group); it is r + 1 exactly
+    when R is not central, and such an R gathers as before.  Still every
+    subgroup K is reached:
+
+    - K inside Z, K != 1, of level t: R = K ∩ Z_(t-1) has index p in K,
+      as K/R embeds in Z_t/Z_(t-1) of order p.  The p-part of any
+      element of K outside R has level t, and so has the generator g of
+      its seed; g is central with g^p in R, so K = R<g> is a gather, and
+      R, normal, is its own class.  If also K = R'<g'> with g' above the
+      level of R', then g' has level t and R' lies in K ∩ Z_(t-1) = R,
+      of the same index p, so R' = R.  R is abelian and is never joined,
+      so K is gathered exactly once.
+    - K outside Z with K^(∞) != 1: the chain of gathers from K^(∞)
+      above runs through subgroups that hold the perfect K^(∞) != 1,
+      so none of them lies in the abelian Z.
+    - K outside Z and solvable: K ∩ Z is normal in K, so a composition
+      series of K/(K ∩ Z) lifts to a chain of prime-index gathers from
+      K ∩ Z.  Its first seed generator lies in K outside K ∩ Z, so it is
+      not central and has level r + 1, above that of any central R;
+      every later step starts outside Z.
+
+    Conjugation fixes every element of Z, so it fixes Z and every level,
+    and the conjugation argument above carries each step to the class
+    representative as before.  So the counts do not depend on the chain
+    or on the numbering: the subgroups of Z other than 1 take one gather
+    each, and a central R still runs every noncentral seed.
+
     A new subgroup K = <gens> (the seeds' generators along its chain)
     adds its whole conjugacy class at once and is queued as the class
     representative.  K is normal, its own class, exactly when the
@@ -232,8 +269,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     do not depend on it: the lattice, `classes` and `cores` are sorted
     and renumbered after the walk.  Nor does the work: the joins and
     gathers add up, over the classes, the N(R)-orbits of R's search
-    seeds and the distinct prime-index extensions R<g> of R, and
-    conjugation by x carries both to those of x*R*x^-1.
+    seeds and the distinct prime-index extensions R<g> of R by the seeds
+    it may gather by, and conjugation by x carries both to those of
+    x*R*x^-1.
 
     The lattice is sorted by size, ties broken by the ascending index
     tuples.  Two masks A and B of one size agree below the lowest bit of
@@ -274,6 +312,21 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
             x = mul[x, g]
         power_rows[g] = rows
         roots.append(x)
+    # level[x]: the least i with x in Z_i of the central chain, r + 1
+    # outside Z(G); above[i]: the seed generators of level above i, and
+    # above[r + 1] every bit.
+    centre = sum(c.mask for c in partition.classes if c.size == 1)
+    level, chain = [-1] * n, [0]
+    level[0] = r = 0
+    for _, z in seeds:
+        if centre >> z & 1 and level[z] < 0:
+            r += 1
+            cosets = [row[h] for row in power_rows[z] for h in chain]
+            for x in cosets:
+                level[x] = r
+            chain += cosets
+    level = [r + 1 if i < 0 else i for i in level]
+    above = [sum(bit[g] for _, g in seeds if level[g] > i) for i in range(r + 1)] + [-1]
     gen_idx = np.asarray([g for _, g in seeds], dtype=np.int64)
     root_idx = np.asarray(roots, dtype=np.int64)
     index = {smask: s for s, (smask, _) in enumerate(seeds)}
@@ -325,7 +378,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         search_gens = gen_idx[seed_at].tolist()
         members, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(axis=1)).tolist()
         for i, (hmask, _, gens) in enumerate(block):
-            rem, lo, hi = gathers[i], starts[i], starts[i + 1]
+            # A central R gathers only by seeds above its level.
+            rem = gathers[i] & above[max((level[g] for g in gens), default=0)]
+            lo, hi = starts[i], starts[i + 1]
             if not rem and lo == hi:
                 continue
             rmembers = members[ends[i] - hmask.bit_count() : ends[i]]

@@ -24,7 +24,6 @@ from tppb.groups import (
     from_permutation_generators,
 )
 from tppb.lattice import normal_cores
-from tppb.tpp import satisfies_tpp
 
 __all__ = [
     "TppTriple",
@@ -418,12 +417,32 @@ def _concrete_triples(by_size, a, b, c):
 
 
 def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
-    """search_beta_g with one full `satisfies_tpp` call per concrete triple:
-    the same profiles, prunes, order and check budget, so it must return an
-    equal BetaResult, check count included."""
+    """search_beta_g with one full TPP scan per concrete triple: the same
+    profiles, prunes, order and check budget, so it must return an equal
+    BetaResult, check count included.  Each member's right quotient
+    {x * y^-1} is taken once, by its own pair loop, at its first triple;
+    a triple (S, T, U) holds when no pair (s, t) != (1, 1) from Q(S) x
+    Q(T) has (s*t)^-1 in Q(U)."""
     items = lattice.items
     count = len(items)
     n = G.order
+    mul, inv = G.table.tolist(), G.inv.tolist()
+    quotients = {}
+
+    def quotient(x):
+        if x not in quotients:
+            idx = list(items[x].indices())
+            quotients[x] = frozenset(mul[a][inv[b]] for a in idx for b in idx)
+        return quotients[x]
+
+    def holds(i, j, k):
+        qt, qu = quotient(j), quotient(k)
+        for s in quotient(i):
+            row = mul[s]
+            if any(inv[row[t]] in qu and (s or t) for t in qt):
+                return False
+        return True
+
     if cores is None:
         cores = normal_cores(G, lattice)
     core_size = [len(s) for s in cores]
@@ -436,7 +455,7 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
     min_core = {size: min(core_size[lo:hi]) for size, (lo, hi) in by_size.items()}
 
     checks = 1
-    assert satisfies_tpp(G, items[0], items[0], items[-1]).holds
+    assert holds(0, 0, count - 1)
     best = n
     witnesses = {(1, 1, count)}
 
@@ -463,7 +482,7 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
             if budget is not None and checks >= budget:
                 return BetaResult(best, min(witnesses), False, checks)
             checks += 1
-            if satisfies_tpp(G, items[i], items[j], items[k]).holds:
+            if holds(i, j, k):
                 found = (i + 1, j + 1, k + 1)
                 if product > best:
                     best = product

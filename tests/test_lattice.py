@@ -32,6 +32,21 @@ def order_multiset(lat):
     return sorted(len(s) for s in lat.items)
 
 
+def extension_counts(monkeypatch, G):
+    """(coset-search joins, prime-index gathers, subgroup count) of one
+    enumeration of G."""
+    calls = {"_coset_join": 0, "_gather_extension": 0}
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(lattice, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lattice, name, counting)
+    count = enumerate_subgroups(G).count
+    return calls["_coset_join"], calls["_gather_extension"], count
+
+
 def sl_2_5():
     """SL(2,5), order 120, acting on the 24 nonzero vectors of F_5^2."""
     vectors = [(a, b) for a in range(5) for b in range(5) if a or b]
@@ -142,61 +157,74 @@ class TestEnumerate:
     # Frozen work counts: coset-search joins (only from nonabelian
     # representatives R inside the perfect residual, once per N(R)-orbit
     # of seeds) and prime-index gathers (one per distinct extension R<g>
-    # of a class representative R, however many of its seeds reach it),
-    # so a lost cut shows here even when timings hide it.  sym:4 and
-    # cyclic:30 are solvable: their derived series ends in the trivial
-    # group, so no coset search runs.  In dihedral:6 x elem_abelian:2^5
-    # most of the walk is abelian gathers.
+    # of a class representative R by the seeds it may gather by, however
+    # many of them reach it), so a lost cut shows here even when timings
+    # hide it.  A representative inside the centre gathers only by seeds
+    # above its level in the central chain, so every subgroup of the
+    # centre but 1 is gathered exactly once: in the abelian cyclic:30 and
+    # elem_abelian:2^6 the gathers are the subgroup count minus one.
+    # sym:4 and cyclic:30 are solvable: their derived series ends in the
+    # trivial group, so no coset search runs.  In dihedral:6 x
+    # elem_abelian:2^5, whose centre is elem_abelian:2^5, most of the walk
+    # is gathers from noncentral representatives.
     FROZEN_EXTENSION_COUNTS = [
         ("sym:4", 0, 25),
-        ("cyclic:30", 0, 12),
+        ("cyclic:30", 0, 7),
         ("sym:5", 11, 64),
         ("alt:6", 215, 146),
         ("sym:6", 163, 286),
         ("product(alt:5,cyclic:2)", 15, 103),
         ("product(sym:4,dihedral:8)", 0, 1177),
-        ("elem_abelian:2^6", 0, 23562),
-        ("product(dihedral:6,elem_abelian:2^5)", 0, 52400),
+        ("elem_abelian:2^6", 0, 2824),
+        ("product(dihedral:6,elem_abelian:2^5)", 0, 50696),
     ]
 
     @pytest.mark.parametrize("spec,coset_joins,gathers", FROZEN_EXTENSION_COUNTS)
     def test_frozen_extension_counts(self, monkeypatch, spec, coset_joins, gathers):
-        calls = {"_coset_join": 0, "_gather_extension": 0}
-        for name in calls:
-            real = getattr(lattice, name)
-
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(lattice, name, counting)
-        enumerate_subgroups(spec_group(spec))
-        assert (calls["_coset_join"], calls["_gather_extension"]) == (coset_joins, gathers)
+        assert extension_counts(monkeypatch, spec_group(spec))[:2] == (coset_joins, gathers)
 
     # The counts add up, over the classes, invariants of each class (the
     # N(R)-orbits of search seeds and the distinct prime-index extensions
     # of R), so they do not depend on the element numbering, which sets
-    # the representatives and the order of the walk.
+    # the representatives and the order of the walk.  Nor do they depend
+    # on the central chain, which follows the numbering: each subgroup of
+    # the centre but 1 takes one gather whatever the chain.
     @pytest.mark.parametrize(
         "spec,coset_joins,gathers",
         [
             row
             for row in FROZEN_EXTENSION_COUNTS
-            if row[0] in ("sym:5", "product(alt:5,cyclic:2)", "product(sym:4,dihedral:8)", "alt:6")
+            if row[0]
+            in (
+                "sym:5",
+                "product(alt:5,cyclic:2)",
+                "product(sym:4,dihedral:8)",
+                "alt:6",
+                "elem_abelian:2^6",
+                "cyclic:30",
+                "product(dihedral:6,elem_abelian:2^5)",
+            )
         ],
     )
     def test_extension_counts_survive_renumbering(self, monkeypatch, spec, coset_joins, gathers):
-        calls = {"_coset_join": 0, "_gather_extension": 0}
-        for name in calls:
-            real = getattr(lattice, name)
+        got = extension_counts(monkeypatch, renumbered(spec_group(spec), seed=spec))
+        assert got[:2] == (coset_joins, gathers)
 
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(lattice, name, counting)
-        enumerate_subgroups(renumbered(spec_group(spec), seed=spec))
-        assert (calls["_coset_join"], calls["_gather_extension"]) == (coset_joins, gathers)
+    # In an abelian group every subgroup lies in the centre, so each one
+    # but 1 is gathered exactly once, at every prime and numbering: the
+    # chain's steps add p - 1 cosets each, and in cyclic:4 x cyclic:4 and
+    # cyclic:9 x cyclic:3 some central seeds have order p^2.
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:30", "elem_abelian:2^6", "elem_abelian:3^3", "product(cyclic:4,cyclic:4)", "product(cyclic:9,cyclic:3)"],
+    )
+    @pytest.mark.parametrize("renumber", [False, True], ids=["built", "renumbered"])
+    def test_abelian_gathers_each_subgroup_once(self, monkeypatch, spec, renumber):
+        G = spec_group(spec)
+        if renumber:
+            G = renumbered(G, seed=spec)
+        coset_joins, gathers, count = extension_counts(monkeypatch, G)
+        assert (coset_joins, gathers) == (0, count - 1)
 
     @pytest.mark.parametrize(
         "make",
@@ -301,10 +329,16 @@ class TestEnumerate:
         assert count == 2825
         assert peak < 3_000_000
 
-    # Renumbered groups: the element numbering sets the join order and the
-    # representative of each class.  In alt:5 x cyclic:2 the perfect
-    # residual is proper and nontrivial, so both coset searches and
-    # gathers run; elem_abelian:2^5 is reached by gathers alone.
+    # Renumbered groups: the element numbering sets the join order, the
+    # representative of each class and the central chain.  In alt:5 x
+    # cyclic:2 the perfect residual is proper and nontrivial, so both
+    # coset searches and gathers run; elem_abelian:2^5 is reached by
+    # gathers alone.  The central chain's edge cases: in elem_abelian:3^3
+    # each step adds two cosets; cyclic:4 x cyclic:4 has central seeds of
+    # order p^2; in dicyclic:8 x cyclic:2 the central involution of Q8
+    # lies in its Frattini subgroup, so the chain to Q8 leaves the centre
+    # by a noncentral seed; dihedral:8 x cyclic:4 has a centre of order 8
+    # and both kinds of step.
     @pytest.mark.parametrize(
         "make",
         [
@@ -314,6 +348,10 @@ class TestEnumerate:
             lambda: renumbered(spec_group("product(alt:5,cyclic:2)"), seed="a5xc2"),
             lambda: builtin("elem_abelian", 32),
             lambda: builtin("alt", 6),
+            lambda: renumbered(spec_group("elem_abelian:3^3"), seed="e3_3"),
+            lambda: spec_group("product(cyclic:4,cyclic:4)"),
+            lambda: spec_group("product(dicyclic:8,cyclic:2)"),
+            lambda: renumbered(spec_group("product(dihedral:8,cyclic:4)"), seed="d8xc4"),
         ],
         ids=[
             "sym:5-renumbered",
@@ -322,6 +360,10 @@ class TestEnumerate:
             "a5xc2-renumbered",
             "elem_abelian:2^5",
             "alt:6",
+            "elem_abelian:3^3-renumbered",
+            "c4xc4",
+            "q8xc2",
+            "d8xc4-renumbered",
         ],
     )
     def test_matches_cyclic_join_oracle(self, make):
