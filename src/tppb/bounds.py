@@ -10,7 +10,6 @@ the one result record, which the CSV report writes as it is.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,38 +45,39 @@ def admissible_profiles(counts, n: int):
                     yield a, b, c
 
 
+def _order_counts(lattice: SubgroupLattice) -> dict:
+    """Number of members of each nontrivial order, read off `lattice.orders`."""
+    counts = np.bincount(lattice.orders)
+    sizes = np.flatnonzero(counts[2:]) + 2
+    return dict(zip(sizes.tolist(), counts[sizes].tolist()))
+
+
 def compute_t(G: Group, lattice: SubgroupLattice) -> int:
     """Best product a*b*c over admissible triples of pairwise-distinct proper
-    nontrivial subgroups, by order multiset; floor at |G| when none exists."""
+    nontrivial subgroups, by order multiset; floor at |G| when none exists.
+    The whole group takes part in no profile: |G|*(b+c-1) > |G| for b, c > 1."""
     n = G.order
-    counts = Counter(len(s) for s in lattice.items if 1 < len(s) < n)
-    return max([n] + [a * b * c for a, b, c in admissible_profiles(counts, n)])
+    return max([n] + [a * b * c for a, b, c in admissible_profiles(_order_counts(lattice), n)])
 
 
 def compute_N(G: Group, lattice: SubgroupLattice) -> int:
     """Largest 1-based index i with |S_i|*(|S_2|+|S_3|-1) <= |G|.
 
     Returns 0 when even the trivial subgroup fails the test and 1 when the
-    lattice has fewer than three members.
+    lattice has fewer than three members.  The orders ascend, so i counts
+    the members of order at most |G| // (|S_2|+|S_3|-1).
     """
-    items = lattice.items
-    if len(items) < 3:
+    orders = lattice.orders
+    if len(orders) < 3:
         return 1
-    m = len(items[1]) + len(items[2]) - 1
-    best = 0
-    for idx, s in enumerate(items, start=1):
-        if len(s) * m > G.order:
-            break
-        best = idx
-    return best
+    return int(np.searchsorted(orders, G.order // int(orders[1] + orders[2] - 1), side="right"))
 
 
 def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
     """delta keyed by subgroup order s: the best b*c over admissible profiles
     (s, b, c) of nontrivial orders; orders with no such profile are absent."""
-    counts = Counter(len(s) for s in lattice.items if len(s) > 1)
     best = {}
-    for a, b, c in admissible_profiles(counts, G.order):
+    for a, b, c in admissible_profiles(_order_counts(lattice), G.order):
         best[a] = max(best.get(a, 0), b * c)
     return best
 
@@ -99,6 +99,7 @@ class HBound:
     b: int | None
     h: int
     candidates: list[HCandidate]
+    N: int
 
 
 def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
@@ -106,24 +107,36 @@ def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
     indices 4..N, the minimum of |G|*|S_i|/|core(S_i)| and |S_i|*delta(S_i).
 
     `cores` is the normal-core list aligned with the lattice.  Candidates
-    whose delta is absent contribute nothing.
+    whose delta is absent contribute nothing.  The candidates are read off
+    `lattice.orders` and the core orders as arrays; the cutoff N is kept
+    on the result.
     """
     n = G.order
     n_cap = compute_N(G, lattice)
     delta_of = _delta_by_order(G, lattice)
-    rows = []
-    b = None
-    for i, S, core_set in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
-        si, core = S.size, core_set.size
-        left = (n * si) // core
-        delta = delta_of.get(si)
-        right = si * delta if delta is not None else None
-        minimum = min(left, right) if right is not None else None
-        rows.append(HCandidate(i, si, core, delta, left, right, minimum))
-        if minimum is not None and (b is None or minimum > b):
-            b = minimum
+    orders = lattice.orders[3:n_cap]
+    core = np.array([s.size for s in cores[3:n_cap]], dtype=np.int64)
+    # delta by order, 0 where absent: a present delta is at least 2*2.
+    delta_at = np.zeros(n + 1, dtype=np.int64)
+    delta_at[list(delta_of)] = list(delta_of.values())
+    delta = delta_at[orders]
+    left = n * orders // core
+    right = orders * delta
+    minimum = np.minimum(left, right)
+    # An absent delta makes the minimum 0, and a present one a positive one.
+    b = int(minimum.max(initial=0)) or None
+    present = delta > 0
+    rows = zip(
+        range(4, n_cap + 1),
+        orders.tolist(),
+        core.tolist(),
+        np.where(present, delta, None).tolist(),
+        left.tolist(),
+        np.where(present, right, None).tolist(),
+        np.where(present, minimum, None).tolist(),
+    )
     h = n if b is None else max(b, n)
-    return HBound(b=b, h=h, candidates=rows)
+    return HBound(b=b, h=h, candidates=list(map(HCandidate._make, rows)), N=n_cap)
 
 
 @dataclass(frozen=True)
@@ -213,15 +226,15 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     n = G.order
     if cores is None:
         cores = normal_cores(G, lattice)
-    core_size = np.array([len(s) for s in cores])
-    orders = np.array([len(s) for s in items])
+    core_size = np.array([s.size for s in cores], dtype=np.int64)
+    orders = lattice.orders
     least = np.zeros(count, dtype=bool)  # the least-index member of each class
     least[np.unique(lattice.classes, return_index=True)[1]] = True
-    by_size = {}
-    for x, size in enumerate(orders.tolist()):
-        lo, _ = by_size.get(size, (x, x))
-        by_size[size] = (lo, x + 1)
-    cnt = {size: hi - lo for size, (lo, hi) in by_size.items()}
+    # The members of each order, a run of the ascending orders: lo..hi-1.
+    counts = np.bincount(orders)
+    sizes = np.flatnonzero(counts)
+    cnt = dict(zip(sizes.tolist(), counts[sizes].tolist()))
+    by_size = {size: (hi - k, hi) for (size, k), hi in zip(cnt.items(), np.cumsum(counts[sizes]).tolist())}
 
     def verify(triple, invariant: str, shown) -> None:
         # Each member must be a subgroup, Q(X) = X, and the triple valid.
@@ -463,7 +476,7 @@ def bounds_report(
         t_le_d3=flags.t_le_d3,
         h_le_d3=flags.h_le_d3,
         beta_g_or_blank=beta.value if exact else None,
-        N=compute_N(G, lattice),
+        N=hb.N,
         degrees=degrees,
         beta_witness=beta.witness if exact else None,
         beta_exact=None if beta is None else beta.exact,

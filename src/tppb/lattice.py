@@ -4,7 +4,7 @@ the conjugates that the lattice walk gathers."""
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import numpy as np
 
@@ -58,14 +58,20 @@ class SubgroupLattice:
     `cores`, aligned with `items` in the same way, holds each member's
     normal core, itself a member (a normal subgroup); the members of one
     class share their core.
+
+    `orders`, an int64 array aligned with `items`, holds each member's
+    order; it is read from `items` when not given.
     """
 
-    __slots__ = ("items", "classes", "cores")
+    __slots__ = ("items", "classes", "cores", "orders")
 
-    def __init__(self, items, classes, cores):
+    def __init__(self, items, classes, cores, orders=None):
         self.items = items
         self.classes = classes
         self.cores = cores
+        if orders is None:
+            orders = np.array([s.size for s in items], dtype=np.int64)
+        self.orders = orders
 
     @property
     def count(self) -> int:
@@ -80,12 +86,12 @@ class SubgroupLattice:
         return f"SubgroupLattice(count={len(self.items)})"
 
 
-def _subgroup_class(T, inv, partition, mask, gens):
+def _subgroup_class(T, inv, mask, gens, support):
     """The masks of the conjugates of K = <gens> (mask `mask`) and the
     membership row of its normalizer, or None when K is normal;
-    `partition` is the group's conjugacy partition.  See
-    `enumerate_subgroups` for why the generators suffice."""
-    if all(partition.classes[partition.class_of[g]].mask & ~mask == 0 for g in gens):
+    `support` is the OR of the masks of the generators' conjugacy
+    classes.  See `enumerate_subgroups` for why the generators suffice."""
+    if support & ~mask == 0:
         return (mask,), None
     n = len(T)
     inside = _bits(mask, n)
@@ -116,19 +122,24 @@ def _gather_extension(rows, members, mask, bit) -> int:
     return mask
 
 
-# Byte b with its eight bits in reverse order: its bits unpacked from the
-# highest and packed back from the lowest.
-_REVERSED_BYTES = np.packbits(
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+# Byte b with its eight bits in reverse order and then inverted: its bits
+# unpacked from the highest and packed back, inverted, from the lowest.
+_INVERTED_REVERSED_BYTES = np.packbits(
+    ~np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(bool), axis=1, bitorder="little"
 ).tobytes()
 
 
-def _lattice_key(mask: int, width: int):
-    """Sort key of a mask of at most 8*width bits: its size, then minus
-    its bit reversal, which orders masks of one size by their ascending
-    index tuples (see `enumerate_subgroups`)."""
-    reversed_bits = mask.to_bytes(width, "little").translate(_REVERSED_BYTES)
-    return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
+def _lattice_order(masks, sizes, n: int):
+    """The permutation that sorts masks over n elements, of sizes `sizes`
+    (an int64 array), by size and then by ascending index tuples: one
+    argsort over a byte key per mask (see `enumerate_subgroups`)."""
+    lead, width = -(-n.bit_length() // 8), -(-n // 8)
+    key = np.empty((len(masks), lead + width), dtype=np.uint8)
+    # The big-endian bytes of each size, at most n: two for 256 <= n < 2^16.
+    key[:, :lead] = sizes.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - lead :]
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    key[:, lead:] = np.frombuffer(data.translate(_INVERTED_REVERSED_BYTES), dtype=np.uint8).reshape(-1, width)
+    return key.view(f"V{lead + width}").ravel().argsort()
 
 
 def perfect_residual(G: Group) -> ElementSet:
@@ -238,19 +249,22 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     adds its whole conjugacy class at once and is queued as the class
     representative.  K is normal, its own class, exactly when the
     conjugacy class of each generator lies in K: then x*K*x^-1 =
-    <x*g*x^-1 : g in gens> lies in K for every x.  Otherwise its
-    normalizer is read from the generators alone: x normalizes K exactly
-    when every x*g*x^-1 lies in K, because conjugation by x is an
-    automorphism, so x*<gens>*x^-1 lies in K and, having K's order, is K.
-    That is one n x |gens| gather, not n x |K|.  x and x*m for m in N(K)
-    give the same conjugate, so the conjugates are gathered from the
-    table (x*y*x^-1 = T[T[x, y], inv[x]]) only at the least element of
-    each left coset x*N(K): the least x not yet marked, whose coset, one
-    row T[x, N(K)], is then marked, |G:N(K)| times in all.  A class
-    record keeps only the representative's mask, its normalizer row
-    (None when normal) and its generators.  Each class also keeps its
-    normal core, the AND of the conjugate masks, which is the mask
-    itself for a normal class.
+    <x*g*x^-1 : g in gens> lies in K for every x.  The OR of those class
+    masks, the support, is set once per class, as the parent's support
+    ORed with the class mask of the new generator, so the test is one
+    AND.  Otherwise its normalizer is read from the generators alone: x
+    normalizes K exactly when every x*g*x^-1 lies in K, because
+    conjugation by x is an automorphism, so x*<gens>*x^-1 lies in K and,
+    having K's order, is K.  That is one n x |gens| gather, not n x |K|.
+    x and x*m for m in N(K) give the same conjugate, so the conjugates
+    are gathered from the table (x*y*x^-1 = T[T[x, y], inv[x]]) only at
+    the least element of each left coset x*N(K): the least x not yet
+    marked, whose coset, one row T[x, N(K)], is then marked, |G:N(K)|
+    times in all.  A class record keeps only the representative's mask,
+    its normalizer row (None when normal), its generators, its support
+    and its level, the larger of the parent's level and the new
+    generator's.  Each class also keeps its normal core, the AND of the
+    conjugate masks, which is the mask itself for a normal class.
 
     The queue is read in blocks of representatives of at most
     LATTICE_CELLS cells (block x n), so the membership rows,
@@ -276,12 +290,17 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     The lattice is sorted by size, ties broken by the ascending index
     tuples.  Two masks A and B of one size agree below the lowest bit of
     A ^ B, and the one holding that bit has the smaller tuple.  Reversing
-    the bits (`_lattice_key`, a byte table) makes that bit the highest
-    one in which they differ, so the mask holding it has the larger
-    reversed value: the key (size, -reversed mask) gives the same order
-    without listing any indices.  Each mask keeps the class it was added
-    with, so the sorted lattice records every member's class and core
-    (`SubgroupLattice.classes`, `SubgroupLattice.cores`) with no
+    the bits makes that bit the highest one in which they differ, so the
+    mask holding it has the larger reversed value, and inverting every
+    bit makes it the smaller.  So one argsort over a byte key per mask
+    (`_lattice_order`), the big-endian bytes of the size and then the
+    inverted bytes of the bit-reversed mask, compared as unsigned bytes,
+    gives the same order without listing any indices.  The little-endian
+    bytes of a mask, each reversed and inverted by a byte table, are those
+    bytes.  The sizes come from the class records, one per class, and
+    become `SubgroupLattice.orders`.  Each mask keeps the class it was
+    added with, so the sorted lattice records every member's class and
+    core (`SubgroupLattice.classes`, `SubgroupLattice.cores`) with no
     conjugation after the walk.
 
     `lattice_limit` caps the number of subgroups; it must be an integer
@@ -335,27 +354,34 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     gen_in_residual = _bits(residual, n)[gen_idx]
     step = max(1, LATTICE_CELLS // n)
 
+    # class_mask[g]: the mask of g's conjugacy class.
+    class_mask = [partition.classes[c].mask for c in partition.class_of]
     known, whole = {}, np.ones(n, dtype=bool)  # known: mask -> its class's place in reps
-    reps = []  # (mask, normalizer row or None, generators) per class
+    # (mask, normalizer row or None, generators, support, level) per class:
+    # its generators' class masks ORed, and the largest of their levels.
+    reps = []
     cores = []  # normal core mask per class, aligned with reps
 
-    def add_class(mask, gens):
-        conjugates, normalizer = _subgroup_class(T, inv, partition, mask, gens)
+    def add_class(mask, gens, support, lvl):
+        conjugates, normalizer = _subgroup_class(T, inv, mask, gens, support)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
         known.update(dict.fromkeys(conjugates, len(reps)))
-        reps.append((mask, normalizer, gens))
+        reps.append((mask, normalizer, gens, support, lvl))
         cores.append(reduce(and_, conjugates))
 
-    add_class(1, ())
+    def extend(gens, support, lvl, g, kmask):
+        add_class(kmask, gens + (g,), support | class_mask[g], max(lvl, level[g]))
+
+    add_class(1, (), 0, 0)
     # add_class appends to reps as the blocks are walked, so each new class
     # is extended in turn, in a later block.
     head = 0
     while head < len(reps):
         block = reps[head : head + step]
         head += len(block)
-        _, rows = _packed([mask for mask, _, _ in block], n)
-        normalizers = np.array([whole if row is None else row for _, row, _ in block])
+        _, rows = _packed([mask for mask, *_ in block], n)
+        normalizers = np.array([whole if row is None else row for _, row, *_ in block])
         outside = ~rows[:, gen_idx]
         gather = outside & rows[:, root_idx] & normalizers[:, gen_idx]
         marked = np.zeros_like(rows)
@@ -364,7 +390,8 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         search = outside & gen_in_residual & ~gather
         # Joins run only from nonabelian representatives inside P.
         no_join = [
-            mask & ~residual != 0 or all(mul[a, b] == mul[b, a] for a in gens for b in gens) for mask, _, gens in block
+            mask & ~residual != 0 or all(mul[a, b] == mul[b, a] for a in gens for b in gens)
+            for mask, _, gens, *_ in block
         ]
         search[np.array(no_join)] = False
         for i in np.flatnonzero(search.any(axis=1)).tolist():
@@ -377,9 +404,9 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
         starts = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
         search_gens = gen_idx[seed_at].tolist()
         members, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(axis=1)).tolist()
-        for i, (hmask, _, gens) in enumerate(block):
+        for i, (hmask, _, gens, support, lvl) in enumerate(block):
             # A central R gathers only by seeds above its level.
-            rem = gathers[i] & above[max((level[g] for g in gens), default=0)]
+            rem = gathers[i] & above[lvl]
             lo, hi = starts[i], starts[i + 1]
             if not rem and lo == hi:
                 continue
@@ -390,14 +417,17 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
                 # Every other gather seed generator in K \ R gives this K.
                 rem &= ~kmask
                 if kmask not in known:
-                    add_class(kmask, gens + (g,))
+                    extend(gens, support, lvl, g, kmask)
             for g in search_gens[lo:hi]:
                 kmask = _coset_join(mul, rmembers, gens + (g,), residual, 5)
                 if kmask not in known:
-                    add_class(kmask, gens + (g,))
+                    extend(gens, support, lvl, g, kmask)
 
-    width = -(-n // 8)
-    masks = sorted(known, key=lambda mask: _lattice_key(mask, width))
+    masks = list(known)
+    place = np.fromiter(known.values(), dtype=np.int64, count=len(masks))
+    sizes = np.array([mask.bit_count() for mask, *_ in reps], dtype=np.int64)[place]
+    order = _lattice_order(masks, sizes, n)
+    masks = list(map(masks.__getitem__, order.tolist()))
     # The classes are numbered again by their least members in this order,
     # so the numbers do not depend on the order in which they were found.
     number = {}
@@ -405,7 +435,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     items = [ElementSet(mask) for mask in masks]
     # A normal core is a normal subgroup, so it is itself a member.
     item_of = dict(zip(masks, items))
-    return SubgroupLattice(items, classes, tuple(item_of[cores[known[mask]]] for mask in masks))
+    return SubgroupLattice(items, classes, tuple(item_of[cores[known[mask]]] for mask in masks), sizes[order])
 
 
 def normal_core(G: Group, S: ElementSet) -> ElementSet:
@@ -413,7 +443,9 @@ def normal_core(G: Group, S: ElementSet) -> ElementSet:
     conjugates that `_subgroup_class` gathers from S's generators.
     NotASubgroup when S is not closed."""
     gens = _subgroup_generators(G, S)
-    conjugates, _ = _subgroup_class(G.table, G.inv, conjugacy_classes(G), S.mask, gens)
+    partition = conjugacy_classes(G)
+    support = reduce(or_, (partition.classes[partition.class_of[g]].mask for g in gens), 0)
+    conjugates, _ = _subgroup_class(G.table, G.inv, S.mask, gens, support)
     return ElementSet(reduce(and_, conjugates))
 
 

@@ -6,6 +6,7 @@ inner products. They are deliberately slow and simple.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from tppb import errors
-from tppb.bounds import BetaResult, admissible_profiles
+from tppb.bounds import BetaResult, HBound, HCandidate, admissible_profiles
 from tppb.chars import _rref_mod, d_sum_int, d_sum_real
 from tppb.groups import (
     ElementSet,
@@ -30,6 +31,10 @@ __all__ = [
     "class_union_core",
     "conjugate_intersection_core",
     "delta_index_based",
+    "per_member_t",
+    "per_member_delta_by_order",
+    "scan_N",
+    "per_index_h",
     "element_order",
     "orbit_loop_partition",
     "random_generators",
@@ -46,6 +51,7 @@ __all__ = [
     "commutator_set_derived_subgroup",
     "derived_series_residual",
     "naive_beta_over_subgroups",
+    "quotient_tpp",
     "per_triple_search_beta_g",
     "s4_degrees_by_inner_products",
     "class_matrices_double_loop",
@@ -85,6 +91,60 @@ def delta_index_based(orders, i: int, group_order: int):
                 if best is None or a * b > best:
                     best = a * b
     return best
+
+
+def per_member_t(G, lattice) -> int:
+    """`bounds.compute_t` from a Counter over len(s) of every proper
+    nontrivial member."""
+    n = G.order
+    counts = Counter(len(s) for s in lattice.items if 1 < len(s) < n)
+    return max([n] + [a * b * c for a, b, c in admissible_profiles(counts, n)])
+
+
+def per_member_delta_by_order(G, lattice) -> dict:
+    """`bounds._delta_by_order` from a Counter over len(s) of every
+    nontrivial member."""
+    counts = Counter(len(s) for s in lattice.items if len(s) > 1)
+    best = {}
+    for a, b, c in admissible_profiles(counts, G.order):
+        best[a] = max(best.get(a, 0), b * c)
+    return best
+
+
+def scan_N(G, lattice) -> int:
+    """`bounds.compute_N` by scanning the members in index order up to the
+    first that fails |S_i|*(|S_2|+|S_3|-1) <= |G|."""
+    items = lattice.items
+    if len(items) < 3:
+        return 1
+    m = len(items[1]) + len(items[2]) - 1
+    best = 0
+    for idx, s in enumerate(items, start=1):
+        if len(s) * m > G.order:
+            break
+        best = idx
+    return best
+
+
+def per_index_h(G, lattice, cores) -> HBound:
+    """`bounds.compute_h` one candidate index at a time, with `scan_N` and
+    `per_member_delta_by_order`."""
+    n = G.order
+    n_cap = scan_N(G, lattice)
+    delta_of = per_member_delta_by_order(G, lattice)
+    rows = []
+    b = None
+    for i, S, core_set in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
+        si, core = len(S), len(core_set)
+        left = (n * si) // core
+        delta = delta_of.get(si)
+        right = si * delta if delta is not None else None
+        minimum = min(left, right) if right is not None else None
+        rows.append(HCandidate(i, si, core, delta, left, right, minimum))
+        if minimum is not None and (b is None or minimum > b):
+            b = minimum
+    h = n if b is None else max(b, n)
+    return HBound(b=b, h=h, candidates=rows, N=n_cap)
 
 
 def conjugate_intersection_core(G, S) -> int:
@@ -386,6 +446,31 @@ def _conjugate_masks(T, inv, members, inside):
     return [_mask(row) for row in hit], normalizer
 
 
+def quotient_tpp(G):
+    """A TPP test holds(S, T, U) for subsets of G that takes each set's
+    right quotient {x * y^-1} once, by its own pair loop, at its first
+    triple: a triple holds when no pair (s, t) != (1, 1) from Q(S) x Q(T)
+    has (s*t)^-1 in Q(U)."""
+    mul, inv = G.table.tolist(), G.inv.tolist()
+    quotients = {}
+
+    def quotient(X):
+        if X.mask not in quotients:
+            idx = list(X.indices())
+            quotients[X.mask] = frozenset(mul[a][inv[b]] for a in idx for b in idx)
+        return quotients[X.mask]
+
+    def holds(S, T, U):
+        qt, qu = quotient(T), quotient(U)
+        for s in quotient(S):
+            row = mul[s]
+            if any(inv[row[t]] in qu and (s or t) for t in qt):
+                return False
+        return True
+
+    return holds
+
+
 def naive_beta_over_subgroups(G, subgroup_sets, tpp_predicate) -> int:
     """Unpruned maximum of |S||T||U| over all ordered subgroup triples.
 
@@ -422,26 +507,14 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
     BetaResult, check count included.  Each member's right quotient
     {x * y^-1} is taken once, by its own pair loop, at its first triple;
     a triple (S, T, U) holds when no pair (s, t) != (1, 1) from Q(S) x
-    Q(T) has (s*t)^-1 in Q(U)."""
+    Q(T) has (s*t)^-1 in Q(U), by `quotient_tpp`."""
     items = lattice.items
     count = len(items)
     n = G.order
-    mul, inv = G.table.tolist(), G.inv.tolist()
-    quotients = {}
-
-    def quotient(x):
-        if x not in quotients:
-            idx = list(items[x].indices())
-            quotients[x] = frozenset(mul[a][inv[b]] for a in idx for b in idx)
-        return quotients[x]
+    tpp = quotient_tpp(G)
 
     def holds(i, j, k):
-        qt, qu = quotient(j), quotient(k)
-        for s in quotient(i):
-            row = mul[s]
-            if any(inv[row[t]] in qu and (s or t) for t in qt):
-                return False
-        return True
+        return tpp(items[i], items[j], items[k])
 
     if cores is None:
         cores = normal_cores(G, lattice)

@@ -35,6 +35,7 @@ from tppb.tpp import satisfies_tpp
 from oracles import (
     brute_force_subgroup_masks,
     naive_beta_over_subgroups,
+    quotient_tpp,
     s4_degrees_by_inner_products,
 )
 
@@ -193,15 +194,14 @@ class TestOracleEquivalence:
     def test_pruned_beta_matches_naive_enumeration_up_to_order_16(
         self, catalog, catalog_lattices
     ):
-        def predicate(G, S, T, U):
-            return satisfies_tpp(G, S, T, U).holds
-
         checked = 0
         for name, G in catalog:
             if G.order > 16:
                 continue
             lattice = catalog_lattices[name]
-            naive = naive_beta_over_subgroups(G, lattice.items, predicate)
+            # Each member's right quotient is taken once per group.
+            holds = quotient_tpp(G)
+            naive = naive_beta_over_subgroups(G, lattice.items, lambda G, S, T, U: holds(S, T, U))
             pruned = search_beta_g(G, lattice)
             assert pruned.exact, name
             assert pruned.value == naive, name

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tppb import bounds, errors
@@ -25,7 +26,16 @@ from tppb.groups import ElementSet, builtin, direct_product
 from tppb.lattice import SubgroupLattice, enumerate_subgroups, normal_cores
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.tpp import TppVerdict, right_quotient, satisfies_tpp
-from oracles import delta_index_based, naive_beta_over_subgroups, per_triple_search_beta_g
+from oracles import (
+    delta_index_based,
+    naive_beta_over_subgroups,
+    per_index_h,
+    per_member_delta_by_order,
+    per_member_t,
+    per_triple_search_beta_g,
+    renumbered,
+    scan_N,
+)
 
 
 def lat_of(G):
@@ -106,6 +116,46 @@ class TestComputeT:
         # Only one involution exists, so no distinct admissible triple.
         G = builtin("dicyclic", 12)
         assert compute_t(G, lat_of(G)) == G.order
+
+
+class TestOrdersArray:
+    """t, N, delta and h read `SubgroupLattice.orders` in bulk; each must
+    equal its per-member reference, every candidate row included, with
+    Python ints in the rows."""
+
+    @staticmethod
+    def check(name, G, lat):
+        assert lat.orders.dtype == np.int64, name
+        assert lat.orders.tolist() == [len(s) for s in lat.items], name
+        by_hand = SubgroupLattice(list(lat.items), lat.classes, lat.cores)
+        assert by_hand.orders.tolist() == lat.orders.tolist(), name
+        cores = normal_cores(G, lat)
+        assert compute_t(G, lat) == per_member_t(G, lat), name
+        assert compute_N(G, lat) == scan_N(G, lat), name
+        assert bounds._delta_by_order(G, lat) == per_member_delta_by_order(G, lat), name
+        hb = compute_h(G, lat, cores)
+        assert hb == per_index_h(G, lat, cores), name
+        assert all(type(v) in (int, type(None)) for row in hb.candidates for v in row), name
+
+    def test_catalog(self, catalog, catalog_lattices):
+        for name, G in catalog:
+            self.check(name, G, catalog_lattices[name])
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [
+            ("sym:5", None),
+            ("product(sym:4,dihedral:8)", None),
+            ("elem_abelian:2^6", None),
+            ("sym:5", 3),
+            ("product(sym:4,dihedral:8)", 11),
+        ],
+    )
+    def test_larger_groups(self, spec, seed):
+        G = realize_group_spec(parse_group_spec(spec))
+        if seed is not None:
+            G = renumbered(G, seed)
+        self.check(spec, G, lat_of(G))
 
 
 class TestComputeN:
@@ -511,7 +561,7 @@ class TestBoundsReport:
         ],
     )
     def test_bound_chain_is_a_hard_error(self, monkeypatch, h, budget, invariant):
-        monkeypatch.setattr(bounds, "compute_h", lambda G, lat, cores: HBound(b=h, h=h, candidates=[]))
+        monkeypatch.setattr(bounds, "compute_h", lambda G, lat, cores: HBound(b=h, h=h, candidates=[], N=0))
         with pytest.raises(errors.InvariantViolation, match=invariant):
             bounds_report(make("sym:3"), exact_beta=True, beta_budget=budget)
 

@@ -1,5 +1,6 @@
 """Subgroup lattice enumeration, normality, and normal cores."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -249,15 +250,16 @@ class TestEnumerate:
             assert got == cyclic_join_lattice(G), name
 
     # Every class passes through _subgroup_class once, with the generators
-    # of its representative.  Its normality test (the class of each
-    # generator inside K) must agree with the union of the classes of all
-    # members, and for a non-normal class the normalizer read from the
-    # generators and the conjugates gathered at one element per coset must
-    # equal those from conjugating every member by every element.  Two
-    # lattice members share a number in `classes` exactly when some
-    # element conjugates one onto the other: the members of each number
-    # are the conjugates of its least member, by every element.  The
-    # numbers are 0, 1, ... in the order of their least members.
+    # of its representative and their support, the union of their
+    # conjugacy classes.  Its normality test (the support inside K) must
+    # agree with the union of the classes of all members, and for a
+    # non-normal class the normalizer read from the generators and the
+    # conjugates gathered at one element per coset must equal those from
+    # conjugating every member by every element.  Two lattice members
+    # share a number in `classes` exactly when some element conjugates one
+    # onto the other: the members of each number are the conjugates of its
+    # least member, by every element.  The numbers are 0, 1, ... in the
+    # order of their least members.
     def test_classes_match_conjugation_by_every_element(self, monkeypatch, catalog):
         calls = []
         real = lattice._subgroup_class
@@ -284,7 +286,9 @@ class TestEnumerate:
                 conjugates, _ = _conjugate_masks(T, inv, np.flatnonzero(inside), inside)
                 assert sorted(conjugates) == sorted(masks), (name, number)
             assert sum(len(conjugates) for _, (conjugates, _) in calls) == count, name
-            for (_, _, _, mask, gens), (conjugates, normalizer) in calls:
+            for (_, _, mask, gens, support), (conjugates, normalizer) in calls:
+                classes = {x for g in gens for x in T[T[np.arange(G.order), g], inv].tolist()}
+                assert support == sum(1 << x for x in classes), (name, gens)
                 assert (normalizer is None) == class_union_is_normal(G, mask), (name, gens)
                 if normalizer is not None:
                     non_normal += 1
@@ -296,25 +300,35 @@ class TestEnumerate:
         # the groups alone: 203 of them in sym:4 x dihedral:8.
         assert non_normal == 363
 
-    # The key orders masks of one size by their ascending index tuples,
-    # for any width, whole bytes or not.
+    # The bulk sort orders masks by size and masks of one size by their
+    # ascending index tuples, for any width: one element, widths that are
+    # not whole bytes, and sizes of 256 or more, which need a second size
+    # byte.
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_sort_key_orders_by_index_tuples(self, data):
-        bits = data.draw(st.integers(1, 130))
+    def test_bulk_sort_orders_by_index_tuples(self, data):
+        bits = data.draw(st.sampled_from([1, 7, 8, 9, 255, 256, 257, 300, 600]) | st.integers(1, 600))
         if data.draw(st.booleans()):
             masks = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=40, unique=True))
         else:
             # Masks of one size, so each pair is ordered by its index tuples.
             size = data.draw(st.integers(0, bits))
-            masks = {
-                sum(1 << i for i in data.draw(st.permutations(range(bits)))[:size])
-                for _ in range(data.draw(st.integers(0, 20)))
-            }
-        width = -(-bits // 8)
-        by_key = sorted(masks, key=lambda mask: lattice._lattice_key(mask, width))
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            masks = {sum(1 << i for i in rng.sample(range(bits), size)) for _ in range(data.draw(st.integers(0, 20)))}
+        masks = list(masks)
+        sizes = np.array([mask.bit_count() for mask in masks], dtype=np.int64)
+        by_sort = [masks[x] for x in lattice._lattice_order(masks, sizes, bits)]
         by_indices = sorted(masks, key=lambda mask: (mask.bit_count(), tuple(ElementSet(mask).indices())))
-        assert by_key == by_indices
+        assert by_sort == by_indices
+
+    # Past 2^16 elements a size takes three bytes.
+    def test_bulk_sort_orders_sizes_past_two_bytes(self):
+        n = (1 << 16) + 5
+        masks = [(1 << 65536) - 1, ((1 << 65535) - 1) << 2, (1 << 65537) - 1, 1 << (n - 1) | 1, 3 << 200]
+        sizes = np.array([mask.bit_count() for mask in masks], dtype=np.int64)
+        by_sort = [masks[x] for x in lattice._lattice_order(masks, sizes, n)]
+        by_indices = sorted(masks, key=lambda mask: (mask.bit_count(), tuple(ElementSet(mask).indices())))
+        assert by_sort == by_indices
 
     # The queue is read in blocks of at most LATTICE_CELLS cells, so the
     # per-block rows and member and pair lists stay small.
