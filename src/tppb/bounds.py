@@ -19,7 +19,7 @@ from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
 from .groups import Group, _packed, check_positive_int
 from .lattice import SubgroupLattice, enumerate_subgroups, normal_cores
-from .tpp import right_quotient, satisfies_tpp
+from .tpp import _tpp, right_quotient
 
 
 def neumann_admissible(group_order: int, a: int, b: int, c: int) -> bool:
@@ -174,50 +174,35 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     s*t*u = 1 then s*t = u^-1 lies in ST∩U, so s*t = 1 and s = t^-1 lies in
     S∩T; conversely s = t^-1 in S∩T gives s*t*1 = 1.
 
-    The scan visits, profile by profile, every ascending index triple
-    (i, j, k) of orders (c, b, a) whose members pass the core prune, in
-    lexicographic order; a check is one triple of the scan, and `checks`
-    counts the triples of the scan up to the budget, the seed included.
-    Each profile is one step.  Its number of triples comes from its member
-    counts and a prefix sum of the prune mask alone.  Only a profile that
-    is scanned has its pairs (i, j) made index arrays, each pair's number
-    of k read from the prefix sum, and a cumulative sum of those numbers
-    finds the exact triple where the budget runs out.  The pairs are then
-    tested in scan order, a chunk at a time:
-    S∩T and ST∩U as ANDs of packed bit rows (the identity left out), the
-    product set ST as one gather over the table.  A profile stops at its
-    first hit, which is its lexicographically smallest valid triple, so the
-    rest of the profile cannot change the witness; its checks are counted
-    all the same.  The returned witness and the seed are verified again:
-    each member X with `right_quotient` (Q(X) = X exactly when X is a
-    subgroup), the triple with `satisfies_tpp`.
+    The ordered scan of a profile is every ascending index triple (i, j, k)
+    of orders (c, b, a) whose members pass the core prune, in lexicographic
+    order.  `checks` counts the triples of the full ordered scan up to the
+    budget, the seed included, from the member counts and a prefix sum of
+    the prune mask alone, whichever triples are tested.  Each profile is
+    one step and stops at its first hit, its lexicographically smallest
+    valid triple, so the rest of the profile cannot change the witness.
 
-    A profile that the budget covers whole is first given a reduced
-    existence test, which only decides whether the profile has a valid
-    triple at all.  Its order-c member is the least-index kept member of
-    its class of subgroups (`lattice.classes`); its order-b and order-a
-    members range over every kept member of their orders, in no index
-    order.  With no hit the profile is a miss: its checks are counted
-    from the prefix sums as above and no ordered scan runs.  With a hit,
-    the ordered scan runs and finds the lexicographically smallest
-    witness.  The test is exact:
+    Only pairs (i, j) whose first member is the least-index kept member of
+    its class of subgroups (`lattice.classes`) are tested.  This finds the
+    same first hit: let (i, j, k) be the smallest valid triple and x map
+    S_i to its class's least member S0.  Conjugation by x keeps the orders,
+    the TPP and the core prune, so the prune mask is a union of classes;
+    and a valid triple of subgroups stays valid in any order (a cyclic
+    shift of s*t*u = 1 is again a product equal to 1, and inverting it
+    reverses the order).  A repeated nontrivial member fails S∩T = {1}
+    or ST∩U = {1} by itself.  So the conjugate, sorted by index, is a
+    valid scan triple whose first index is at most idx(S0) <= i, and
+    minimality of (i, j, k) makes i = idx(S0), for b == c and a == b == c
+    too.
 
-    - conjugating all three members by one x keeps the TPP, the orders
-      and the core sizes, so the core-prune mask is a union of whole
-      classes, and every valid triple of the profile has a conjugate
-      whose order-c member is a class's least-index member;
-    - for subgroups the TPP is symmetric in S, T and U: a cyclic shift of
-      s*t*u = 1 is again a product equal to 1, and inverting it reverses
-      the order.  So a valid triple found in any index order, sorted by
-      index, is a valid triple of the ordered scan;
-    - a repeated nontrivial member fails S∩T = {1} or ST∩U = {1} by
-      itself, since ST contains S and T, so the ranges need no
-      exclusions, also where orders are equal.
-
-    The profile in which the budget runs out is scanned in index order
-    only, and so is every profile whose reduced test would test at least
-    as many pairs as its ordered scan (one whose order-c members are all
-    normal, say).
+    The profile in which the budget runs out tests every first member, in
+    a prefix of its pairs cut at the exact triple by a cumulative sum of
+    each pair's number of third members; a prefix holding any valid triple
+    holds the smallest.  The pairs are tested a chunk at a time: S∩T and
+    ST∩U as ANDs of packed bit rows (the identity left out), the product
+    set ST as one gather over the table.  The returned witness and the
+    seed are verified again: each member X with `right_quotient` (Q(X) = X
+    exactly when X is a subgroup), the triple by the TPP of the quotients.
     """
     if budget is not None:
         budget = check_positive_int(budget, "budget")
@@ -239,17 +224,17 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     def verify(triple, invariant: str, shown) -> None:
         # Each member must be a subgroup, Q(X) = X, and the triple valid.
         members = [items[x - 1] for x in triple]
-        if any(right_quotient(G, X) != X for X in members) or not satisfies_tpp(G, *members).holds:
+        quotients = [right_quotient(G, X) for X in members]
+        if quotients != members or not _tpp(G, *quotients).holds:
             raise errors.InvariantViolation(invariant, f"triple {shown} failed verification")
 
     checks = 1
     seed = (1, 1, count)
     verify(seed, "whole-group seed", "(G, 1, 1)")
     best = n
-    witnesses = {seed}
+    witness = seed
 
     def result(exact: bool) -> BetaResult:
-        witness = min(witnesses)
         verify(witness, "beta witness", witness)
         return BetaResult(best, witness, exact, checks)
 
@@ -306,7 +291,7 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         # Equal nontrivial orders b == c draw distinct members, in pairs
         # (jb[x], jb[y]) with x < y; the trivial subgroup is the only one
         # allowed to repeat.  The pair count and the sum of lo come from
-        # the member counts, so a miss builds no pair arrays.
+        # the member counts, so only the pairs tested are built.
         u0, u1 = int(csum[by_size[a][0]]), int(csum[by_size[a][1]])
         pairs = len(jb) * (len(jb) - 1) // 2 if b == c > 1 else len(ic) * len(jb)
         lo_sum = 0
@@ -319,19 +304,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         if not total:
             continue
         exhausted = budget is not None and total > budget - checks
-        if not exhausted:
-            checks += total
-            # The reduced test: each order-c class once, every (T, U) pair.
-            reps = ic[least[ic]]
-            if len(reps) * len(jb) < pairs:
-                Ir, Jr = np.repeat(reps, len(jb)), np.tile(jb, len(reps))
-                everywhere = np.broadcast_to(0, len(Ir)), np.broadcast_to(u1 - u0, len(Ir))
-                if first_hit(c, b, kept[u0:u1], Ir, Jr, *everywhere) is None:
-                    continue
-        if b == c > 1:
-            I, J = (jb[v] for v in np.triu_indices(len(jb), 1))
-        else:
-            I, J = np.repeat(ic, len(jb)), np.tile(jb, len(ic))
+        # First members at positions xs of ic; pair x takes jb[start[x]:].
+        xs = np.arange(len(ic)) if exhausted else np.flatnonzero(least[ic])
+        start = xs + 1 if b == c > 1 else np.zeros_like(xs)
+        rows = len(jb) - start
+        I = np.repeat(ic[xs], rows)
+        J = jb[np.arange(len(I)) + np.repeat(start + rows - np.cumsum(rows), rows)]
         lo = csum[J + 1] - u0 if a == b > 1 else np.broadcast_to(0, J.shape)
         hi = np.broadcast_to(u1 - u0, J.shape)
         if exhausted:
@@ -343,13 +321,12 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
             I, J, lo, hi = I[: cut + 1], J[: cut + 1], lo[: cut + 1], hi[: cut + 1].copy()
             hi[cut] -= cum[cut] - room
             checks = budget
+        else:
+            checks += total
         found = first_hit(c, b, kept[u0:u1], I, J, lo, hi)
         if found is not None:
-            if product > best:
-                best = product
-                witnesses = {found}
-            else:
-                witnesses.add(found)
+            witness = found if product > best else min(witness, found)
+            best = product
         if exhausted:
             return result(False)
     return result(True)

@@ -51,14 +51,16 @@ def right_quotient(G: Group, X: ElementSet) -> ElementSet:
 
 def satisfies_tpp(G: Group, S: ElementSet, T: ElementSet, U: ElementSet) -> TppVerdict:
     """Decide the TPP for (S, T, U); deterministic first-violation witness."""
-    qs = right_quotient(G, S)
-    qt = right_quotient(G, T)
-    qu = right_quotient(G, U).mask
-    mul, inv = G.table.data, G.inv.tolist()
+    return _tpp(G, right_quotient(G, S), right_quotient(G, T), right_quotient(G, U))
+
+
+def _tpp(G: Group, qs: ElementSet, qt: ElementSet, qu: ElementSet) -> TppVerdict:
+    """The TPP verdict from the quotients Q(S), Q(T), Q(U), already taken."""
+    mul, inv, u_mask = G.table.data, G.inv.tolist(), qu.mask
     t_list = list(qt.indices())
     for s in qs.indices():
         for t in t_list:
             u = inv[mul[s, t]]
-            if (qu >> u) & 1 and (s or t):
+            if (u_mask >> u) & 1 and (s or t):
                 return TppVerdict(False, (s, t, u))
     return TppVerdict(True)

@@ -393,8 +393,8 @@ class TestSearchBeta:
                 assert got == per_triple_search_beta_g(G, lat, budget, cores), (name, budget)
 
     # Values of the search that tested every ordered triple of every
-    # profile; the reduced miss test must give the same results, check
-    # counts included.
+    # profile; the scan from class-least first members must give the same
+    # results, check counts included.
     FROZEN_BETA = {
         "product(sym:4,dihedral:8)": (384, (67, 618, 723), True, 23_001_662),
         "alt:6": (972, (363, 364, 424), True, 760_766),
@@ -407,23 +407,40 @@ class TestSearchBeta:
         res = search_beta_g(G, lat_of(G))
         assert (res.value, res.witness, res.exact, res.checks) == self.FROZEN_BETA[spec]
 
-    def test_matches_per_triple_search_past_the_first_class(self):
-        # Its witness profile has no valid triple through the first kept
-        # class of its order-c members, so a reduced test that saw fewer
-        # classes than all would call the profile a miss and move the
-        # witness.
-        G = realize_group_spec(parse_group_spec("product(sym:3,dihedral:8)"))
+    @pytest.mark.parametrize(
+        "spec,value,witness,cut",
+        [
+            # b != c, and no valid triple through the first kept class of
+            # order-c members.
+            ("product(sym:3,dihedral:8)", 64, (7, 13, 112), 27_305),
+            # b == c = 2, with one class-least order-2 member before 3.
+            ("product(sym:3,cyclic:6)", 48, (3, 5, 31), 214),
+            # b != c, with one class-least order-c member before 3.
+            ("product(sym:4,cyclic:2)", 72, (3, 21, 90), 10_385),
+        ],
+    )
+    def test_matches_per_triple_search_past_the_first_class(self, spec, value, witness, cut):
+        # The witness's first member is a class-least member, but not the
+        # profile's first one, so a scan that tested too few first members
+        # would move it.  Budget `cut` ends the scan at the witness triple,
+        # inside its profile, and one check less stops just before it.
+        G = realize_group_spec(parse_group_spec(spec))
         lat = lat_of(G)
-        res = search_beta_g(G, lat)
-        assert res == per_triple_search_beta_g(G, lat)
-        assert (res.value, res.witness) == (64, (7, 13, 112))
+        cores = normal_cores(G, lat)
+        res = search_beta_g(G, lat, None, cores)
+        assert res == per_triple_search_beta_g(G, lat, None, cores)
+        assert (res.value, res.witness, res.exact) == (value, witness, True)
+        for budget in (cut - 1, cut):
+            got = search_beta_g(G, lat, budget, cores)
+            assert got == per_triple_search_beta_g(G, lat, budget, cores), budget
+            assert (got.witness == witness) == (budget == cut), budget
 
-    def test_budget_stopping_after_reduced_misses(self):
-        # alt:6 has 29 searched profiles, each with fewer class-by-member
-        # pairs than ordered pairs, and only the last, (18, 18, 3), has a
-        # valid triple.  This budget stops inside it, 1,266 checks short of
-        # the end, after 28 profiles that the reduced test decided.  Frozen
-        # from the search that tested every ordered triple.
+    def test_budget_stopping_after_restricted_misses(self):
+        # alt:6 has 29 searched profiles, and only the last, (18, 18, 3),
+        # has a valid triple.  This budget stops inside it, 1,266 checks
+        # short of the end, after 28 profiles that the scan from
+        # class-least first members found empty.  Frozen from the search
+        # that tested every ordered triple.
         G = builtin("alt", 6)
         res = search_beta_g(G, lat_of(G), budget=759_500)
         assert (res.value, res.witness, res.exact, res.checks) == (972, (363, 364, 424), False, 759_500)
@@ -456,10 +473,12 @@ class TestSearchBeta:
         lat = lat_of(G)
         seed = (lat.items[0], lat.items[0], lat.items[-1])
 
-        def seed_only(G, S, T, U):
-            return TppVerdict((S, T, U) == seed)
+        # The witness is verified on its members' quotients, equal to the
+        # members themselves for subgroups.
+        def seed_only(G, QS, QT, QU):
+            return TppVerdict((QS, QT, QU) == seed)
 
-        monkeypatch.setattr(bounds, "satisfies_tpp", seed_only)
+        monkeypatch.setattr(bounds, "_tpp", seed_only)
         with pytest.raises(errors.InvariantViolation, match="beta witness"):
             search_beta_g(G, lat)
 
