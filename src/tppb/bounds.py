@@ -154,7 +154,8 @@ class BetaResult:
     checks: int
 
 
-# Pairs are tested in chunks.  A chunk's pair-by-U array of uint64 words
+# Pairs are made and tested in chunks, and no other array of the search
+# is longer than the lattice.  A chunk's pair-by-U array of uint64 words
 # and its product sets, 64 * ceil(|G| / 64) entries per pair, each hold at
 # most BETA_CHUNK_CELLS cells, so none of its arrays exceeds
 # 8 * BETA_CHUNK_CELLS bytes (256 KiB), since |S||T| <= |G| on every
@@ -195,14 +196,20 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     minimality of (i, j, k) makes i = idx(S0), for b == c and a == b == c
     too.
 
-    The profile in which the budget runs out tests every first member, in
-    a prefix of its pairs cut at the exact triple by a cumulative sum of
-    each pair's number of third members; a prefix holding any valid triple
-    holds the smallest.  The pairs are tested a chunk at a time: S∩T and
-    ST∩U as ANDs of packed bit rows (the identity left out), the product
-    set ST as one gather over the table.  The returned witness and the
-    seed are verified again: each member X with `right_quotient` (Q(X) = X
-    exactly when X is a subgroup), the triple by the TPP of the quotients.
+    The profile in which the budget runs out is scanned the same way, up
+    to the cut: the triples of its ordered scan that the budget reaches
+    are a lexicographic initial segment.  If they hold any valid triple,
+    they hold the profile's smallest, whose first member is class-least,
+    in a row (the triples of one first member) at or before the cut; so
+    testing the class-least rows up to the cut, the row of the cut itself
+    ending at the exact triple, finds the same first hit, or none.  A
+    budget that ends exactly at a profile boundary leaves no room in the
+    next profile: nothing of it is tested, and the result is inexact.
+    The pairs are made from the rows' end offsets and tested a chunk at a
+    time: S∩T and ST∩U as ANDs of packed bit rows (the identity left
+    out), the product set ST as one gather over the table.  The returned witness and the seed are verified again:
+    each member X with `right_quotient` (Q(X) = X exactly when X is a
+    subgroup), the triple by the TPP of the quotients.
     """
     if budget is not None:
         budget = check_positive_int(budget, "budget")
@@ -249,30 +256,6 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     width = words.shape[1]
     elements = {size: np.nonzero(member[lo:hi])[1].reshape(hi - lo, size) for size, (lo, hi) in by_size.items()}
 
-    def first_hit(c, b, u_index, I, J, lo, hi):
-        """The first valid triple, in scan order, of the pairs (I, J) of
-        orders (c, b), pair p tested against u_index[lo[p]:hi[p]]; or None."""
-        u_words = words[u_index]
-        cols = np.arange(len(u_index))
-        step = max(1, BETA_CHUNK_CELLS // (width * max(64, len(u_index))))
-        for start in range(0, len(I), step):
-            chunk = slice(start, start + step)
-            ok = ~(words[I[chunk]] & words[J[chunk]]).any(axis=1)
-            Ic, Jc = I[chunk][ok], J[chunk][ok]
-            if not len(Ic):
-                continue
-            st = np.zeros((len(Ic), 64 * width), dtype=bool)
-            prod = G.table[elements[c][Ic - by_size[c][0], :, None], elements[b][Jc - by_size[b][0], None, :]]
-            st[np.arange(len(Ic))[:, None], prod.reshape(len(Ic), -1)] = True
-            st_words = np.packbits(st, axis=1, bitorder="little").view("<u8")
-            valid = ~(st_words[:, None, :] & u_words[None, :, :]).any(axis=2)
-            valid &= (cols >= lo[chunk][ok, None]) & (cols < hi[chunk][ok, None])
-            x = int(valid.argmax())
-            if valid.flat[x]:
-                p, r = divmod(x, len(u_index))
-                return int(Ic[p]) + 1, int(Jc[p]) + 1, int(u_index[r]) + 1
-        return None
-
     for a, b, c, product in profiles:
         if product < best:
             break
@@ -286,48 +269,64 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         csum = np.concatenate(([0], np.cumsum(keep)))
         ic = kept[csum[by_size[c][0]] : csum[by_size[c][1]]]
         jb = kept[csum[by_size[b][0]] : csum[by_size[b][1]]]
-        # The kept members of order a are kept[u0:u1]; those of a pair are
-        # kept[u0 + lo:u0 + hi], after its second member when a == b > 1.
-        # Equal nontrivial orders b == c draw distinct members, in pairs
-        # (jb[x], jb[y]) with x < y; the trivial subgroup is the only one
-        # allowed to repeat.  The pair count and the sum of lo come from
-        # the member counts, so only the pairs tested are built.
+        # Row x of the scan pairs ic[x] with jb[first[x]:].  Equal
+        # nontrivial orders b == c draw distinct members, first[x] = x + 1;
+        # the trivial subgroup is the only one allowed to repeat.  Pair
+        # (ic[x], jb[y]) takes the kept members of order a kept[u0 + lo[y]:u1],
+        # those after its second member when a == b > 1.
         u0, u1 = int(csum[by_size[a][0]]), int(csum[by_size[a][1]])
-        pairs = len(jb) * (len(jb) - 1) // 2 if b == c > 1 else len(ic) * len(jb)
-        lo_sum = 0
-        if a == b > 1:
-            # jb[y] is the second member of y pairs when b == c, else of
-            # len(ic) pairs.
-            w = csum[jb + 1] - u0
-            lo_sum = int(np.arange(len(jb)) @ w) if b == c else len(ic) * int(w.sum())
-        total = pairs * (u1 - u0) - lo_sum
+        first = np.arange(1, len(ic) + 1) if b == c > 1 else np.zeros(len(ic), dtype=np.int64)
+        lo = csum[jb + 1] - u0 if a == b > 1 else np.zeros(len(jb), dtype=np.int64)
+        # tail[y] counts the triples of a row's pairs from jb[y] on, and the
+        # scan reaches row x after start[x] triples.
+        tail = np.append(np.cumsum((u1 - u0 - lo)[::-1])[::-1], 0)
+        start = np.append(0, np.cumsum(tail[first]))
+        total = int(start[-1])
         if not total:
             continue
-        exhausted = budget is not None and total > budget - checks
-        # First members at positions xs of ic; pair x takes jb[start[x]:].
-        xs = np.arange(len(ic)) if exhausted else np.flatnonzero(least[ic])
-        start = xs + 1 if b == c > 1 else np.zeros_like(xs)
-        rows = len(jb) - start
-        I = np.repeat(ic[xs], rows)
-        J = jb[np.arange(len(I)) + np.repeat(start + rows - np.cumsum(rows), rows)]
-        lo = csum[J + 1] - u0 if a == b > 1 else np.broadcast_to(0, J.shape)
-        hi = np.broadcast_to(u1 - u0, J.shape)
-        if exhausted:
-            # The budget runs out inside pair `cut`; with no room left, that
-            # is the first pair, and its range comes out empty.
-            room = budget - checks
-            cum = np.cumsum(hi - lo)
-            cut = int(np.searchsorted(cum, room))
-            I, J, lo, hi = I[: cut + 1], J[: cut + 1], lo[: cut + 1], hi[: cut + 1].copy()
-            hi[cut] -= cum[cut] - room
-            checks = budget
-        else:
-            checks += total
-        found = first_hit(c, b, kept[u0:u1], I, J, lo, hi)
-        if found is not None:
-            witness = found if product > best else min(witness, found)
-            best = product
-        if exhausted:
+        room = total if budget is None else min(total, budget - checks)
+        checks += room
+        # The tested pairs are those of class-least rows that the first
+        # `room` triples reach.  Pair (ic[x], jb[y]) begins after
+        # start[x + 1] - tail[y] triples, so row x holds the n_row[x] pairs
+        # with tail[y] > -left[x], and the budget cuts pair y at third
+        # member lo[y] + tail[y] + left[x]: only the last tested pair, when
+        # its row is the one where the budget runs out.
+        xs = np.flatnonzero(least[ic] & (start[:-1] < room))
+        left = room - start[xs + 1]
+        n_row = np.searchsorted(-tail[:-1], left) - first[xs]
+        ends = np.cumsum(n_row)
+        shift = first[xs] + n_row - ends
+        npairs = int(n_row.sum())
+        u_index = kept[u0:u1]
+        u_words = words[u_index]
+        cols = np.arange(u1 - u0)
+        step = max(1, BETA_CHUNK_CELLS // (width * max(64, u1 - u0)))
+        for p0 in range(0, npairs, step):
+            # Tested pair p is (ic[xs[r]], jb[p + shift[r]]), r its row.
+            p = np.arange(p0, min(p0 + step, npairs))
+            r = ends.searchsorted(p, side="right")
+            y = p + shift[r]
+            I, J = ic[xs[r]], jb[y]
+            ok = ~(words[I] & words[J]).any(axis=1)
+            I, J = I[ok], J[ok]
+            if not len(I):
+                continue
+            st = np.zeros((len(I), 64 * width), dtype=bool)
+            prod = G.table[elements[c][I - by_size[c][0], :, None], elements[b][J - by_size[b][0], None, :]]
+            st[np.arange(len(I))[:, None], prod.reshape(len(I), -1)] = True
+            st_words = np.packbits(st, axis=1, bitorder="little").view("<u8")
+            valid = ~(st_words[:, None, :] & u_words[None, :, :]).any(axis=2) & (cols >= lo[y[ok], None])
+            if p[-1] == npairs - 1 and ok[-1]:
+                valid[-1, lo[y[-1]] + tail[y[-1]] + left[-1] :] = False
+            hit = int(valid.argmax())
+            if valid.flat[hit]:
+                q, k = divmod(hit, u1 - u0)
+                found = int(I[q]) + 1, int(J[q]) + 1, int(u_index[k]) + 1
+                witness = found if product > best else min(witness, found)
+                best = product
+                break
+        if room < total:
             return result(False)
     return result(True)
 

@@ -407,6 +407,8 @@ class TestSearchBeta:
         res = search_beta_g(G, lat_of(G))
         assert (res.value, res.witness, res.exact, res.checks) == self.FROZEN_BETA[spec]
 
+    BEFORE_THE_CUT = {"product(sym:3,dihedral:8)": (14_100, 15_000, 27_200)}
+
     @pytest.mark.parametrize(
         "spec,value,witness,cut",
         [
@@ -424,13 +426,16 @@ class TestSearchBeta:
         # profile's first one, so a scan that tested too few first members
         # would move it.  Budget `cut` ends the scan at the witness triple,
         # inside its profile, and one check less stops just before it.
+        # The budgets of BEFORE_THE_CUT end the scan earlier, where a scan
+        # that also tested class-least rows past the budget's cut would
+        # find a triple it has not counted.
         G = realize_group_spec(parse_group_spec(spec))
         lat = lat_of(G)
         cores = normal_cores(G, lat)
         res = search_beta_g(G, lat, None, cores)
         assert res == per_triple_search_beta_g(G, lat, None, cores)
         assert (res.value, res.witness, res.exact) == (value, witness, True)
-        for budget in (cut - 1, cut):
+        for budget in (*self.BEFORE_THE_CUT.get(spec, ()), cut - 1, cut):
             got = search_beta_g(G, lat, budget, cores)
             assert got == per_triple_search_beta_g(G, lat, budget, cores), budget
             assert (got.witness == witness) == (budget == cut), budget
@@ -445,10 +450,20 @@ class TestSearchBeta:
         res = search_beta_g(G, lat_of(G), budget=759_500)
         assert (res.value, res.witness, res.exact, res.checks) == (972, (363, 364, 424), False, 759_500)
 
-    def test_pair_chunks_bound_memory(self):
+    # Search result and tracemalloc peak bound by group.
+    CHUNK_MEMORY = {
         # Its one searched profile (8, 4, 4) has 6,441 pairs of 120 third
         # subgroups each: 6.2 MB of pair-by-U words if tested in one array.
-        G = realize_group_spec(parse_group_spec("product(dihedral:8,dihedral:8)"))
+        "product(dihedral:8,dihedral:8)": ((128, (39, 74, 301), True, 772_921), 1 << 20),
+        # 10,552 subgroups; its hit profile's pairs of class-least first
+        # members took 61 MiB as whole-profile index arrays.
+        "product(dihedral:6,elem_abelian:2^5)": ((256, (33, 65, 10488), True, 13_041_598_609), 16 << 20),
+    }
+
+    @pytest.mark.parametrize("spec", CHUNK_MEMORY, ids=["dihedral:8xdihedral:8", "dihedral:6xelem_abelian:2^5"])
+    def test_pair_chunks_bound_memory(self, spec):
+        want, limit = self.CHUNK_MEMORY[spec]
+        G = realize_group_spec(parse_group_spec(spec))
         lat = lat_of(G)
         cores = normal_cores(G, lat)
         tracemalloc.start()
@@ -457,9 +472,10 @@ class TestSearchBeta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (res.value, res.witness, res.exact, res.checks) == (128, (39, 74, 301), True, 772_921)
-        # A few chunk arrays of at most 256 KiB plus the pair index arrays.
-        assert peak < 1 << 20
+        assert (res.value, res.witness, res.exact, res.checks) == want
+        # A few chunk arrays of at most 256 KiB plus arrays no longer than
+        # the lattice.
+        assert peak < limit
 
     @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "sym:3"])
     @pytest.mark.parametrize("budget", [0, -1, -500, 2.5, True, "10", pytest.param(-(10**5000), id="-10**5000")])
