@@ -11,7 +11,6 @@ the one result record, which the CSV report writes as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +45,28 @@ def admissible_profiles(counts, n: int):
 
 
 def _order_counts(lattice: SubgroupLattice) -> dict:
-    """Number of members of each nontrivial order, read off `lattice.orders`."""
+    """Number of members of each nontrivial order, ascending, read off
+    `lattice.orders`; each order's members are one run after index 0."""
     counts = np.bincount(lattice.orders)
     sizes = np.flatnonzero(counts[2:]) + 2
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
+def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
+    """delta keyed by subgroup order s: the best b*c over admissible profiles
+    (s, b, c) of nontrivial orders; orders with no such profile are absent."""
+    best = {}
+    for a, b, c in admissible_profiles(_order_counts(lattice), G.order):
+        best[a] = max(best.get(a, 0), b * c)
+    return best
+
+
 def compute_t(G: Group, lattice: SubgroupLattice) -> int:
     """Best product a*b*c over admissible triples of pairwise-distinct proper
-    nontrivial subgroups, by order multiset; floor at |G| when none exists.
-    The whole group takes part in no profile: |G|*(b+c-1) > |G| for b, c > 1."""
-    n = G.order
-    return max([n] + [a * b * c for a, b, c in admissible_profiles(_order_counts(lattice), n)])
+    nontrivial subgroups, by order multiset, which is the best a*delta(a);
+    floor at |G| when none exists.  The whole group takes part in no
+    profile: |G|*(b+c-1) > |G| for b, c > 1."""
+    return max([G.order] + [a * d for a, d in _delta_by_order(G, lattice).items()])
 
 
 def compute_N(G: Group, lattice: SubgroupLattice) -> int:
@@ -73,32 +82,14 @@ def compute_N(G: Group, lattice: SubgroupLattice) -> int:
     return int(np.searchsorted(orders, G.order // int(orders[1] + orders[2] - 1), side="right"))
 
 
-def _delta_by_order(G: Group, lattice: SubgroupLattice) -> dict:
-    """delta keyed by subgroup order s: the best b*c over admissible profiles
-    (s, b, c) of nontrivial orders; orders with no such profile are absent."""
-    best = {}
-    for a, b, c in admissible_profiles(_order_counts(lattice), G.order):
-        best[a] = max(best.get(a, 0), b * c)
-    return best
-
-
-class HCandidate(NamedTuple):
-    """One evaluated lattice index in the core-refined bound."""
-
-    index: int
-    order: int
-    core_size: int
-    delta: int | None
-    left: int
-    right: int | None
-    minimum: int | None
-
-
 @dataclass(frozen=True)
 class HBound:
+    """`candidates` holds one int64 row per candidate index 4..N, with the
+    columns index, order, core, delta, left, right and min."""
+
     b: int | None
     h: int
-    candidates: list[HCandidate]
+    candidates: np.ndarray
     N: int
 
 
@@ -106,37 +97,31 @@ def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
     """Core-refined bound h = max(b, |G|) where b maximises, over candidate
     indices 4..N, the minimum of |G|*|S_i|/|core(S_i)| and |S_i|*delta(S_i).
 
-    `cores` is the normal-core list aligned with the lattice.  Candidates
-    whose delta is absent contribute nothing.  The candidates are read off
-    `lattice.orders` and the core orders as arrays; the cutoff N is kept
-    on the result.
+    `cores` is the normal-core list aligned with the lattice.  Every
+    candidate has a delta, of at least 4: for 4 <= i <= N the profile
+    (|S_i|, |S_3|, |S_2|) passes the size test, since that test at S_i is
+    the cutoff N; it is sorted, |S_i| >= |S_3| >= |S_2| >= 2, since the
+    lattice ascends and holds one trivial subgroup; and S_2, S_3 and S_i
+    are distinct members, so each order has as many members as the
+    profile uses.  So delta(|S_i|) >= |S_3|*|S_2| >= 4, and a missing
+    delta is a KeyError.  b is None exactly when there is no candidate.
     """
     n = G.order
     n_cap = compute_N(G, lattice)
     delta_of = _delta_by_order(G, lattice)
     orders = lattice.orders[3:n_cap]
     core = np.array([s.size for s in cores[3:n_cap]], dtype=np.int64)
-    # delta by order, 0 where absent: a present delta is at least 2*2.
-    delta_at = np.zeros(n + 1, dtype=np.int64)
-    delta_at[list(delta_of)] = list(delta_of.values())
-    delta = delta_at[orders]
+    # The orders ascend, so each order's delta repeats over its run.
+    counts = np.bincount(orders)
+    sizes = np.flatnonzero(counts)
+    delta = np.repeat(np.array([delta_of[s] for s in sizes.tolist()], dtype=np.int64), counts[sizes])
     left = n * orders // core
     right = orders * delta
     minimum = np.minimum(left, right)
-    # An absent delta makes the minimum 0, and a present one a positive one.
-    b = int(minimum.max(initial=0)) or None
-    present = delta > 0
-    rows = zip(
-        range(4, n_cap + 1),
-        orders.tolist(),
-        core.tolist(),
-        np.where(present, delta, None).tolist(),
-        left.tolist(),
-        np.where(present, right, None).tolist(),
-        np.where(present, minimum, None).tolist(),
-    )
+    candidates = np.column_stack((np.arange(4, 4 + len(orders)), orders, core, delta, left, right, minimum))
+    b = int(minimum.max()) if len(minimum) else None
     h = n if b is None else max(b, n)
-    return HBound(b=b, h=h, candidates=list(map(HCandidate._make, rows)), N=n_cap)
+    return HBound(b=b, h=h, candidates=candidates, N=n_cap)
 
 
 @dataclass(frozen=True)
@@ -167,9 +152,9 @@ BETA_CHUNK_CELLS = 1 << 15
 def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None, cores=None) -> BetaResult:
     """Exact best capacity |S||T||U| over valid subgroup triples.
 
-    Enumerates order profiles in descending product, pruning with the size
-    test and with normal-core product limits.  The whole-group seed
-    (1, 1, count) guarantees |G|.
+    Enumerates the order profiles of product above |G| in descending
+    product, pruning with the size test and with normal-core product
+    limits.  The whole-group seed (1, 1, count) guarantees |G|.
 
     For subgroups the TPP holds exactly when S∩T = {1} and ST∩U = {1}: if
     s*t*u = 1 then s*t = u^-1 lies in ST∩U, so s*t = 1 and s = t^-1 lies in
@@ -222,11 +207,10 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     orders = lattice.orders
     least = np.zeros(count, dtype=bool)  # the least-index member of each class
     least[np.unique(lattice.classes, return_index=True)[1]] = True
-    # The members of each order, a run of the ascending orders: lo..hi-1.
-    counts = np.bincount(orders)
-    sizes = np.flatnonzero(counts)
-    cnt = dict(zip(sizes.tolist(), counts[sizes].tolist()))
-    by_size = {size: (hi - k, hi) for (size, k), hi in zip(cnt.items(), np.cumsum(counts[sizes]).tolist())}
+    # The members of each nontrivial order: a run lo..hi-1 after index 0.
+    cnt = _order_counts(lattice)
+    edges = np.cumsum([1, *cnt.values()]).tolist()
+    by_size = {size: (lo, hi) for size, lo, hi in zip(cnt, edges, edges[1:])}
 
     def verify(triple, invariant: str, shown) -> None:
         # Each member must be a subgroup, Q(X) = X, and the triple valid.
@@ -245,7 +229,10 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
         verify(witness, "beta witness", witness)
         return BetaResult(best, witness, exact, checks)
 
-    profiles = [(a, b, c, a * b * c) for a, b, c in admissible_profiles(cnt, n) if a * b * c >= n]
+    # A profile of product |G| cannot change the result: the seed is then
+    # already minimal, or the scan has broken out.  Every other profile has
+    # c > 1, since c = 1 makes the size test a*b <= |G|.
+    profiles = [(a, b, c, a * b * c) for a, b, c in admissible_profiles(cnt, n) if a * b * c > n]
     profiles.sort(key=lambda r: (-r[3], r[:3]))
 
     # Row x of `words` is lattice member x without the identity, packed
@@ -259,24 +246,18 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     for a, b, c, product in profiles:
         if product < best:
             break
-        if product == best == n:
-            # Any other triple of this product starts at index pair (1, 2)
-            # or later, so the seed witness is already lexicographically
-            # minimal and equal-product checks cannot change the result.
-            continue
         keep = ~((core_size > 1) & ((product // orders) * core_size > n))
         kept = np.flatnonzero(keep)
         csum = np.concatenate(([0], np.cumsum(keep)))
         ic = kept[csum[by_size[c][0]] : csum[by_size[c][1]]]
         jb = kept[csum[by_size[b][0]] : csum[by_size[b][1]]]
-        # Row x of the scan pairs ic[x] with jb[first[x]:].  Equal
-        # nontrivial orders b == c draw distinct members, first[x] = x + 1;
-        # the trivial subgroup is the only one allowed to repeat.  Pair
-        # (ic[x], jb[y]) takes the kept members of order a kept[u0 + lo[y]:u1],
-        # those after its second member when a == b > 1.
+        # Row x of the scan pairs ic[x] with jb[first[x]:].  Equal orders
+        # b == c draw distinct members, first[x] = x + 1.  Pair (ic[x], jb[y])
+        # takes the kept members of order a kept[u0 + lo[y]:u1], those after
+        # its second member when a == b.
         u0, u1 = int(csum[by_size[a][0]]), int(csum[by_size[a][1]])
-        first = np.arange(1, len(ic) + 1) if b == c > 1 else np.zeros(len(ic), dtype=np.int64)
-        lo = csum[jb + 1] - u0 if a == b > 1 else np.zeros(len(jb), dtype=np.int64)
+        first = np.arange(1, len(ic) + 1) if b == c else np.zeros(len(ic), dtype=np.int64)
+        lo = csum[jb + 1] - u0 if a == b else np.zeros(len(jb), dtype=np.int64)
         # tail[y] counts the triples of a row's pairs from jb[y] on, and the
         # scan reaches row x after start[x] triples.
         tail = np.append(np.cumsum((u1 - u0 - lo)[::-1])[::-1], 0)
@@ -406,7 +387,7 @@ class ReportRow:
     degrees: CharacterDegrees | None = None
     beta_witness: tuple[int, int, int] | None = None
     beta_exact: bool | None = None
-    candidates: list[HCandidate] | None = None
+    candidates: np.ndarray | None = None
 
 
 def bounds_report(

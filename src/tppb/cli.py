@@ -332,12 +332,8 @@ def _cmd_analyze(args) -> int:
     print(f"runtime_ms: {runtime_ms}")
     if args.verbose:
         print("candidates:")
-        for c in row.candidates:
-            print(
-                f"  i={c.index} order={c.order} core={c.core_size}"
-                f" delta={_cell(c.delta)} left={c.left}"
-                f" right={_cell(c.right)} min={_cell(c.minimum)}"
-            )
+        for i, order, core, delta, left, right, minimum in row.candidates.tolist():
+            print(f"  i={i} order={order} core={core} delta={delta} left={left} right={right} min={minimum}")
     return 0
 
 

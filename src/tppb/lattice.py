@@ -60,17 +60,15 @@ class SubgroupLattice:
     class share their core.
 
     `orders`, an int64 array aligned with `items`, holds each member's
-    order; it is read from `items` when not given.
+    order.
     """
 
     __slots__ = ("items", "classes", "cores", "orders")
 
-    def __init__(self, items, classes, cores, orders=None):
+    def __init__(self, items, classes, cores, orders):
         self.items = items
         self.classes = classes
         self.cores = cores
-        if orders is None:
-            orders = np.array([s.size for s in items], dtype=np.int64)
         self.orders = orders
 
     @property

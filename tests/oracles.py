@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from tppb import errors
-from tppb.bounds import BetaResult, HBound, HCandidate, admissible_profiles
+from tppb.bounds import BetaResult, HBound, admissible_profiles
 from tppb.chars import _rref_mod, d_sum_int, d_sum_real
 from tppb.groups import (
     ElementSet,
@@ -128,23 +128,21 @@ def scan_N(G, lattice) -> int:
 
 def per_index_h(G, lattice, cores) -> HBound:
     """`bounds.compute_h` one candidate index at a time, with `scan_N` and
-    `per_member_delta_by_order`."""
+    `per_member_delta_by_order`; a candidate without a delta is a
+    KeyError."""
     n = G.order
     n_cap = scan_N(G, lattice)
     delta_of = per_member_delta_by_order(G, lattice)
     rows = []
-    b = None
     for i, S, core_set in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
         si, core = len(S), len(core_set)
         left = (n * si) // core
-        delta = delta_of.get(si)
-        right = si * delta if delta is not None else None
-        minimum = min(left, right) if right is not None else None
-        rows.append(HCandidate(i, si, core, delta, left, right, minimum))
-        if minimum is not None and (b is None or minimum > b):
-            b = minimum
+        delta = delta_of[si]
+        right = si * delta
+        rows.append([i, si, core, delta, left, right, min(left, right)])
+    b = max((row[6] for row in rows), default=None)
     h = n if b is None else max(b, n)
-    return HBound(b=b, h=h, candidates=rows, N=n_cap)
+    return HBound(b=b, h=h, candidates=np.array(rows, dtype=np.int64).reshape(-1, 7), N=n_cap)
 
 
 def conjugate_intersection_core(G, S) -> int:

@@ -120,22 +120,24 @@ class TestComputeT:
 
 class TestOrdersArray:
     """t, N, delta and h read `SubgroupLattice.orders` in bulk; each must
-    equal its per-member reference, every candidate row included, with
-    Python ints in the rows."""
+    equal its per-member reference, every candidate row included, and
+    every candidate's delta is positive and the reference delta at its
+    order."""
 
     @staticmethod
     def check(name, G, lat):
         assert lat.orders.dtype == np.int64, name
         assert lat.orders.tolist() == [len(s) for s in lat.items], name
-        by_hand = SubgroupLattice(list(lat.items), lat.classes, lat.cores)
-        assert by_hand.orders.tolist() == lat.orders.tolist(), name
         cores = normal_cores(G, lat)
         assert compute_t(G, lat) == per_member_t(G, lat), name
         assert compute_N(G, lat) == scan_N(G, lat), name
-        assert bounds._delta_by_order(G, lat) == per_member_delta_by_order(G, lat), name
-        hb = compute_h(G, lat, cores)
-        assert hb == per_index_h(G, lat, cores), name
-        assert all(type(v) in (int, type(None)) for row in hb.candidates for v in row), name
+        delta_of = per_member_delta_by_order(G, lat)
+        assert bounds._delta_by_order(G, lat) == delta_of, name
+        hb, want = compute_h(G, lat, cores), per_index_h(G, lat, cores)
+        assert (hb.b, hb.h, hb.N) == (want.b, want.h, want.N), name
+        assert hb.candidates.dtype == np.int64, name
+        assert np.array_equal(hb.candidates, want.candidates), name
+        assert all(0 < delta == delta_of[order] for order, delta in hb.candidates[:, [1, 3]].tolist()), name
 
     def test_catalog(self, catalog, catalog_lattices):
         for name, G in catalog:
@@ -287,14 +289,8 @@ class TestComputeH:
         G = make("sym:3")
         lat = lat_of(G)
         res = compute_h(G, lat, normal_cores(G, lat))
-        (row,) = res.candidates
-        assert row.index == 4
-        assert row.order == 2
-        assert row.core_size == 1
-        assert row.delta == 4
-        assert row.left == 12
-        assert row.right == 8
-        assert row.minimum == 8
+        # index, order, core, delta, left, right, min
+        assert res.candidates.tolist() == [[4, 2, 1, 4, 12, 8, 8]]
 
     def test_h_at_least_group_order(self):
         for spec in ["cyclic:7", "dihedral:10", "dihedral:50", "elem_abelian:27"]:
@@ -306,7 +302,7 @@ class TestComputeH:
         G = make("dicyclic:8")
         lat = lat_of(G)
         res = compute_h(G, lat, normal_cores(G, lat))
-        assert res.candidates == []
+        assert res.candidates.shape == (0, 7)
         assert res.b is None
 
 
@@ -508,7 +504,7 @@ class TestSearchBeta:
         items[10] = ElementSet.from_indices([0, 16, 17])
         assert right_quotient(G, items[10]) != items[10]
         with pytest.raises(errors.InvariantViolation, match=r"beta witness: triple \(2, 11, 24\)"):
-            search_beta_g(G, SubgroupLattice(items, lat.classes, lat.cores))
+            search_beta_g(G, SubgroupLattice(items, lat.classes, lat.cores, lat.orders))
 
     def test_budget_exhaustion_flags_inexact(self):
         G = make("sym:4")

@@ -22,6 +22,7 @@ from tppb.cli import (
     realize_group_spec,
     render_group_spec,
 )
+from oracles import per_index_h
 
 S3_INVOLUTIONS = ("0,1", "0,3", "0,4")
 S3_ROTATIONS = "0,2,5"
@@ -513,6 +514,21 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", "sym:3", "--verbose"], capsys)
         assert code == 0
         assert "i=4 order=2 core=1 delta=4 left=12 right=8 min=8" in stdout
+
+    def test_verbose_prints_every_candidate_row(self, capsys):
+        spec = "product(sym:4,dihedral:8)"
+        code, stdout, _ = run(["analyze", spec, "--verbose"], capsys)
+        assert code == 0
+        printed = stdout.split("candidates:\n", 1)[1].splitlines()
+        G = realize_group_spec(parse_group_spec(spec))
+        lat = lattice.enumerate_subgroups(G)
+        rows = per_index_h(G, lat, lattice.normal_cores(G, lat)).candidates.tolist()
+        want = [
+            f"  i={i} order={order} core={core} delta={delta} left={left} right={right} min={minimum}"
+            for i, order, core, delta, left, right, minimum in rows
+        ]
+        assert len(printed) == 1015
+        assert printed == want
 
     def test_ragged_table_exits_with_error(self, tmp_path, capsys):
         path = tmp_path / "ragged.ctab"
