@@ -17,7 +17,7 @@ import numpy as np
 from . import errors
 from .chars import CharacterDegrees, character_degrees, d_sum_int, d_sum_real
 from .groups import Group, _packed, check_positive_int
-from .lattice import SubgroupLattice, enumerate_subgroups, normal_cores
+from .lattice import SubgroupLattice, enumerate_subgroups
 from .tpp import _tpp, right_quotient
 
 
@@ -97,20 +97,22 @@ def compute_h(G: Group, lattice: SubgroupLattice, cores) -> HBound:
     """Core-refined bound h = max(b, |G|) where b maximises, over candidate
     indices 4..N, the minimum of |G|*|S_i|/|core(S_i)| and |S_i|*delta(S_i).
 
-    `cores` is the normal-core list aligned with the lattice.  Every
-    candidate has a delta, of at least 4: for 4 <= i <= N the profile
-    (|S_i|, |S_3|, |S_2|) passes the size test, since that test at S_i is
-    the cutoff N; it is sorted, |S_i| >= |S_3| >= |S_2| >= 2, since the
-    lattice ascends and holds one trivial subgroup; and S_2, S_3 and S_i
-    are distinct members, so each order has as many members as the
-    profile uses.  So delta(|S_i|) >= |S_3|*|S_2| >= 4, and a missing
-    delta is a KeyError.  b is None exactly when there is no candidate.
+    `cores` holds the 0-based lattice index of each member's normal core
+    (`SubgroupLattice.cores`), so the core orders are one gather from
+    `lattice.orders`.  Every candidate has a delta, of at least 4: for
+    4 <= i <= N the profile (|S_i|, |S_3|, |S_2|) passes the size test,
+    since that test at S_i is the cutoff N; it is sorted,
+    |S_i| >= |S_3| >= |S_2| >= 2, since the lattice ascends and holds one
+    trivial subgroup; and S_2, S_3 and S_i are distinct members, so each
+    order has as many members as the profile uses.  So
+    delta(|S_i|) >= |S_3|*|S_2| >= 4, and a missing delta is a KeyError.
+    b is None exactly when there is no candidate.
     """
     n = G.order
     n_cap = compute_N(G, lattice)
     delta_of = _delta_by_order(G, lattice)
     orders = lattice.orders[3:n_cap]
-    core = np.array([s.size for s in cores[3:n_cap]], dtype=np.int64)
+    core = lattice.orders[cores[3:n_cap]]
     # The orders ascend, so each order's delta repeats over its run.
     counts = np.bincount(orders)
     sizes = np.flatnonzero(counts)
@@ -154,7 +156,9 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
 
     Enumerates the order profiles of product above |G| in descending
     product, pruning with the size test and with normal-core product
-    limits.  The whole-group seed (1, 1, count) guarantees |G|.
+    limits.  The whole-group seed (1, 1, count) guarantees |G|.  `cores`,
+    the lattice index of each member's normal core, defaults to
+    `lattice.cores`.
 
     For subgroups the TPP holds exactly when S∩T = {1} and ST∩U = {1}: if
     s*t*u = 1 then s*t = u^-1 lies in ST∩U, so s*t = 1 and s = t^-1 lies in
@@ -201,10 +205,8 @@ def search_beta_g(G: Group, lattice: SubgroupLattice, budget: int | None = None,
     items = lattice.items
     count = len(items)
     n = G.order
-    if cores is None:
-        cores = normal_cores(G, lattice)
-    core_size = np.array([s.size for s in cores], dtype=np.int64)
     orders = lattice.orders
+    core_size = orders[lattice.cores if cores is None else cores]
     least = np.zeros(count, dtype=bool)  # the least-index member of each class
     least[np.unique(lattice.classes, return_index=True)[1]] = True
     # The members of each nontrivial order: a run lo..hi-1 after index 0.
@@ -404,12 +406,11 @@ def bounds_report(
     unless h <= t and, when a beta was computed, beta <= h.
     """
     lattice = enumerate_subgroups(G)
-    cores = normal_cores(G, lattice)
     degrees = character_degrees(G)
     t = compute_t(G, lattice)
-    hb = compute_h(G, lattice, cores)
+    hb = compute_h(G, lattice, lattice.cores)
     d3 = d_sum_int(degrees, 3)
-    beta = search_beta_g(G, lattice, budget=beta_budget, cores=cores) if exact_beta else None
+    beta = search_beta_g(G, lattice, budget=beta_budget, cores=lattice.cores) if exact_beta else None
     # beta_g <= h is the paper's bound; a beta cut by the budget is a lower
     # bound on beta_g, so it obeys it too.
     if hb.h > t:

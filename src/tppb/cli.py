@@ -229,18 +229,6 @@ def load_manifest(path) -> CatalogManifest:
     return CatalogManifest(tuple(entries), declared)
 
 
-def evaluate_spec(
-    name: str,
-    spec: GroupSpec,
-    base_dir=".",
-    exact_beta: bool = False,
-    order_limit: int | None = None,
-) -> ReportRow:
-    """Build the group and run the whole pipeline on it."""
-    G = realize_group_spec(spec, base_dir, order_limit)
-    return bounds_report(G, group_name=name, exact_beta=exact_beta)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -263,13 +251,13 @@ def write_report_csv(path, rows) -> None:
 def _batch_worker(payload):
     name, spec, base_dir, exact_beta, order_limit, declared = payload
     try:
-        row = evaluate_spec(name, spec, base_dir, exact_beta=exact_beta, order_limit=order_limit)
-        if declared is not None and row.order != declared:
+        G = realize_group_spec(spec, base_dir, order_limit)
+        if declared is not None and G.order != declared:
             return ReportRow(
                 name=name,
-                error=f"order {row.order} does not match declared order {declared}",
+                error=f"order {G.order} does not match declared order {declared}",
             )
-        return row
+        return bounds_report(G, group_name=name, exact_beta=exact_beta)
     except Exception as exc:
         # Any failure stays in this entry's row; the batch carries on.
         return ReportRow(name=name, error=f"{type(exc).__name__}: {exc}")
@@ -310,7 +298,8 @@ def _cmd_batch(args) -> int:
 def _cmd_analyze(args) -> int:
     spec = parse_group_spec(args.spec)
     start = time.perf_counter()
-    row = evaluate_spec(spec.name, spec, exact_beta=args.exact_beta, order_limit=args.order_limit)
+    G = realize_group_spec(spec, order_limit=args.order_limit)
+    row = bounds_report(G, group_name=spec.name, exact_beta=args.exact_beta)
     runtime_ms = int((time.perf_counter() - start) * 1000)
     print(f"group: {row.name}")
     print(f"order: {row.order}")

@@ -4,7 +4,7 @@ the conjugates that the lattice walk gathers."""
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .groups import (
     _coset_join,
     _masks,
     _packed,
-    _subgroup_generators,
     check_positive_int,
     conjugacy_classes,
     cyclic_subgroups,
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_LATTICE_LIMIT",
     "SubgroupLattice",
     "enumerate_subgroups",
-    "normal_core",
     "normal_cores",
     "perfect_residual",
 ]
@@ -49,18 +47,15 @@ class SubgroupLattice:
     Indexing is 1-based: lattice[1] is the trivial subgroup and
     lattice[count] is the whole group.
 
-    `classes`, aligned with `items`, holds the number of each member's
-    conjugacy class of subgroups.  Classes are numbered 0, 1, ... in the
-    order of their least-index members, so the trivial subgroup is in
-    class 0 and a member is the least of its class exactly when its
-    number is new.
-
-    `cores`, aligned with `items` in the same way, holds each member's
-    normal core, itself a member (a normal subgroup); the members of one
-    class share their core.
-
-    `orders`, an int64 array aligned with `items`, holds each member's
-    order.
+    `classes`, `cores` and `orders` are int64 arrays aligned with
+    `items`.  `classes` holds the number of each member's conjugacy class
+    of subgroups.  Classes are numbered 0, 1, ... in the order of their
+    least-index members, so the trivial subgroup is in class 0 and a
+    member is the least of its class exactly when its number is new.
+    `cores` holds the 0-based index in `items` of each member's normal
+    core, itself a member (a normal subgroup): the members of one class
+    share their core, and member i is normal exactly when cores[i] == i.
+    `orders` holds each member's order.
     """
 
     __slots__ = ("items", "classes", "cores", "orders")
@@ -298,8 +293,11 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     bytes.  The sizes come from the class records, one per class, and
     become `SubgroupLattice.orders`.  Each mask keeps the class it was
     added with, so the sorted lattice records every member's class and
-    core (`SubgroupLattice.classes`, `SubgroupLattice.cores`) with no
-    conjugation after the walk.
+    core (`SubgroupLattice.classes`, `SubgroupLattice.cores`) in bulk,
+    with no conjugation after the walk: the first position of each class
+    in the sorted lattice is its least member, which numbers it, and a
+    core, normal, is the one member of its class, so that position is
+    the core's index.
 
     `lattice_limit` caps the number of subgroups; it must be an integer
     >= 1, else BadParameter.  It is checked as each class is added, so
@@ -426,28 +424,19 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     sizes = np.array([mask.bit_count() for mask, *_ in reps], dtype=np.int64)[place]
     order = _lattice_order(masks, sizes, n)
     masks = list(map(masks.__getitem__, order.tolist()))
-    # The classes are numbered again by their least members in this order,
-    # so the numbers do not depend on the order in which they were found.
-    number = {}
-    classes = tuple(number.setdefault(known[mask], len(number)) for mask in masks)
-    items = [ElementSet(mask) for mask in masks]
-    # A normal core is a normal subgroup, so it is itself a member.
-    item_of = dict(zip(masks, items))
-    return SubgroupLattice(items, classes, tuple(item_of[cores[known[mask]]] for mask in masks), sizes[order])
+    place = place[order]
+    # least[c]: the position of the least member of the class found c-th.
+    # The classes are numbered again in the order of those members, so the
+    # numbers do not depend on the order in which they were found.
+    least = np.unique(place, return_index=True)[1]
+    rank = least.argsort().argsort()
+    # A normal core is a normal subgroup: a member whose class is itself.
+    core_at = least[[known[core] for core in cores]]
+    return SubgroupLattice([ElementSet(mask) for mask in masks], rank[place], core_at[place], sizes[order])
 
 
-def normal_core(G: Group, S: ElementSet) -> ElementSet:
-    """Largest normal subgroup of G contained in S: the AND of the
-    conjugates that `_subgroup_class` gathers from S's generators.
-    NotASubgroup when S is not closed."""
-    gens = _subgroup_generators(G, S)
-    partition = conjugacy_classes(G)
-    support = reduce(or_, (partition.classes[partition.class_of[g]].mask for g in gens), 0)
-    conjugates, _ = _subgroup_class(G.table, G.inv, S.mask, gens, support)
-    return ElementSet(reduce(and_, conjugates))
-
-
-def normal_cores(G: Group, lattice: SubgroupLattice) -> list:
-    """Normal core of every lattice member, aligned with lattice.items:
-    the cores the lattice walk kept (`SubgroupLattice.cores`)."""
-    return list(lattice.cores)
+def normal_cores(G: Group, lattice: SubgroupLattice) -> np.ndarray:
+    """The 0-based index in lattice.items of every member's normal core,
+    aligned with lattice.items: the cores the lattice walk kept
+    (`SubgroupLattice.cores`)."""
+    return lattice.cores

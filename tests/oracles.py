@@ -24,7 +24,6 @@ from tppb.groups import (
     conjugacy_classes,
     from_permutation_generators,
 )
-from tppb.lattice import normal_cores
 
 __all__ = [
     "TppTriple",
@@ -129,13 +128,14 @@ def scan_N(G, lattice) -> int:
 def per_index_h(G, lattice, cores) -> HBound:
     """`bounds.compute_h` one candidate index at a time, with `scan_N` and
     `per_member_delta_by_order`; a candidate without a delta is a
-    KeyError."""
+    KeyError.  `cores` holds the lattice index of each member's core, whose
+    size is read as the length of that member."""
     n = G.order
     n_cap = scan_N(G, lattice)
     delta_of = per_member_delta_by_order(G, lattice)
     rows = []
-    for i, S, core_set in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
-        si, core = len(S), len(core_set)
+    for i, S, c in zip(range(4, n_cap + 1), lattice.items[3:], cores[3:]):
+        si, core = len(S), len(lattice.items[c])
         left = (n * si) // core
         delta = delta_of[si]
         right = si * delta
@@ -514,9 +514,7 @@ def per_triple_search_beta_g(G, lattice, budget=None, cores=None) -> BetaResult:
     def holds(i, j, k):
         return tpp(items[i], items[j], items[k])
 
-    if cores is None:
-        cores = normal_cores(G, lattice)
-    core_size = [len(s) for s in cores]
+    core_size = [len(items[c]) for c in (lattice.cores if cores is None else cores)]
     orders = [len(s) for s in items]
     by_size = {}
     for x, size in enumerate(orders):

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from tppb.chars import character_degrees, d_sum_int
-from tppb.cli import evaluate_spec, load_manifest
+from tppb.bounds import bounds_report
+from tppb.cli import load_manifest, realize_group_spec
 from tppb.groups import element_order
 from tppb.lattice import enumerate_subgroups
 
@@ -47,7 +48,8 @@ def manifest(name):
 def realized(man):
     out = []
     for name, spec in man.entries:
-        out.append((name, spec, evaluate_spec(name, spec, base_dir=CATALOG_DIR)))
+        G = realize_group_spec(spec, CATALOG_DIR)
+        out.append((name, spec, bounds_report(G, group_name=name)))
     return out
 
 

@@ -294,6 +294,21 @@ class TestBatch:
         assert lines[3].startswith("c4,") and "order" in lines[3]
         assert "groups=2 t_le_d3=1 h_le_d3=1" in stdout
 
+    def test_declared_order_mismatch_skips_pipeline(self, tmp_path, capsys, monkeypatch):
+        real, reached = tppb.cli.bounds_report, []
+
+        def recording(G, group_name="", **kwargs):
+            reached.append(group_name)
+            return real(G, group_name=group_name, **kwargs)
+
+        monkeypatch.setattr(tppb.cli, "bounds_report", recording)
+        man = self.write_manifest(tmp_path, "order=6\ns3\tsym:3\nc4\tcyclic:4\n")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run(["batch", str(man), "--out", str(out), "--exact-beta", "--jobs", "1"], capsys)
+        assert code == 1
+        assert reached == ["s3"]
+        assert out.read_text().splitlines()[3] == "c4,,,,,,,,,,,,,order 4 does not match declared order 6"
+
     def test_entry_error_recorded_and_continues(self, tmp_path, capsys):
         man = self.write_manifest(tmp_path, "tiny\tcyclic:3\nhuge\tsym:8\n")
         out = tmp_path / "rows.csv"
@@ -354,14 +369,14 @@ class TestBatch:
         assert len(err.encode()) < 200
 
     def test_unexpected_exception_fills_only_its_row(self, tmp_path, capsys, monkeypatch):
-        real = tppb.cli.evaluate_spec
+        real = tppb.cli.bounds_report
 
-        def flaky(name, *args, **kwargs):
-            if name == "boom":
+        def flaky(G, group_name="", **kwargs):
+            if group_name == "boom":
                 raise RuntimeError("unexpected failure")
-            return real(name, *args, **kwargs)
+            return real(G, group_name=group_name, **kwargs)
 
-        monkeypatch.setattr(tppb.cli, "evaluate_spec", flaky)
+        monkeypatch.setattr(tppb.cli, "bounds_report", flaky)
         man = self.write_manifest(tmp_path, "s3\tsym:3\nboom\tcyclic:2\nc4\tcyclic:4\n")
         out = tmp_path / "rows.csv"
         code, _, _ = run(["batch", str(man), "--out", str(out), "--jobs", "1"], capsys)

@@ -691,10 +691,10 @@ class TestDerivedSubgroup:
         with pytest.raises(errors.NotASubgroup, match="set of 3 elements generates a subgroup of order"):
             derived_subgroup(G, ElementSet.from_indices([0, 1, 2]))
 
-    @pytest.mark.parametrize("indices", [[0, 100], [0, 1, 2, 3, 4, 100]])
+    @pytest.mark.parametrize("indices", [[0, 100], [0, 1, 2, 3, 4, 100], [0, 7]])
     def test_index_outside_group_is_not_a_subgroup(self, indices):
-        # Index 100 lies past the membership row of sym:3; a set of |G|
-        # elements that is not G is no shortcut to G'.
+        # Index 100 lies past the membership row of sym:3, and 7 inside its
+        # one byte; a set of |G| elements that is not G is no shortcut to G'.
         with pytest.raises(errors.NotASubgroup, match="outside"):
             derived_subgroup(builtin("sym", 3), ElementSet.from_indices(indices))
 

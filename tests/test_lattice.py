@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tppb import errors, lattice
 from tppb.cli import parse_group_spec, realize_group_spec
 from tppb.groups import ElementSet, _bits, builtin, direct_product, from_permutation_generators
-from tppb.lattice import enumerate_subgroups, normal_core, normal_cores, perfect_residual
+from tppb.lattice import enumerate_subgroups, normal_cores, perfect_residual
 from oracles import (
     _conjugate_masks,
     brute_force_subgroup_masks,
@@ -256,10 +256,11 @@ class TestEnumerate:
     # non-normal class the normalizer read from the generators and the
     # conjugates gathered at one element per coset must equal those from
     # conjugating every member by every element.  Two lattice members
-    # share a number in `classes` exactly when some element conjugates one
-    # onto the other: the members of each number are the conjugates of its
-    # least member, by every element.  The numbers are 0, 1, ... in the
-    # order of their least members.
+    # share a number in `classes`, an int64 array aligned with `items`,
+    # exactly when some element conjugates one onto the other: the members
+    # of each number are the conjugates of its least member, by every
+    # element.  The numbers are 0, 1, ... in the order of their least
+    # members, in the given and in a renumbered numbering.
     def test_classes_match_conjugation_by_every_element(self, monkeypatch, catalog):
         calls = []
         real = lattice._subgroup_class
@@ -270,13 +271,14 @@ class TestEnumerate:
 
         monkeypatch.setattr(lattice, "_subgroup_class", recording)
         groups = catalog + [(spec, spec_group(spec)) for spec in ("sym:5", "product(sym:4,dihedral:8)")]
+        groups.append(("renumbered sym:4", renumbered(spec_group("sym:4"), seed="sym:4")))
         non_normal = 0
         for name, G in groups:
             calls.clear()
             lat = enumerate_subgroups(G)
             count = lat.count
             T, inv = G.table, G.inv
-            assert len(lat.classes) == count, name
+            assert lat.classes.dtype == np.int64 and lat.classes.shape == (count,), name
             members_of = {}
             for x, number in enumerate(lat.classes):
                 assert number <= len(members_of), (name, x)
@@ -297,8 +299,9 @@ class TestEnumerate:
                     assert np.array_equal(normalizer, oracle_normalizer), (name, gens)
                     assert conjugates == masks, (name, gens)
         # Non-normal classes of subgroups over these groups, a property of
-        # the groups alone: 203 of them in sym:4 x dihedral:8.
-        assert non_normal == 363
+        # the groups alone: 203 of them in sym:4 x dihedral:8, and 7 in the
+        # renumbered sym:4.
+        assert non_normal == 363 + 7
 
     # The bulk sort orders masks by size and masks of one size by their
     # ascending index tuples, for any width: one element, widths that are
@@ -450,19 +453,17 @@ class TestPerfectResidual:
 
 
 class TestIsNormal:
-    """A subgroup is normal exactly when it is its own normal core."""
+    """A member is normal exactly when it is its own normal core."""
 
     def test_s3_order2_not_normal(self):
-        G = builtin("sym", 3)
-        lat = enumerate_subgroups(G)
-        for s in lat.items:
+        lat = enumerate_subgroups(builtin("sym", 3))
+        for i, s in enumerate(lat.items):
             if len(s) == 2:
-                assert normal_core(G, s) != s
+                assert lat.cores[i] != i
 
     def test_quaternion_all_normal(self):
-        G = builtin("dicyclic", 8)
-        for s in enumerate_subgroups(G).items:
-            assert normal_core(G, s) == s
+        lat = enumerate_subgroups(builtin("dicyclic", 8))
+        assert np.array_equal(lat.cores, np.arange(lat.count))
 
     def test_center_is_normal(self):
         G = builtin("dihedral", 16)
@@ -470,56 +471,31 @@ class TestIsNormal:
         center = ElementSet.from_indices(
             [z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in range(G.order))]
         )
-        assert normal_core(G, center) == center
+        lat = enumerate_subgroups(G)
+        i = lat.items.index(center)
+        assert lat.cores[i] == i
 
 
 class TestNormalCore:
     def test_normal_subgroup_is_its_own_core(self):
-        G = builtin("sym", 3)
-        lat = enumerate_subgroups(G)
-        (h,) = [s for s in lat.items if len(s) == 3]
-        assert normal_core(G, h) == h
+        lat = enumerate_subgroups(builtin("sym", 3))
+        (i,) = [i for i, s in enumerate(lat.items) if len(s) == 3]
+        assert lat.cores[i] == i
 
     def test_s3_order2_core_trivial(self):
-        G = builtin("sym", 3)
-        lat = enumerate_subgroups(G)
-        for s in lat.items:
+        lat = enumerate_subgroups(builtin("sym", 3))
+        for i, s in enumerate(lat.items):
             if len(s) == 2:
-                assert len(normal_core(G, s)) == 1
+                assert len(lat.items[lat.cores[i]]) == 1
 
     def test_dihedral8_in_s4_has_klein_core(self):
-        G = builtin("sym", 4)
-        lat = enumerate_subgroups(G)
-        eights = [s for s in lat.items if len(s) == 8]
+        lat = enumerate_subgroups(builtin("sym", 4))
+        eights = [i for i, s in enumerate(lat.items) if len(s) == 8]
         assert len(eights) == 3
-        for s in eights:
-            core = normal_core(G, s)
-            assert len(core) == 4
-            assert normal_core(G, core) == core
-
-    def test_not_a_subgroup(self):
-        G = builtin("cyclic", 4)
-        with pytest.raises(errors.NotASubgroup):
-            normal_core(G, ElementSet.from_indices([0, 1]))
-
-    @pytest.mark.parametrize("indices", [[0, 5], [0, 100]])
-    def test_index_outside_group_is_not_a_subgroup(self, indices):
-        # Index 5 fits the one byte of cyclic:4's membership row; 100 does not.
-        with pytest.raises(errors.NotASubgroup):
-            normal_core(builtin("cyclic", 4), ElementSet.from_indices(indices))
-
-    def test_normal_cores_trust_lattice_members(self, monkeypatch):
-        # Lattice members were built as subgroups; re-checking each one
-        # would walk every member of every subgroup.
-        G = builtin("sym", 4)
-        lat = enumerate_subgroups(G)
-
-        def no_check(*args):
-            raise AssertionError("normal_cores re-checked a lattice member")
-
-        monkeypatch.setattr(lattice, "_subgroup_generators", no_check)
-        got = [c.mask for c in normal_cores(G, lat)]
-        assert got == [conjugate_intersection_core(G, s) for s in lat.items]
+        for i in eights:
+            core = lat.cores[i]
+            assert len(lat.items[core]) == 4
+            assert lat.cores[core] == core
 
     @pytest.mark.parametrize(
         "make",
@@ -530,13 +506,13 @@ class TestNormalCore:
         ],
     )
     def test_core_is_largest_contained_normal_subgroup(self, make):
-        G = make()
-        lat = enumerate_subgroups(G)
-        normal_masks = [s.mask for s in lat.items if normal_core(G, s) == s]
-        for s in lat.items:
-            core = normal_core(G, s)
+        lat = enumerate_subgroups(make())
+        cores = lat.cores
+        normal_masks = [s.mask for i, s in enumerate(lat.items) if cores[i] == i]
+        for s, c in zip(lat.items, cores):
+            core = lat.items[c]
             assert core.mask & ~s.mask == 0
-            assert normal_core(G, core) == core
+            assert cores[c] == c
             for nm in normal_masks:
                 if nm & ~s.mask == 0:
                     assert nm & ~core.mask == 0
@@ -546,25 +522,32 @@ class TestNormalCore:
         lat = enumerate_subgroups(G)
         cores = normal_cores(G, lat)
         assert len(cores) == len(lat.items)
-        assert [len(c) for c in cores] == [1, 1, 1, 1, 3, 6]
+        assert [len(lat.items[c]) for c in cores] == [1, 1, 1, 1, 3, 6]
 
     def test_cores_match_conjugate_intersection_on_catalog(self, catalog, catalog_lattices):
         for name, G in catalog:
             lat = catalog_lattices[name]
-            got = [c.mask for c in normal_cores(G, lat)]
+            got = [lat.items[c].mask for c in normal_cores(G, lat)]
             assert got == [conjugate_intersection_core(G, s) for s in lat.items], name
 
     # The walk keeps each class's core as the AND of its conjugates; the
     # oracle takes the union of the element classes inside each member.
-    # normal_core reaches the same conjugates from the generators of its
-    # own walk over the member, not from the lattice's chain generators.
+    # `cores` is an int64 array of member indices aligned with `items`: each
+    # core lies inside its member, is its own core, and a member is its own
+    # core exactly when the union of its elements' classes is itself.
     def test_cores_match_class_union(self, catalog, catalog_lattices):
-        groups = [(name, G, catalog_lattices[name], True) for name, G in catalog]
+        groups = [(name, G, catalog_lattices[name]) for name, G in catalog]
         for spec in ("sym:5", "product(sym:4,dihedral:8)", "dicyclic:292", "dihedral:1000"):
             G = spec_group(spec)
-            groups.append((spec, G, enumerate_subgroups(G), spec == "sym:5"))
-        for name, G, lat, each in groups:
-            got = [c.mask for c in normal_cores(G, lat)]
-            assert got == [class_union_core(G, s) for s in lat.items], name
-            if each:
-                assert got == [normal_core(G, s).mask for s in lat.items], name
+            groups.append((spec, G, enumerate_subgroups(G)))
+        G = renumbered(spec_group("sym:5"), seed="sym:5")
+        groups.append(("renumbered sym:5", G, enumerate_subgroups(G)))
+        for name, G, lat in groups:
+            cores, items = lat.cores, lat.items
+            assert cores.dtype == np.int64 and cores.shape == (lat.count,), name
+            assert np.array_equal(cores[cores], cores), name
+            got = [items[c].mask for c in cores.tolist()]
+            assert got == [class_union_core(G, s) for s in items], name
+            for i, (s, core) in enumerate(zip(items, got)):
+                assert core & ~s.mask == 0, (name, i)
+                assert (cores[i] == i) == class_union_is_normal(G, s.mask), (name, i)
