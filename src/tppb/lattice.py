@@ -4,6 +4,7 @@ the conjugates that the lattice walk gathers."""
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from operator import and_
 
 import numpy as np
@@ -253,23 +254,26 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
     are gathered from the table (x*y*x^-1 = T[T[x, y], inv[x]]) only at
     the least element of each left coset x*N(K): the least x not yet
     marked, whose coset, one row T[x, N(K)], is then marked, |G:N(K)|
-    times in all.  A class record keeps only the representative's mask,
-    its normalizer row (None when normal), its generators, its support
-    and its level, the larger of the parent's level and the new
-    generator's.  Each class also keeps its normal core, the AND of the
-    conjugate masks, which is the mask itself for a normal class.
+    times in all.  The class records are parallel lists, one entry per
+    class: the representative's mask, its normalizer row (None when
+    normal), its generators, its support, its level (the larger of the
+    parent's level and the new generator's), its order and its normal
+    core, the AND of the conjugate masks, the mask itself when normal.
 
     The queue is read in blocks of representatives of at most
-    LATTICE_CELLS cells (block x n), so the membership rows,
-    the member lists and the gather and search tests are built once per
-    block.  The generators of each representative's gather seeds are
-    marked in a block x n array, whose rows are packed to one int per
-    representative (`_masks`).  The walk takes the lowest marked
-    generator g, gathers K = R<g> and clears K from the marks, so it
-    visits only the extensions it runs.  The search seeds, the least of
-    their orbits, follow with no such test: a seed in a gathered
-    K = R<g'> normalizes R, and its p-th power lies in R since K/R has
-    order p, so it is a gather seed and never a search seed.
+    LATTICE_CELLS cells (block x n), so the membership rows, the member
+    lists and the gather and search tests are built once per block; its
+    normalizer rows start all True and only non-normal rows are written
+    in.  The join screen (nonabelian, inside P) runs only on rows that
+    still hold search seeds, none when G is solvable.  The generators of
+    each representative's gather seeds are marked in a block x n array,
+    whose rows are packed to one int per representative (`_masks`).  The
+    walk takes the lowest marked generator g, gathers K = R<g> and clears
+    K from the marks, so it visits only the extensions it runs.  The
+    search seeds, the least of their orbits, follow with no such test: a
+    seed in a gathered K = R<g'> normalizes R, and its p-th power lies in
+    R since K/R has order p, so it is a gather seed and never a search
+    seed.
 
     This order may find a class first at another of its members, with
     other generators, than a walk by ascending seeds would.  The results
@@ -352,61 +356,67 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     # class_mask[g]: the mask of g's conjugacy class.
     class_mask = [partition.classes[c].mask for c in partition.class_of]
-    known, whole = {}, np.ones(n, dtype=bool)  # known: mask -> its class's place in reps
-    # (mask, normalizer row or None, generators, support, level) per class:
-    # its generators' class masks ORed, and the largest of their levels.
-    reps = []
-    cores = []  # normal core mask per class, aligned with reps
+    known = {}  # mask -> its class's place in the records
+    # Per class, aligned: the representative's mask, normalizer row (None
+    # when normal), generators, support, level, order and normal core mask.
+    rep_masks, normalizer_rows, rep_gens, supports, levels, sizes, cores = [], [], [], [], [], [], []
 
     def add_class(mask, gens, support, lvl):
         conjugates, normalizer = _subgroup_class(T, inv, mask, gens, support)
         if len(known) + len(conjugates) > limit:
             raise errors.LatticeLimitExceeded(f"more than {limit} subgroups; raise the lattice limit")
-        known.update(dict.fromkeys(conjugates, len(reps)))
-        reps.append((mask, normalizer, gens, support, lvl))
+        known.update(dict.fromkeys(conjugates, len(rep_masks)))
+        rep_masks.append(mask)
+        normalizer_rows.append(normalizer)
+        rep_gens.append(gens)
+        supports.append(support)
+        levels.append(lvl)
+        sizes.append(mask.bit_count())
         cores.append(reduce(and_, conjugates))
 
     def extend(gens, support, lvl, g, kmask):
         add_class(kmask, gens + (g,), support | class_mask[g], max(lvl, level[g]))
 
     add_class(1, (), 0, 0)
-    # add_class appends to reps as the blocks are walked, so each new class
-    # is extended in turn, in a later block.
+    # add_class appends to the records as the blocks are walked, so each new
+    # class is extended in turn, in a later block.
     head = 0
-    while head < len(reps):
-        block = reps[head : head + step]
-        head += len(block)
-        _, rows = _packed([mask for mask, *_ in block], n)
-        normalizers = np.array([whole if row is None else row for _, row, *_ in block])
+    while head < len(rep_masks):
+        first, head = head, min(head + step, len(rep_masks))
+        _, rows = _packed(rep_masks[first:head], n)
+        normalizers = np.ones_like(rows)
+        for i, row in enumerate(normalizer_rows[first:head]):
+            if row is not None:
+                normalizers[i] = row
         outside = ~rows[:, gen_idx]
         gather = outside & rows[:, root_idx] & normalizers[:, gen_idx]
         marked = np.zeros_like(rows)
         marked[:, gen_idx] = gather
         gathers = _masks(marked)  # per representative, its gather seeds' generators
         search = outside & gen_in_residual & ~gather
-        # Joins run only from nonabelian representatives inside P.
-        no_join = [
-            mask & ~residual != 0 or all(mul[a, b] == mul[b, a] for a in gens for b in gens)
-            for mask, _, gens, *_ in block
-        ]
-        search[np.array(no_join)] = False
         for i in np.flatnonzero(search.any(axis=1)).tolist():
+            # Joins run only from nonabelian representatives inside P.
+            gens = rep_gens[first + i]
+            if rep_masks[first + i] & ~residual or all(mul[a, b] == mul[b, a] for a in gens for b in gens):
+                search[i] = False
+                continue
             # x*<R, g>*x^-1 = <R, x*g*x^-1> for x in N(R): only the least
             # seed of each N(R)-orbit is searched.
             ids, xs = np.flatnonzero(search[i]), np.flatnonzero(normalizers[i])
             orbits = seed_of[T[T[xs[:, None], gen_idx[ids]], inv[xs][:, None]]]
             search[i, ids[orbits.min(axis=0) < ids]] = False
         at, seed_at = np.nonzero(search)
-        starts = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
+        starts = np.searchsorted(at, np.arange(head - first + 1)).tolist()
         search_gens = gen_idx[seed_at].tolist()
-        members, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(axis=1)).tolist()
-        for i, (hmask, _, gens, support, lvl) in enumerate(block):
+        members, ends = np.nonzero(rows)[1].tolist(), list(accumulate(sizes[first:head]))
+        for i, c in enumerate(range(first, head)):
             # A central R gathers only by seeds above its level.
-            rem = gathers[i] & above[lvl]
+            rem = gathers[i] & above[levels[c]]
             lo, hi = starts[i], starts[i + 1]
             if not rem and lo == hi:
                 continue
-            rmembers = members[ends[i] - hmask.bit_count() : ends[i]]
+            hmask, gens, support, lvl = rep_masks[c], rep_gens[c], supports[c], levels[c]
+            rmembers = members[ends[i] - sizes[c] : ends[i]]
             while rem:
                 g = (rem & -rem).bit_length() - 1
                 kmask = _gather_extension(power_rows[g], rmembers, hmask, bit)
@@ -421,7 +431,7 @@ def enumerate_subgroups(G: Group, lattice_limit: int | None = None) -> SubgroupL
 
     masks = list(known)
     place = np.fromiter(known.values(), dtype=np.int64, count=len(masks))
-    sizes = np.array([mask.bit_count() for mask, *_ in reps], dtype=np.int64)[place]
+    sizes = np.array(sizes, dtype=np.int64)[place]
     order = _lattice_order(masks, sizes, n)
     masks = list(map(masks.__getitem__, order.tolist()))
     place = place[order]

@@ -34,7 +34,7 @@ def order_multiset(lat):
 
 
 def extension_counts(monkeypatch, G):
-    """(coset-search joins, prime-index gathers, subgroup count) of one
+    """(coset-search joins, prime-index gathers, lattice) of one
     enumeration of G."""
     calls = {"_coset_join": 0, "_gather_extension": 0}
     for name in calls:
@@ -44,8 +44,8 @@ def extension_counts(monkeypatch, G):
             return real(*args)
 
         monkeypatch.setattr(lattice, name, counting)
-    count = enumerate_subgroups(G).count
-    return calls["_coset_join"], calls["_gather_extension"], count
+    lat = enumerate_subgroups(G)
+    return calls["_coset_join"], calls["_gather_extension"], lat
 
 
 def sl_2_5():
@@ -146,14 +146,21 @@ class TestEnumerate:
     # A5's last class has five members, so a check per class overshoots.
     # In elem_abelian:16 every class has one member and the last one, the
     # whole group, comes from a prime-index gather.
-    @pytest.mark.parametrize(
-        "family,k,count", [("sym", 4, 30), ("alt", 5, 59), ("elem_abelian", 16, 67)]
-    )
+    LIMIT_BOUNDARY = [("sym", 4, 30), ("alt", 5, 59), ("elem_abelian", 16, 67)]
+
+    @pytest.mark.parametrize("family,k,count", LIMIT_BOUNDARY)
     def test_lattice_limit_boundary(self, family, k, count):
         G = builtin(family, k)
         assert enumerate_subgroups(G, lattice_limit=count).count == count
         with pytest.raises(errors.LatticeLimitExceeded):
             enumerate_subgroups(G, lattice_limit=count - 1)
+
+    # The limit is checked as each class is added, not once per block, so
+    # it holds to the member when every block is one representative.
+    @pytest.mark.parametrize("family,k,count", LIMIT_BOUNDARY)
+    def test_lattice_limit_boundary_one_representative_per_block(self, monkeypatch, family, k, count):
+        monkeypatch.setattr(lattice, "LATTICE_CELLS", 1)
+        self.test_lattice_limit_boundary(family, k, count)
 
     # Frozen work counts: coset-search joins (only from nonabelian
     # representatives R inside the perfect residual, once per N(R)-orbit
@@ -211,6 +218,24 @@ class TestEnumerate:
         got = extension_counts(monkeypatch, renumbered(spec_group(spec), seed=spec))
         assert got[:2] == (coset_joins, gathers)
 
+    # The block size sets only how many queued representatives share one
+    # set of membership rows and seed tests: one representative per block
+    # and the whole queue as one block give the default run's lattice,
+    # classes, cores, orders and work counts.
+    @pytest.mark.parametrize(
+        "spec", ["sym:5", "product(alt:5,cyclic:2)", "product(sym:4,dihedral:8)", "elem_abelian:2^5", "alt:6"]
+    )
+    @pytest.mark.parametrize("cells", [1, 1 << 40], ids=["one-representative", "one-block"])
+    def test_walk_does_not_depend_on_block_size(self, monkeypatch, spec, cells):
+        G = spec_group(spec)
+        default = extension_counts(monkeypatch, G)
+        monkeypatch.setattr(lattice, "LATTICE_CELLS", cells)
+        got = extension_counts(monkeypatch, G)
+        assert got[:2] == default[:2]
+        assert [s.mask for s in got[2].items] == [s.mask for s in default[2].items]
+        for name in ("classes", "cores", "orders"):
+            assert np.array_equal(getattr(got[2], name), getattr(default[2], name))
+
     # In an abelian group every subgroup lies in the centre, so each one
     # but 1 is gathered exactly once, at every prime and numbering: the
     # chain's steps add p - 1 cosets each, and in cyclic:4 x cyclic:4 and
@@ -224,8 +249,8 @@ class TestEnumerate:
         G = spec_group(spec)
         if renumber:
             G = renumbered(G, seed=spec)
-        coset_joins, gathers, count = extension_counts(monkeypatch, G)
-        assert (coset_joins, gathers) == (0, count - 1)
+        coset_joins, gathers, lat = extension_counts(monkeypatch, G)
+        assert (coset_joins, gathers) == (0, lat.count - 1)
 
     @pytest.mark.parametrize(
         "make",
